@@ -37,7 +37,14 @@ from .minimize import (
     minimize_under_summary,
 )
 from .plan_pattern import GlueCondition, expand_view, merged_patterns
-from .rewrite import DeepRename, Regroup, Rewriting, SatisfiesFormula, rewrite_pattern
+from .rewrite import (
+    DeepRename,
+    Regroup,
+    Rewriting,
+    SatisfiesFormula,
+    SearchStats,
+    rewrite_pattern,
+)
 from .uload import (
     Database,
     PatternResolution,
@@ -96,6 +103,7 @@ __all__ = [
     "Rewriting",
     "SatisfiesFormula",
     "rewrite_pattern",
+    "SearchStats",
     "Database",
     "PatternResolution",
     "PreparedQuery",

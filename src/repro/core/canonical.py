@@ -19,13 +19,21 @@ Supported dialects, composable as in §4.3.2:
   the original pattern still has an embedding into it;
 * attribute / nested patterns — handled at the containment layer, over the
   same trees.
+
+A canonical tree is its *chain* nodes (the summary paths the pattern's
+edges expand into) plus, under enhanced summaries, the descendants that
+strong edges guarantee.  The chain is built eagerly; the strong closure is
+materialised under a node only when something asks for that node's
+children, so a tree costs its chain, not the summary's strong subtree.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator, Optional
 
 from ..algebra.formulas import TRUE, Formula
+from ..summary.enhanced import is_strong_chain
 from ..summary.path_summary import PathSummary, SummaryNode
 from .xam import CHILD, JOIN, NEST, NEST_OUTER, OUTER, Pattern, PatternNode
 
@@ -41,27 +49,64 @@ __all__ = [
 ]
 
 
+#: serialises strong-closure materialisation: canonical models of views are
+#: shared between concurrently preparing threads, and formula variables are
+#: node identities, so a node's children must be published exactly once
+_CLOSURE_LOCK = threading.Lock()
+
+
 class CanonNode:
-    """A canonical-tree node: a summary label + an optional value formula
-    + the summary path it instantiates."""
+    """A canonical-tree node: one summary path + an optional value formula."""
 
-    __slots__ = ("label", "formula", "summary_number", "children", "source")
+    __slots__ = ("label", "snode", "formula", "chain", "_children")
 
-    def __init__(
-        self,
-        label: str,
-        summary_number: int,
-        formula: Formula = TRUE,
-        source: Optional[PatternNode] = None,
-    ):
-        self.label = label
-        self.summary_number = summary_number
+    def __init__(self, snode: SummaryNode, formula: Formula = TRUE):
+        self.label = snode.label
+        self.snode = snode
         self.formula = formula
-        #: the pattern node realized at this position (chain ends only)
-        self.source = source
-        self.children: list[CanonNode] = []
+        #: the children the pattern's own edges put here; fixed once the
+        #: tree is built
+        self.chain: list[CanonNode] = []
+        #: ``chain`` + the strong closure, once asked for
+        self._children: Optional[tuple[CanonNode, ...]] = None
+
+    @property
+    def summary_number(self) -> int:
+        return self.snode.number
+
+    @property
+    def children(self) -> tuple["CanonNode", ...]:
+        """The chain children, then one fresh node per strong (``+``/``1``)
+        summary edge no chain child already takes — any conforming
+        document containing this node contains those too.  The full strong
+        closure unfolds as the new nodes are asked in turn (bounded by the
+        summary's height); a truncated closure would be sound but break
+        containment transitivity.  Trees built without strong edges are
+        sealed to their chain."""
+        children = self._children
+        if children is None:
+            with _CLOSURE_LOCK:
+                children = self._children
+                if children is None:
+                    taken = {child.snode for child in self.chain}
+                    children = self._children = (
+                        *self.chain,
+                        *(
+                            CanonNode(snode)
+                            for snode in self.snode.strong_children
+                            if snode not in taken
+                        ),
+                    )
+        return children
+
+    def iter_chain(self) -> Iterator["CanonNode"]:
+        """This node and the chain nodes below it (no strong closure)."""
+        yield self
+        for child in self.chain:
+            yield from child.iter_chain()
 
     def iter_subtree(self) -> Iterator["CanonNode"]:
+        """The whole subtree, strong closure included (materialising it)."""
         yield self
         for child in self.children:
             yield from child.iter_subtree()
@@ -70,36 +115,45 @@ class CanonNode:
         return sum(1 for _ in self.iter_subtree())
 
     def structure_key(self) -> tuple:
+        """Identity of the chain structure (which determines the closure)."""
         return (
             self.label,
-            self.summary_number,
+            self.snode.number,
             hash(self.formula),
-            tuple(sorted(child.structure_key() for child in self.children)),
+            tuple(sorted(child.structure_key() for child in self.chain)),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         formula = "" if self.formula.is_true else f"[{self.formula!r}]"
-        return f"{self.label}#{self.summary_number}{formula}"
+        return f"{self.label}#{self.snode.number}{formula}"
 
 
 class CanonicalTree:
     """One tree of ``mod_S(p)``, with its return tuple.
 
     ``return_nodes[i]`` is the canonical node realizing the pattern's
-    ``i``-th return node, or ``None`` (⊥) when the subtree was erased by
-    the optional-edge expansion.
+    ``i``-th return node (``return_names[i]``), or ``None`` (⊥) when the
+    subtree was erased by the optional-edge expansion.
     """
 
     def __init__(
         self,
         root: CanonNode,
-        return_nodes: tuple[Optional[CanonNode], ...],
+        return_names: list[str],
         node_of: dict[str, Optional[CanonNode]],
     ):
         self.root = root
-        self.return_nodes = return_nodes
+        self.return_names = return_names
         #: pattern-node name → canonical node (None when erased)
         self.node_of = node_of
+        self.return_nodes = tuple(node_of[name] for name in return_names)
+        self._var_formulas: Optional[dict[int, Formula]] = None
+
+    def seal(self) -> None:
+        """Rule the strong closure out: every node's children are its
+        chain (the tree of a summary without integrity constraints)."""
+        for node in self.root.iter_chain():
+            node._children = tuple(node.chain)
 
     def size(self) -> int:
         return self.root.size() - 1  # the ⊤ root is not a data node
@@ -107,33 +161,30 @@ class CanonicalTree:
     def return_paths(self) -> tuple[Optional[int], ...]:
         """Summary path numbers of the return tuple (⊥ → ``None``)."""
         return tuple(
-            node.summary_number if node is not None else None
+            node.snode.number if node is not None else None
             for node in self.return_nodes
         )
 
     def structure_key(self) -> tuple:
-        return (
-            self.root.structure_key(),
-            tuple(
-                node.summary_number if node is not None else None
-                for node in self.return_nodes
-            ),
-        )
+        return (self.root.structure_key(), self.return_paths())
 
     def var_formulas(self) -> dict[int, Formula]:
-        """The formula map ``φ_{t_e}`` of §4.4.2.
+        """The formula map ``φ_{t_e}`` of §4.4.2 (read-only; computed once).
 
         The thesis indexes formulas by summary-node variables under the
         simplifying assumption that canonical trees are S-subtrees; when a
         tree instantiates the same path twice, per-path variables would
         conflate independent document nodes.  We therefore key variables by
         the canonical node itself (``id``), which is exact in all cases.
+        Only chain nodes carry formulas.
         """
-        return {
-            id(node): node.formula
-            for node in self.root.iter_subtree()
-            if not node.formula.is_true
-        }
+        if self._var_formulas is None:
+            self._var_formulas = {
+                id(node): node.formula
+                for node in self.root.iter_chain()
+                if not node.formula.is_true
+            }
+        return self._var_formulas
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +201,20 @@ def admits_label(pattern_node: PatternNode, label: str) -> bool:
 
 def _candidates(
     snode: SummaryNode, axis: str, pattern_node: PatternNode
-) -> Iterator[SummaryNode]:
-    if axis == CHILD:
-        for child in snode.children.values():
-            if admits_label(pattern_node, child.label):
-                yield child
-    else:
-        for descendant in snode.descendants():
-            if admits_label(pattern_node, descendant.label):
-                yield descendant
+) -> list[SummaryNode]:
+    """The summary nodes below ``snode`` along ``axis`` admitting the
+    pattern node, in pre-order — read off the summary's indexes."""
+    tag = pattern_node.tag
+    if axis != CHILD:
+        return snode.summary.descendants_labeled(snode, tag)
+    if tag is not None:
+        child = snode.children.get(tag)
+        return [child] if child is not None else []
+    return [
+        child
+        for child in snode.children.values()
+        if admits_label(pattern_node, child.label)
+    ]
 
 
 def summary_embeddings(
@@ -183,17 +239,66 @@ def summary_embeddings(
     return assign(pattern.root, summary.root)
 
 
+def _annotate(
+    pattern: Pattern,
+    summary: PathSummary,
+    optional_free: bool = False,
+    valued: bool = False,
+) -> Optional[dict[str, set[int]]]:
+    """Per pattern-node name, the summary path numbers the node takes in
+    some embedding of the pattern into the summary; ``None`` when there is
+    no embedding at all.  Decided per (pattern node, summary node) pair —
+    whole embeddings are never enumerated.
+
+    By default every edge must be matched (Definition 4.3.1).  With
+    ``optional_free``, optional edges need not be: the result bounds from
+    above where the node can sit in *any* tree conforming to the summary.
+    With ``valued``, decorated nodes only sit on paths that can carry a
+    value: exactly the embeddings canonical trees are built from.
+    """
+    tracks_text = summary.tracks_text
+    fits_memo: dict[tuple[PatternNode, SummaryNode], bool] = {}
+
+    def fits(pattern_node: PatternNode, snode: SummaryNode) -> bool:
+        key = (pattern_node, snode)
+        known = fits_memo.get(key)
+        if known is None:
+            known = fits_memo[key] = (
+                not valued or _can_hold_value(pattern_node, snode, tracks_text)
+            ) and all(
+                (optional_free and edge.optional)
+                or any(
+                    fits(edge.child, candidate)
+                    for candidate in _candidates(snode, edge.axis, edge.child)
+                )
+                for edge in pattern_node.edges
+            )
+        return known
+
+    if not fits(pattern.root, summary.root):
+        return None
+    found: dict[str, set[int]] = {node.name: set() for node in pattern.nodes()}
+
+    def spread(pattern_node: PatternNode, snode: SummaryNode) -> None:
+        for edge in pattern_node.edges:
+            reached = found[edge.child.name]
+            for candidate in _candidates(snode, edge.axis, edge.child):
+                if candidate.number not in reached and fits(edge.child, candidate):
+                    reached.add(candidate.number)
+                    spread(edge.child, candidate)
+
+    spread(pattern.root, summary.root)
+    return found
+
+
 def path_annotations(
     pattern: Pattern, summary: PathSummary
 ) -> dict[str, set[int]]:
     """Definition 4.3.1: per pattern-node name, the set of summary path
     numbers it may be embedded onto."""
-    annotations: dict[str, set[int]] = {node.name: set() for node in pattern.nodes()}
-    for embedding in summary_embeddings(pattern, summary):
-        for pattern_node, snode in embedding.items():
-            if pattern_node.parent_edge is not None:
-                annotations[pattern_node.name].add(snode.number)
-    return annotations
+    return _annotate(pattern, summary) or {
+        node.name: set() for node in pattern.nodes()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +309,9 @@ def _build_tree(
     pattern: Pattern,
     summary: PathSummary,
     embedding: dict[PatternNode, SummaryNode],
-    returns: Optional[list[str]] = None,
+    return_names: list[str],
 ) -> CanonicalTree:
-    root = CanonNode("#document", 0, source=pattern.root)
+    root = CanonNode(summary.root)
     node_of: dict[str, Optional[CanonNode]] = {pattern.root.name: root}
 
     def attach(pattern_parent: PatternNode, canon_parent: CanonNode) -> None:
@@ -218,26 +323,16 @@ def _build_tree(
             # chain[0] is the parent's own summary node; each pattern child
             # gets its own fresh chain (Definition in §4.3.1).
             for snode in chain[1:-1]:
-                link = CanonNode(snode.label, snode.number)
-                anchor.children.append(link)
+                link = CanonNode(snode)
+                anchor.chain.append(link)
                 anchor = link
-            last = chain[-1]
-            end = CanonNode(
-                last.label,
-                last.number,
-                formula=edge.child.value_formula,
-                source=edge.child,
-            )
-            anchor.children.append(end)
+            end = CanonNode(chain[-1], edge.child.value_formula)
+            anchor.chain.append(end)
             node_of[edge.child.name] = end
             attach(edge.child, end)
 
     attach(pattern.root, root)
-    return_names = returns if returns is not None else [
-        node.name for node in pattern.return_nodes()
-    ]
-    return_nodes = tuple(node_of[name] for name in return_names)
-    return CanonicalTree(root, return_nodes, node_of)
+    return CanonicalTree(root, return_names, node_of)
 
 
 def _strict_copy(pattern: Pattern) -> Pattern:
@@ -258,8 +353,8 @@ def _optional_edge_names(pattern: Pattern) -> list[str]:
 
 def _tree_parents(tree: CanonicalTree) -> dict[int, Optional[CanonNode]]:
     parents: dict[int, Optional[CanonNode]] = {id(tree.root): None}
-    for walker in tree.root.iter_subtree():
-        for child in walker.children:
+    for walker in tree.root.iter_chain():
+        for child in walker.chain:
             parents[id(child)] = walker
     return parents
 
@@ -289,6 +384,14 @@ def _chain_top(
     return chain_top
 
 
+def _erased_pattern_nodes(pattern: Pattern, erased_names: frozenset[str]) -> set[str]:
+    return {
+        below.name
+        for name in erased_names
+        for below in pattern.node_by_name(name).iter_subtree()
+    }
+
+
 def _skipping_key(
     tree: CanonicalTree,
     pattern: Pattern,
@@ -297,19 +400,16 @@ def _skipping_key(
 ) -> tuple:
     """The structure key the erased variant *would* have, computed in one
     walk over the original tree — avoids materializing duplicate copies."""
-    erased_pattern_nodes: set[str] = set()
-    for name in erased_names:
-        for below in pattern.node_by_name(name).iter_subtree():
-            erased_pattern_nodes.add(below.name)
+    erased_pattern_nodes = _erased_pattern_nodes(pattern, erased_names)
 
     def key(node: CanonNode) -> tuple:
         return (
             node.label,
-            node.summary_number,
+            node.snode.number,
             hash(node.formula),
             tuple(
                 sorted(
-                    key(child) for child in node.children if id(child) not in victims
+                    key(child) for child in node.chain if id(child) not in victims
                 )
             ),
         )
@@ -317,8 +417,8 @@ def _skipping_key(
     surviving_returns = tuple(
         None
         if (name in erased_pattern_nodes or tree.node_of.get(name) is None)
-        else tree.node_of[name].summary_number
-        for name in _return_names_of(tree)
+        else tree.node_of[name].snode.number
+        for name in tree.return_names
     )
     return (key(tree.root), surviving_returns)
 
@@ -330,20 +430,16 @@ def _erase_victims(
     victims: set[int],
 ) -> CanonicalTree:
     """Copy ``tree`` without the subtrees rooted at the victim nodes."""
-    erased_pattern_nodes: set[str] = set()
-    for name in erased_names:
-        for below in pattern.node_by_name(name).iter_subtree():
-            erased_pattern_nodes.add(below.name)
-
+    erased_pattern_nodes = _erased_pattern_nodes(pattern, erased_names)
     remap: dict[int, CanonNode] = {}
 
     def copy_node(node: CanonNode) -> CanonNode:
-        clone = CanonNode(node.label, node.summary_number, node.formula, node.source)
+        clone = CanonNode(node.snode, node.formula)
         remap[id(node)] = clone
-        for child in node.children:
+        for child in node.chain:
             if id(child) in victims:
                 continue
-            clone.children.append(copy_node(child))
+            clone.chain.append(copy_node(child))
         return clone
 
     new_root = copy_node(tree.root)
@@ -353,40 +449,7 @@ def _erase_victims(
             new_node_of[name] = None
         else:
             new_node_of[name] = remap[id(node)]
-    return_names = _return_names_of(tree)
-    returns = tuple(new_node_of.get(name) for name in return_names)
-    return CanonicalTree(new_root, returns, new_node_of)
-
-
-def _return_names_of(tree: CanonicalTree) -> list[str]:
-    """Recover the return-node names of a canonical tree from node_of
-    (names whose canonical node sits in the return tuple, in order)."""
-    names = []
-    for target in tree.return_nodes:
-        for name, node in tree.node_of.items():
-            if node is target and name not in names:
-                names.append(name)
-                break
-        else:
-            names.append("")  # erased (⊥) — stays ⊥ after further erasure
-    return names
-
-
-def _pattern_matches_tree(pattern: Pattern, tree: CanonicalTree) -> bool:
-    """``p(t_{e,F}) ≠ ∅`` with formula-aware admission (tree formulas must
-    imply pattern formulas)."""
-    from .embedding import iter_embeddings
-
-    def admits(pattern_node: PatternNode, node: CanonNode) -> bool:
-        if not admits_label(pattern_node, node.label):
-            return False
-        if pattern_node.value_formula.is_true:
-            return True
-        return node.formula.implies(pattern_node.value_formula)
-
-    return any(
-        True for _ in iter_embeddings(pattern, tree.root, lambda n: n.children, admits)
-    )
+    return CanonicalTree(new_root, tree.return_names, new_node_of)
 
 
 def canonical_model(
@@ -403,33 +466,63 @@ def canonical_model(
 
     With ``use_strong_edges`` (default), enhanced-summary integrity
     constraints (§4.2.2) sharpen the model two ways: every canonical tree
-    is *augmented* with the descendants guaranteed by ``+``/``1`` edges
-    (any conforming document containing the tree contains them too), and
-    optional-edge erasure variants that no conforming document can
-    realize (the erased node is structurally guaranteed) are dropped.
+    carries the descendants guaranteed by ``+``/``1`` edges (any conforming
+    document containing the tree contains them too — see
+    :attr:`CanonNode.children`), and optional-edge erasure variants that no
+    conforming document can realize (the erased node is structurally
+    guaranteed) are dropped.
     """
+    strict = _strict_copy(pattern)
+    return model_of_embeddings(
+        pattern, strict, summary_embeddings(strict, summary), summary,
+        returns, use_strong_edges,
+    )
+
+
+def model_of_embeddings(
+    pattern: Pattern,
+    strict: Pattern,
+    embeddings: list[dict[PatternNode, SummaryNode]],
+    summary: PathSummary,
+    returns: Optional[list[str]] = None,
+    use_strong_edges: bool = True,
+) -> list[CanonicalTree]:
+    """:func:`canonical_model` from the already enumerated embeddings of
+    the pattern's strict copy (callers that also need the embeddings
+    themselves enumerate once)."""
     if any(node.value_formula.is_false for node in pattern.nodes()):
         return []
-    strict = _strict_copy(pattern)
+    return_names = returns if returns is not None else [
+        node.name for node in pattern.return_nodes()
+    ]
     trees: list[CanonicalTree] = []
     seen: set[tuple] = set()
-    tracks_text = _tracks_text(summary)
-    for embedding in summary_embeddings(strict, summary):
-        if not _formula_placements_ok(embedding, tracks_text):
+    for embedding in embeddings:
+        if not _formula_placements_ok(embedding, summary.tracks_text):
             continue
-        tree = _build_tree(strict, summary, embedding, returns)
+        tree = _build_tree(strict, summary, embedding, return_names)
         key = tree.structure_key()
         if key not in seen:
             seen.add(key)
             trees.append(tree)
 
     optional_names = _optional_edge_names(pattern)
-    if not optional_names:
-        if use_strong_edges:
-            for tree in trees:
-                _augment_strong(tree.root, summary)
-        return trees
+    if optional_names:
+        trees = _expand_optional(trees, pattern, optional_names, use_strong_edges)
+    if not use_strong_edges:
+        for tree in trees:
+            tree.seal()
+    return trees
 
+
+def _expand_optional(
+    trees: list[CanonicalTree],
+    pattern: Pattern,
+    optional_names: list[str],
+    use_strong_edges: bool,
+) -> list[CanonicalTree]:
+    """Per tree and subset F of optional edges, the variant with the
+    chains below F erased (duplicate-free)."""
     expanded: list[CanonicalTree] = []
     expanded_seen: set[tuple] = set()
     subsets = _subsets(optional_names)
@@ -440,7 +533,7 @@ def canonical_model(
             for name in optional_names
         }
         subtree_ids = {
-            name: {id(node) for node in top.iter_subtree()}
+            name: {id(node) for node in top.iter_chain()}
             for name, top in tops.items()
             if top is not None
         }
@@ -465,7 +558,7 @@ def canonical_model(
             seen_victims.add(victim_key)
             if victims:
                 if use_strong_edges and _erasure_unrealizable(
-                    tree, pattern, tuple(victims), summary
+                    tree, pattern, tuple(victims)
                 ):
                     continue
                 victim_ids = {id(tops[n]) for n in victims}
@@ -475,50 +568,24 @@ def canonical_model(
                 if key in expanded_seen:
                     continue
                 expanded_seen.add(key)
-                variant = _erase_victims(
-                    tree, pattern, frozenset(subset), victim_ids
-                )
                 # The thesis re-checks p(t_{e,F}) ≠ ∅ because its erasure
                 # leaves partial chains behind; whole-chain erasure removes
                 # exactly one optional subtree per victim, so the original
                 # embedding (victims ↦ ⊥) always survives and the check is
-                # a tautology here (empirically validated; see the tests).
-                expanded.append(variant)
+                # a tautology here.
+                expanded.append(
+                    _erase_victims(tree, pattern, frozenset(subset), victim_ids)
+                )
                 continue
-            variant = tree
-            key = variant.structure_key()
+            key = tree.structure_key()
             if key not in expanded_seen:
                 expanded_seen.add(key)
-                expanded.append(variant)
-    if use_strong_edges:
-        for tree in expanded:
-            _augment_strong(tree.root, summary)
+                expanded.append(tree)
     return expanded
 
 
-def _augment_strong(node: CanonNode, summary: PathSummary) -> None:
-    """Add the descendants guaranteed by ``+``/``1`` summary edges (where
-    no child on that path already exists), recursively — the full strong
-    closure, naturally bounded by the summary's height.  A truncated
-    closure would be sound but incomplete in a way that breaks containment
-    transitivity (a view probing below the truncation point would miss
-    guaranteed structure)."""
-    if node.summary_number < 0:
-        return
-    snode = summary.node_by_number(node.summary_number)
-    present = {child.summary_number for child in node.children}
-    for schild in snode.children.values():
-        if schild.edge_annotation in ("+", "1") and schild.number not in present:
-            node.children.append(CanonNode(schild.label, schild.number))
-    for child in node.children:
-        _augment_strong(child, summary)
-
-
 def _erasure_unrealizable(
-    tree: CanonicalTree,
-    pattern: Pattern,
-    subset: tuple[str, ...],
-    summary: PathSummary,
+    tree: CanonicalTree, pattern: Pattern, subset: tuple[str, ...]
 ) -> bool:
     """Whether erasing these optional nodes contradicts the enhanced
     summary: an optional subtree is *guaranteed matchable* below its
@@ -530,69 +597,56 @@ def _erasure_unrealizable(
         parent_edge = pattern_node.parent_edge
         assert parent_edge is not None
         parent_canon = tree.node_of.get(parent_edge.parent.name)
-        if parent_canon is None or parent_canon.summary_number <= 0:
+        if parent_canon is None or parent_canon.snode.number <= 0:
             continue
-        anchor = summary.node_by_number(parent_canon.summary_number)
-        if _guaranteed_match(pattern_node, anchor, summary):
+        if _guaranteed_match(pattern_node, parent_canon.snode):
             return True
     return False
 
 
-def _guaranteed_match(
-    pattern_node: PatternNode, anchor: SummaryNode, summary: PathSummary
-) -> bool:
+def _guaranteed_match(pattern_node: PatternNode, anchor: SummaryNode) -> bool:
     """Every conforming document node on ``anchor``'s path has a match of
     the subtree rooted at ``pattern_node`` below it (sound, possibly
     incomplete — value formulas are never guaranteed)."""
-    from ..summary.enhanced import is_strong_chain
-
     if not pattern_node.value_formula.is_true:
         return False
     edge = pattern_node.parent_edge
     assert edge is not None
-    if edge.axis == CHILD:
-        candidates = [
-            child
-            for child in anchor.children.values()
-            if admits_label(pattern_node, child.label)
-        ]
-    else:
-        candidates = [
-            node
-            for node in anchor.descendants()
-            if admits_label(pattern_node, node.label)
-        ]
-    for candidate in candidates:
+    for candidate in _candidates(anchor, edge.axis, pattern_node):
         if not is_strong_chain(anchor, candidate):
             continue
         if all(
-            child_edge.optional
-            or _guaranteed_match(child_edge.child, candidate, summary)
+            child_edge.optional or _guaranteed_match(child_edge.child, candidate)
             for child_edge in pattern_node.edges
         ):
             return True
     return False
 
 
+def _can_hold_value(
+    pattern_node: PatternNode, snode: SummaryNode, tracks_text: bool
+) -> bool:
+    """A value predicate can only hold where a value can exist: attribute
+    paths and element paths with a ``#text`` child.  Only meaningful when
+    the summary records text paths at all (summaries built from bare label
+    paths carry no value information)."""
+    return (
+        pattern_node.value_formula.is_true
+        or snode.is_attribute
+        or not tracks_text
+        or "#text" in snode.children
+    )
+
+
 def _formula_placements_ok(
     embedding: dict[PatternNode, SummaryNode], tracks_text: bool
 ) -> bool:
-    """A value predicate can only hold where a value can exist: attribute
-    paths and element paths with a ``#text`` child.  Embeddings placing a
-    decorated node on a valueless path denote unrealizable trees.  Only
-    meaningful when the summary records text paths at all (summaries built
-    from bare label paths carry no value information)."""
-    for pattern_node, snode in embedding.items():
-        if pattern_node.value_formula.is_true:
-            continue
-        if snode.is_attribute or not tracks_text or "#text" in snode.children:
-            continue
-        return False
-    return True
-
-
-def _tracks_text(summary: PathSummary) -> bool:
-    return any("#text" in snode.children for snode in summary.nodes())
+    """Embeddings placing a decorated node on a valueless path denote
+    unrealizable trees."""
+    return all(
+        _can_hold_value(pattern_node, snode, tracks_text)
+        for pattern_node, snode in embedding.items()
+    )
 
 
 def _subsets(names: list[str]) -> list[tuple[str, ...]]:
@@ -605,12 +659,9 @@ def _subsets(names: list[str]) -> list[tuple[str, ...]]:
 
 def is_satisfiable(pattern: Pattern, summary: PathSummary) -> bool:
     """``p`` is S-satisfiable iff ``mod_S(p)`` is non-empty (§4.3.1)."""
-    if any(node.value_formula.is_false for node in pattern.nodes()):
-        return False
-    tracks_text = _tracks_text(summary)
-    return any(
-        _formula_placements_ok(embedding, tracks_text)
-        for embedding in summary_embeddings(_strict_copy(pattern), summary)
+    return (
+        not any(node.value_formula.is_false for node in pattern.nodes())
+        and _annotate(pattern, summary, valued=True) is not None
     )
 
 

@@ -25,24 +25,36 @@ in §4.6 (negative tests faster than positive ones).
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Union as TypingUnion
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, Optional, Sequence, Union as TypingUnion
 
 from ..algebra.formulas import TRUE, Formula
 from ..summary.enhanced import is_one_to_one_chain
-from ..summary.path_summary import PathSummary
+from ..summary.path_summary import PathSummary, SummaryNode
 from .canonical import (
     CanonicalTree,
     CanonNode,
-    admits_label,
-    canonical_model,
-    nesting_sequence,
-    summary_embeddings,
+    _annotate,
     _strict_copy,
+    admits_label,
+    model_of_embeddings,
+    nesting_sequence,
+    path_annotations,
+    summary_embeddings,
 )
 from .embedding import iter_embeddings, subtree_embeddable
-from .xam import JOIN, NEST, NEST_OUTER, OUTER, Pattern, PatternNode
+from .xam import NEST, NEST_OUTER, Pattern, PatternNode
 
-__all__ = ["is_contained", "is_equivalent", "ContainmentError"]
+__all__ = [
+    "is_contained",
+    "is_equivalent",
+    "ContainmentError",
+    "PatternFacts",
+    "SearchStats",
+    "contained_in",
+    "may_be_contained",
+]
 
 Views = TypingUnion[Pattern, Sequence[Pattern]]
 
@@ -64,6 +76,125 @@ class ContainmentError(ValueError):
     """Raised when containment between the given patterns is ill-posed
     (mismatched arity is *not* an error — it simply fails — but malformed
     inputs are)."""
+
+
+@dataclass
+class SearchStats:
+    """What one rewriting search did and what it silently gave up on
+    (:func:`~repro.core.rewrite.rewrite_pattern` fills one in)."""
+
+    #: decision-procedure runs (pre-filtered and remembered tests excluded)
+    containment_tests: int = 0
+    #: candidates and containment tests the path-annotation pre-filters
+    #: settled before any canonical model was built
+    prefilter_rejected: int = 0
+    #: per-view facts and per-search verdicts reused instead of recomputed
+    memo_hits: int = 0
+    #: candidate products cut at the combination cap
+    product_truncated: int = 0
+    #: canonical trees whose ψ enumeration hit MAX_PSI_ASSIGNMENTS or
+    #: MAX_PSI_DISJUNCTS (the verdict may be a conservative False)
+    psi_capped: int = 0
+
+
+class PatternFacts:
+    """What containment and the rewriting search ask about one pattern under
+    one summary, each answer computed on first use and kept.
+
+    The facts depend on nothing but the pattern and the summary state they
+    were stamped with (:meth:`current_for`), so they may outlive a search
+    (the catalog keeps one per view) and be shared between threads: every
+    value is published once and not mutated afterwards.
+
+    ``returns`` fixes the return-node order by node names (default: the
+    pattern's return nodes in pre-order).
+    """
+
+    def __init__(
+        self,
+        pattern: Pattern,
+        summary: PathSummary,
+        returns: Optional[list[str]] = None,
+        use_strong_edges: bool = True,
+    ):
+        self.pattern = pattern
+        self.summary = summary
+        self.generation = summary.generation
+        self.use_strong_edges = use_strong_edges
+        self.return_nodes: list[PatternNode] = (
+            pattern.return_nodes()
+            if returns is None
+            else [pattern.node_by_name(name) for name in returns]
+        )
+        self.return_names = [node.name for node in self.return_nodes]
+        #: Proposition 4.4.3 condition 1 / 4.4.4 condition 2(a): what must
+        #: agree positionally between a contained pattern and its container
+        self.signature = tuple(
+            (node.stored_attrs(), _nested_above(node)) for node in self.return_nodes
+        )
+        #: per return node, whether no optional edge lies above it: only
+        #: then must the node sit on its target when the pattern serves as
+        #: container (the matching lets an optional return node answer ⊥
+        #: wherever it finds no match, whatever the tree's own tuple holds)
+        self.mandatory = tuple(
+            not _optional_above(node) for node in self.return_nodes
+        )
+        self.nested = pattern.has_nested_edges
+        self.constrained = any(
+            not node.value_formula.is_true for node in pattern.nodes()
+        )
+
+    def current_for(self, summary: PathSummary) -> bool:
+        return self.summary is summary and self.generation == summary.generation
+
+    @cached_property
+    def key(self) -> tuple:
+        """What containment depends on: structure, formulas, stored
+        attributes and return order — not node names."""
+        position = {node: index for index, node in enumerate(self.pattern.nodes())}
+        return (
+            self.pattern.structure_key(),
+            tuple(position[node] for node in self.return_nodes),
+        )
+
+    @cached_property
+    def annotations(self) -> dict[str, set[int]]:
+        """Definition 4.3.1 path annotations, by node name."""
+        return path_annotations(self.pattern, self.summary)
+
+    @cached_property
+    def reach(self) -> dict[str, set[int]]:
+        """Per node name, every path the node can take when the pattern is
+        embedded into a tree conforming to the summary (optional edges free
+        to miss): the container side of :func:`may_be_contained`."""
+        return _annotate(self.pattern, self.summary, optional_free=True) or {
+            node.name: set() for node in self.pattern.nodes()
+        }
+
+    @cached_property
+    def placed(self) -> Optional[dict[str, set[int]]]:
+        """Per node name, the paths the node takes across the canonical
+        model's trees; ``None`` when the model is empty (the pattern is
+        unsatisfiable, hence contained in anything)."""
+        if any(node.value_formula.is_false for node in self.pattern.nodes()):
+            return None
+        return _annotate(self.pattern, self.summary, valued=True)
+
+    @cached_property
+    def strict(self) -> Pattern:
+        return _strict_copy(self.pattern)
+
+    @cached_property
+    def embeddings(self) -> list[dict[PatternNode, SummaryNode]]:
+        """All summary embeddings of :attr:`strict`."""
+        return summary_embeddings(self.strict, self.summary)
+
+    @cached_property
+    def model(self) -> list[CanonicalTree]:
+        return model_of_embeddings(
+            self.pattern, self.strict, self.embeddings, self.summary,
+            self.return_names, self.use_strong_edges,
+        )
 
 
 def is_contained(
@@ -90,46 +221,60 @@ def is_contained(
         view_orders: list[Optional[list[str]]] = [None] * len(view_list)
     else:
         view_orders = list(view_returns)
-
-    returns = _return_nodes(pattern, pattern_returns)
-    kept: list[tuple[Pattern, Optional[list[str]]]] = []
-    for view, order in zip(view_list, view_orders):
-        if _attrs_compatible(returns, _return_nodes(view, order)):
-            kept.append((view, order))
-    if pattern.has_nested_edges or any(v.has_nested_edges for v, _ in kept):
-        # condition 2a (per view): matching nesting depth per return node
-        kept = [
-            (v, order)
-            for v, order in kept
-            if _nesting_depths_match(pattern, v, pattern_returns, order)
-        ]
-        # condition 2b (across the union): every pattern embedding must be
-        # matched by *some* view's embedding with compatible sequences
-        if kept and not _nesting_sequences_covered(
-            pattern, kept, summary, relax_one_to_one, pattern_returns
-        ):
-            if canonical_model(pattern, summary, returns=pattern_returns):
-                return False
-        pattern = _unnest(pattern)
-        kept = [(_unnest(v), order) for v, order in kept]
-
-    model = canonical_model(
-        pattern, summary, returns=pattern_returns, use_strong_edges=use_strong_edges
+    return contained_in(
+        PatternFacts(pattern, summary, pattern_returns, use_strong_edges),
+        [
+            PatternFacts(view, summary, order)
+            for view, order in zip(view_list, view_orders)
+        ],
+        relax_one_to_one,
     )
+
+
+def contained_in(
+    pattern: PatternFacts,
+    views: Sequence[PatternFacts],
+    relax_one_to_one: bool = True,
+    stats: Optional[SearchStats] = None,
+) -> bool:
+    """:func:`is_contained` over prepared facts: the decision procedure."""
+    kept = [view for view in views if view.signature == pattern.signature]
+    if not kept:
+        # only an unsatisfiable pattern is contained in nothing — and that
+        # much the annotations tell, without building its model
+        return pattern.placed is None
+    model = pattern.model
     if not model:
         return True  # unsatisfiable patterns are vacuously contained
-    if not kept:
+    if (pattern.nested or any(view.nested for view in kept)) and not (
+        # Proposition 4.4.4 condition 2(b), across the union
+        _nesting_sequences_covered(pattern, kept, relax_one_to_one)
+    ):
         return False
-    for tree in model:
-        if not _tree_covered(tree, kept):
+    return all(_tree_covered(tree, kept, stats) for tree in model)
+
+
+def may_be_contained(pattern: PatternFacts, views: Sequence[PatternFacts]) -> bool:
+    """A necessary condition for ``p ⊑_S ∪views`` read off path annotations
+    (Definition 4.3.1) before any canonical model is built: ``False`` means
+    :func:`contained_in` would answer ``False``.
+
+    Every tree of ``mod_S(p)`` puts ``p``'s i-th return node on some path;
+    a view covering that tree embeds into it — hence into the summary —
+    with its own i-th return node, when mandatory, on the same path.  So
+    each such path must be one some positionally compatible view can reach
+    (a view whose i-th return node is optional says nothing about i).
+    """
+    placed = pattern.placed
+    if placed is None:
+        return True
+    kept = [view for view in views if view.signature == pattern.signature]
+    for index, name in enumerate(pattern.return_names):
+        if all(view.mandatory[index] for view in kept) and not placed[name] <= (
+            set().union(*(view.reach[view.return_names[index]] for view in kept))
+        ):
             return False
     return True
-
-
-def _return_nodes(pattern: Pattern, order: Optional[list[str]]) -> list[PatternNode]:
-    if order is None:
-        return pattern.return_nodes()
-    return [pattern.node_by_name(name) for name in order]
 
 
 def is_equivalent(
@@ -150,22 +295,17 @@ def is_equivalent(
 
 
 # ---------------------------------------------------------------------------
-# Attribute compatibility (Proposition 4.4.3, condition 1)
-# ---------------------------------------------------------------------------
-
-def _attrs_compatible(
-    returns_p: list[PatternNode], returns_v: list[PatternNode]
-) -> bool:
-    if len(returns_p) != len(returns_v):
-        return False
-    return all(
-        a.stored_attrs() == b.stored_attrs() for a, b in zip(returns_p, returns_v)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Nested patterns (Proposition 4.4.4)
 # ---------------------------------------------------------------------------
+
+def _optional_above(node: PatternNode) -> bool:
+    walk = node
+    while walk.parent_edge is not None:
+        if walk.parent_edge.optional:
+            return True
+        walk = walk.parent_edge.parent
+    return False
+
 
 def _nested_above(node: PatternNode) -> int:
     count = 0
@@ -177,46 +317,23 @@ def _nested_above(node: PatternNode) -> int:
     return count
 
 
-def _nesting_depths_match(
-    pattern: Pattern,
-    view: Pattern,
-    pattern_returns: Optional[list[str]] = None,
-    view_order: Optional[list[str]] = None,
-) -> bool:
-    """Proposition 4.4.4 condition 2(a)."""
-    returns_p = _return_nodes(pattern, pattern_returns)
-    returns_v = _return_nodes(view, view_order)
-    return all(
-        _nested_above(a) == _nested_above(b) for a, b in zip(returns_p, returns_v)
-    )
-
-
 def _nesting_sequences_covered(
-    pattern: Pattern,
-    views: list[tuple[Pattern, Optional[list[str]]]],
-    summary: PathSummary,
-    relax_one_to_one: bool,
-    pattern_returns: Optional[list[str]] = None,
+    pattern: PatternFacts, views: Sequence[PatternFacts], relax_one_to_one: bool
 ) -> bool:
     """Proposition 4.4.4 condition 2(b), union-aware: for every embedding
     of the pattern into the summary, *some* view has an embedding with the
     same return paths and compatible nesting sequences."""
-    returns_p = _return_nodes(pattern, pattern_returns)
-    strict_p = _strict_copy(pattern)
-    rp = [strict_p.node_by_name(n.name) for n in returns_p]
+    summary = pattern.summary
 
-    prepared = []
-    for view, view_order in views:
-        strict_v = _strict_copy(view)
-        rv = [
-            strict_v.node_by_name(n.name)
-            for n in _return_nodes(view, view_order)
-        ]
-        prepared.append((strict_v, rv, summary_embeddings(strict_v, summary)))
+    def strict_returns(facts: PatternFacts) -> list[PatternNode]:
+        return [facts.strict.node_by_name(name) for name in facts.return_names]
 
-    for e_p in summary_embeddings(strict_p, summary):
+    rp = strict_returns(pattern)
+    prepared = [(view.strict, strict_returns(view), view.embeddings) for view in views]
+
+    for e_p in pattern.embeddings:
         return_paths = tuple(e_p[n].number for n in rp)
-        ns_p = [nesting_sequence(strict_p, n, e_p) for n in rp]
+        ns_p = [nesting_sequence(pattern.strict, n, e_p) for n in rp]
         matched = False
         for strict_v, rv, embeddings_v in prepared:
             for e_v in embeddings_v:
@@ -262,16 +379,6 @@ def _sequences_compatible(
     return True
 
 
-def _unnest(pattern: Pattern) -> Pattern:
-    clone = pattern.copy()
-    for edge in clone.edges():
-        if edge.semantics == NEST:
-            edge.semantics = JOIN
-        elif edge.semantics == NEST_OUTER:
-            edge.semantics = OUTER
-    return clone
-
-
 # ---------------------------------------------------------------------------
 # Per-canonical-tree coverage
 # ---------------------------------------------------------------------------
@@ -288,9 +395,27 @@ def _decorated_admits(pattern_node: PatternNode, node: CanonNode) -> bool:
     return node.formula.implies(pattern_node.value_formula)
 
 
-def _matching_assignments(
-    view: Pattern, tree: CanonicalTree, admits, order: Optional[list[str]] = None
-):
+def _children(node: CanonNode) -> tuple[CanonNode, ...]:
+    return node.children
+
+
+def _descendants(node: CanonNode, pattern_node: PatternNode) -> Iterator[CanonNode]:
+    """The proper descendants of a canonical node in the generic walk's
+    order, minus the subtrees whose summary paths hold nothing the pattern
+    node admits — their strong closure is never materialised."""
+    has_below = node.snode.summary.has_labeled_below
+    tag = pattern_node.tag
+    if not has_below(node.snode, tag):
+        return
+    stack = list(node.children)
+    while stack:
+        candidate = stack.pop()
+        yield candidate
+        if has_below(candidate.snode, tag):
+            stack.extend(candidate.children)
+
+
+def _matching_assignments(view: PatternFacts, tree: CanonicalTree, admits):
     """Embeddings of the view into the tree whose return tuple equals the
     tree's own return tuple, generated lazily.
 
@@ -299,11 +424,7 @@ def _matching_assignments(
     "⊥ only when no match exists" is then re-verified per result against
     the unconstrained admission, with a memoized existence check.
     """
-    view_returns = _return_nodes(view, order)
-    targets = dict(zip(view_returns, tree.return_nodes))
-
-    def children(node):
-        return node.children
+    targets = dict(zip(view.return_nodes, tree.return_nodes))
 
     def constrained(pattern_node: PatternNode, tree_node) -> bool:
         if pattern_node in targets:
@@ -319,7 +440,8 @@ def _matching_assignments(
 
     memo: dict = {}
     for assignment in iter_embeddings(
-        view, tree.root, children, constrained, guarantee=guaranteed
+        view.pattern, tree.root, _children, constrained,
+        guarantee=guaranteed, descendants=_descendants,
     ):
         valid = True
         for pattern_node, required in targets.items():
@@ -340,7 +462,7 @@ def _matching_assignments(
                 continue
             anchor = assignment.get(walk.parent_edge.parent)
             if anchor is not None and subtree_embeddable(
-                walk, anchor, children, guaranteed, memo
+                walk, anchor, _children, guaranteed, memo, _descendants
             ):
                 valid = False
                 break
@@ -349,7 +471,9 @@ def _matching_assignments(
 
 
 def _tree_covered(
-    tree: CanonicalTree, views: list[tuple[Pattern, Optional[list[str]]]]
+    tree: CanonicalTree,
+    views: Sequence[PatternFacts],
+    stats: Optional[SearchStats] = None,
 ) -> bool:
     """Conditions of Propositions 4.4.1/4.4.2 + the §4.4.2 formula check
     for one canonical tree.  Formula variables are the canonical-tree
@@ -358,23 +482,20 @@ def _tree_covered(
     # Fast existence pass: an embedding whose every node's tree formula
     # implies its pattern formula covers the tree outright (subsumes the
     # var-wise check below and settles e.g. all positive containments).
-    for view, order in views:
-        for _assignment in _matching_assignments(
-            view, tree, _decorated_admits, order
-        ):
+    for view in views:
+        for _assignment in _matching_assignments(view, tree, _decorated_admits):
             return True
     psis: list[dict[int, Formula]] = []
     seen_psis: set[tuple] = set()
-    for view, order in views:
-        view_constrained = any(
-            not node.value_formula.is_true for node in view.nodes()
-        )
+    capped = False
+    for view in views:
         enumerated = 0
-        for assignment in _matching_assignments(view, tree, _structural_admits, order):
+        for assignment in _matching_assignments(view, tree, _structural_admits):
             enumerated += 1
             if enumerated > MAX_PSI_ASSIGNMENTS:
+                capped = True
                 break
-            if not view_constrained:
+            if not view.constrained:
                 return True  # an unconstrained view covers the tree outright
             psi: dict[int, Formula] = {}
             for node, canon in assignment.items():
@@ -396,6 +517,8 @@ def _tree_covered(
             if key not in seen_psis:
                 seen_psis.add(key)
                 psis.append(psi)
+    if stats is not None and (capped or len(psis) > MAX_PSI_DISJUNCTS):
+        stats.psi_capped += 1
     if not psis:
         return False
     return _implies_disjunction(phi, psis[:MAX_PSI_DISJUNCTS])

@@ -187,6 +187,10 @@ def evaluate_pattern(pattern: Pattern, doc: Document) -> list[NestedTuple]:
 
 TreeChildren = Callable[[Any], Sequence[Any]]
 Admits = Callable[[PatternNode, Any], bool]
+#: (tree node, sought pattern node) → the node's proper descendants that may
+#: admit the pattern node, in :func:`_generic_descendants` order; lets a tree
+#: with an index (canonical trees, via the summary) skip hopeless subtrees
+TreeDescendants = Callable[[Any, PatternNode], Iterator[Any]]
 
 
 def _generic_descendants(node: Any, children: TreeChildren) -> Iterator[Any]:
@@ -233,6 +237,7 @@ def _assignments(
     admits: Admits,
     guarantee: Optional[Admits] = None,
     memo: Optional[dict] = None,
+    descendants: Optional[TreeDescendants] = None,
 ) -> Iterator[dict[PatternNode, Any]]:
     """Optional embeddings of the subtree rooted at ``pattern_node`` with
     ``pattern_node ↦ tree_node`` (admission already verified by caller).
@@ -260,12 +265,15 @@ def _assignments(
         yielded = False
         if edge.axis == CHILD:
             candidates = children(tree_node)
+        elif descendants is not None:
+            candidates = descendants(tree_node, edge.child)
         else:
             candidates = _generic_descendants(tree_node, children)
         for candidate in candidates:
             if admits(edge.child, candidate):
                 for assignment in _assignments(
-                    edge.child, candidate, children, admits, guarantee, memo
+                    edge.child, candidate, children, admits, guarantee, memo,
+                    descendants,
                 ):
                     yielded = True
                     yield assignment
@@ -273,7 +281,7 @@ def _assignments(
             if not yielded:
                 yield {n: None for n in edge.child.iter_subtree()}
             elif guarantee is not admits and not subtree_embeddable(
-                edge.child, tree_node, children, guarantee, memo
+                edge.child, tree_node, children, guarantee, memo, descendants
             ):
                 # structurally matchable but never *forced*: both outcomes
                 # occur across instances of the decorated tree
@@ -315,12 +323,16 @@ def iter_embeddings(
     children: TreeChildren,
     admits: Admits,
     guarantee: Optional[Admits] = None,
+    descendants: Optional[TreeDescendants] = None,
 ) -> Iterator[dict[PatternNode, Any]]:
     """Lazily generated optional embeddings of ``pattern`` (⊤ ↦ root).
 
     See :func:`_assignments` for the role of ``guarantee`` over decorated
     trees."""
-    return _assignments(pattern.root, tree_root, children, admits, guarantee)
+    return _assignments(
+        pattern.root, tree_root, children, admits, guarantee,
+        descendants=descendants,
+    )
 
 
 def embeddings(
@@ -339,6 +351,7 @@ def subtree_embeddable(
     children: TreeChildren,
     admits: Admits,
     memo: Optional[dict] = None,
+    descendants: Optional[TreeDescendants] = None,
 ) -> bool:
     """Whether the subtree rooted at ``pattern_node`` has *some* embedding
     below ``anchor`` (through the node's parent edge axis).  Existence
@@ -353,12 +366,14 @@ def subtree_embeddable(
         return cached
     if edge.axis == CHILD:
         candidates = children(anchor)
+    elif descendants is not None:
+        candidates = descendants(anchor, pattern_node)
     else:
         candidates = _generic_descendants(anchor, children)
     result = False
     for candidate in candidates:
         if admits(pattern_node, candidate) and _embeddable_at(
-            pattern_node, candidate, children, admits, memo
+            pattern_node, candidate, children, admits, memo, descendants
         ):
             result = True
             break
@@ -372,6 +387,7 @@ def _embeddable_at(
     children: TreeChildren,
     admits: Admits,
     memo: dict,
+    descendants: Optional[TreeDescendants] = None,
 ) -> bool:
     """Admission at ``tree_node`` plus embeddability of every required
     child subtree (optional children never block)."""
@@ -383,7 +399,9 @@ def _embeddable_at(
     for edge in pattern_node.edges:
         if edge.optional:
             continue
-        if not subtree_embeddable(edge.child, tree_node, children, admits, memo):
+        if not subtree_embeddable(
+            edge.child, tree_node, children, admits, memo, descendants
+        ):
             result = False
             break
     memo[key] = result

@@ -30,6 +30,7 @@ end-to-end.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -49,14 +50,33 @@ from ..algebra.operators import (
 from ..algebra.predicates import Attr, Compare, Predicate
 from ..storage.catalog import Catalog, CatalogEntry
 from ..summary.path_summary import PathSummary
-from ..xmldata.ids import ID_KINDS, DeweyID
-from .canonical import is_satisfiable, path_annotations
-from .containment import is_contained
+from ..xmldata.ids import ID_KINDS, DeweyID, kind_supports
+from .containment import PatternFacts, SearchStats, contained_in, may_be_contained
 from .embedding import subtree_attribute_names
 from .plan_pattern import GlueCondition, merged_patterns
-from .xam import CHILD, DESCENDANT, JOIN, OUTER, Pattern, PatternNode
+from .xam import (
+    CHILD,
+    DESCENDANT,
+    JOIN,
+    NEST,
+    NEST_OUTER,
+    OUTER,
+    Pattern,
+    PatternNode,
+)
 
-__all__ = ["Rewriting", "rewrite_pattern", "DeepRename", "Regroup", "SatisfiesFormula"]
+__all__ = [
+    "Rewriting",
+    "SearchStats",
+    "rewrite_pattern",
+    "DeepRename",
+    "Regroup",
+    "SatisfiesFormula",
+]
+
+#: cap on the candidate combinations tried per view (pair): keeps the
+#: candidate explosion in check; reaching it is counted, never silent
+MAX_COMBINATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -191,7 +211,7 @@ class _Candidate:
 
     entry: CatalogEntry
     view_node: str  # original view node name
-    mode: str  # 'direct' or 'nav'
+    mode: str  # 'direct', 'nav' or 'parent'
     nav_steps: tuple = ()  # for 'nav': ((axis, label), ...)
 
 
@@ -263,12 +283,79 @@ def _attr_path(pattern: Pattern, node_name: str, attr: str) -> str:
 # The rewriting algorithm
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Search:
+    """One :func:`rewrite_pattern` call: everything about the query that
+    does not depend on the candidate is worked out here, once."""
+
+    query: Pattern
+    summary: PathSummary
+    stats: SearchStats
+    #: the query as containment sees it
+    facts: PatternFacts
+    #: the catalog's views with their memoised facts, snapshotted once
+    views: list[tuple[CatalogEntry, PatternFacts]]
+    #: the query with some collections flattened (what a re-nesting plan is
+    #: validated against), by the set of rebuilt collection names
+    flattened: dict[frozenset, PatternFacts] = field(default_factory=dict)
+    #: containment verdicts of this search, by the patterns' structure
+    verdicts: dict[tuple, bool] = field(default_factory=dict)
+
+    @property
+    def query_returns(self) -> list[str]:
+        return self.facts.return_names
+
+    def validation_query(self, rebuilt: frozenset) -> PatternFacts:
+        if not rebuilt:
+            return self.facts
+        facts = self.flattened.get(rebuilt)
+        if facts is None:
+            facts = self.flattened[rebuilt] = PatternFacts(
+                _unnest_pattern(self.query, rebuilt),
+                self.summary,
+                self.query_returns,
+            )
+        return facts
+
+    def contained(self, pattern: PatternFacts, views: list[PatternFacts]) -> bool:
+        """``pattern ⊑_S ∪views``: remembered, else settled by the path
+        annotations, else decided."""
+        key = (pattern.key, tuple(view.key for view in views))
+        verdict = self.verdicts.get(key)
+        if verdict is not None:
+            self.stats.memo_hits += 1
+        elif not may_be_contained(pattern, views):
+            self.stats.prefilter_rejected += 1
+            verdict = self.verdicts[key] = False
+        else:
+            self.stats.containment_tests += 1
+            verdict = self.verdicts[key] = contained_in(
+                pattern, views, stats=self.stats
+            )
+        return verdict
+
+
+def _view_facts(
+    entry: CatalogEntry, summary: PathSummary, stats: SearchStats
+) -> PatternFacts:
+    """The entry's memoised facts, replaced when they were derived from
+    another summary or an earlier state of this one.  Nothing is computed
+    here: each fact is filled in by the first search that asks for it."""
+    facts = entry.search_memo
+    if facts is not None and facts.current_for(summary):
+        stats.memo_hits += 1
+        return facts
+    facts = entry.search_memo = PatternFacts(entry.pattern, summary)
+    return facts
+
+
 def rewrite_pattern(
     query: Pattern,
     catalog: Catalog,
     summary: PathSummary,
     max_results: Optional[int] = 10,
     max_union: int = 3,
+    stats: Optional[SearchStats] = None,
 ) -> list[Rewriting]:
     """All (up to ``max_results``; ``None`` = unbounded) non-redundant
     S-equivalent rewritings of the query pattern over the catalog's views,
@@ -285,46 +372,53 @@ def rewrite_pattern(
     :func:`~repro.core.statistics.rank_rewritings` — the ranking layer
     must see the full candidate set, which is why the database prepares
     with ``max_results=None``.)
+
+    ``stats``, when given, is filled with what the search did and what it
+    capped (:class:`SearchStats`).
     """
-    if not is_satisfiable(query, summary):
-        return []
-    ann_q = path_annotations(query, summary)
-    query_returns = [node.name for node in query.return_nodes()]
-    candidates = _collect_candidates(query, ann_q, catalog, summary)
+    stats = stats if stats is not None else SearchStats()
+    facts = PatternFacts(query, summary)
+    if facts.placed is None:
+        return []  # unsatisfiable under the summary
+    search = _Search(
+        query,
+        summary,
+        stats,
+        facts,
+        [(entry, _view_facts(entry, summary, stats)) for entry in catalog.views()],
+    )
+    candidates = _collect_candidates(search)
 
     rewritings: list[Rewriting] = []
     seen: set[tuple] = set()
 
-    def consider(rewriting: Optional[Rewriting]) -> None:
-        if rewriting is None:
-            return
-        key = (rewriting.kind, rewriting.views)
+    def consider(uses: list[_Use], glues: list[GlueCondition]) -> None:
+        # one rewriting per (kind, views): a plan over views that already
+        # have one is not validated again
+        key = ("single" if len(uses) == 1 else "join", _views_of(uses))
         if key in seen:
             return
-        seen.add(key)
-        rewritings.append(rewriting)
+        rewriting = _validate_uses(search, uses, glues)
+        if rewriting is not None:
+            seen.add(key)
+            rewritings.append(rewriting)
 
     # 1. single-view plans
-    for entry in catalog.views():
-        for use in _single_view_uses(query, entry, candidates):
-            consider(_validate_uses(query, query_returns, [use], [], summary))
+    entries = [entry for entry, _facts in search.views]
+    for entry in entries:
+        for use in _single_view_uses(search, entry, candidates):
+            consider([use], [])
 
     # 2. two-view join plans
-    entries = catalog.views()
     for i, left_entry in enumerate(entries):
         for right_entry in entries[i:]:
             for uses, glues in _pair_uses(
-                query, left_entry, right_entry, candidates
+                search, left_entry, right_entry, candidates
             ):
-                consider(
-                    _validate_uses(query, query_returns, uses, glues, summary)
-                )
+                consider(uses, glues)
 
-    # 3. union plans
-    for rewriting in _union_plans(
-        query, query_returns, catalog, candidates, summary, max_union
-    ):
-        consider(rewriting)
+    # 3. union plans (each subset of views is tried once)
+    rewritings.extend(_union_plans(search, max_union))
 
     rewritings.sort(key=lambda r: (r.plan.operator_count(), r.views))
     if max_results is None:
@@ -332,16 +426,13 @@ def rewrite_pattern(
     return rewritings[:max_results]
 
 
-def _collect_candidates(
-    query: Pattern,
-    ann_q: dict[str, set[int]],
-    catalog: Catalog,
-    summary: PathSummary,
-) -> dict[str, list[_Candidate]]:
+def _collect_candidates(search: _Search) -> dict[str, list[_Candidate]]:
     """Per query node, the view nodes that can serve it."""
+    query, summary = search.query, search.summary
+    ann_q = search.facts.annotations
     out: dict[str, list[_Candidate]] = {name: [] for name in ann_q}
-    for entry in catalog.views():
-        ann_v = path_annotations(entry.pattern, summary)
+    for entry, view in search.views:
+        ann_v = view.annotations
         for q_node in query.nodes():
             needs = set(q_node.stored_attrs())
             if not needs:
@@ -366,11 +457,13 @@ def _collect_candidates(
                         )
                 if v_node.store_id == "p" and needs <= {"ID"}:
                     # §5.2: navigational IDs derive the parent's ID
+                    parents = (
+                        summary.node_by_number(p).parent for p in v_paths
+                    )
                     parent_paths = {
-                        summary.node_by_number(p).parent.number
-                        for p in v_paths
-                        if summary.node_by_number(p).parent is not None
-                        and summary.node_by_number(p).parent.parent is not None
+                        parent.number
+                        for parent in parents
+                        if parent is not None and parent.parent is not None
                     }
                     if parent_paths & q_paths:
                         out[q_node.name].append(
@@ -417,20 +510,20 @@ def _navigation_steps(
 
 
 def _single_view_uses(
-    query: Pattern,
+    search: _Search,
     entry: CatalogEntry,
     candidates: dict[str, list[_Candidate]],
 ):
     """Assignments of every query return node to one node of ``entry``."""
-    returns = [node.name for node in query.return_nodes()]
+    returns = search.query_returns
     per_node: list[list[_Candidate]] = []
     for name in returns:
         options = [c for c in candidates[name] if c.entry is entry]
         if not options:
             return
         per_node.append(options)
-    for combo in _product(per_node):
-        yield _build_use(0, entry, dict(zip(returns, combo)), query)
+    for combo in _product(per_node, search.stats):
+        yield _build_use(0, entry, dict(zip(returns, combo)), search.query)
 
 
 def _build_use(
@@ -462,23 +555,24 @@ def _build_use(
     return use
 
 
-def _product(lists: list[list]) -> list[tuple]:
+def _product(lists: list[list], stats: SearchStats) -> list[tuple]:
     out: list[tuple] = [()]
     for options in lists:
         out = [prefix + (option,) for prefix in out for option in options]
-        if len(out) > 64:  # keep candidate explosion in check
-            out = out[:64]
+        if len(out) > MAX_COMBINATIONS:
+            stats.product_truncated += 1
+            out = out[:MAX_COMBINATIONS]
     return out
 
 
 def _pair_uses(
-    query: Pattern,
+    search: _Search,
     left_entry: CatalogEntry,
     right_entry: CatalogEntry,
     candidates: dict[str, list[_Candidate]],
 ):
     """Two-view assignments + glue conditions."""
-    returns = [node.name for node in query.return_nodes()]
+    query, returns = search.query, search.query_returns
     per_node: list[list[tuple[int, _Candidate]]] = []
     for name in returns:
         options: list[tuple[int, _Candidate]] = []
@@ -487,7 +581,7 @@ def _pair_uses(
         if not options:
             return
         per_node.append(options)
-    for combo in _product(per_node):
+    for combo in _product(per_node, search.stats):
         sides = {side for side, _c in combo}
         if sides != {0, 1}:
             continue  # both views must actually contribute
@@ -524,8 +618,6 @@ def _find_glue(
 
     # 2. structural join between an ancestor/descendant query-node pair —
     #    both sides must store structural identifiers (§5.2)
-    from ..xmldata.ids import kind_supports
-
     def structural(use: _Use, node_name: str) -> bool:
         kind = use.pattern.node_by_name(node_name).store_id
         return kind is not None and kind_supports(kind, "structural")
@@ -624,20 +716,17 @@ def _query_relation(
 # ---------------------------------------------------------------------------
 
 def _validate_uses(
-    query: Pattern,
-    query_returns: list[str],
-    uses: list[_Use],
-    glues: list[GlueCondition],
-    summary: PathSummary,
+    search: _Search, uses: list[_Use], glues: list[GlueCondition]
 ) -> Optional[Rewriting]:
+    query, query_returns, summary = search.query, search.query_returns, search.summary
     regroup = _regroup_spec(query, uses)
     if regroup is _INFEASIBLE:
         return None
-    if regroup:
-        rebuilt = {name for name, _attrs, _identity in regroup[1]}
-        validation_query = _unnest_pattern(query, only_names=rebuilt)
-    else:
-        validation_query = query
+    validation_query = search.validation_query(
+        frozenset(name for name, _attrs, _identity in regroup[1])
+        if regroup
+        else frozenset()
+    )
     adapted = [_adapted_pattern(query, use) for use in uses]
     if any(pattern is None for pattern in adapted):
         return None
@@ -647,8 +736,7 @@ def _validate_uses(
 
     # Build the aligned validation patterns: q's stored attrs at the
     # serving nodes, everything else unstored.
-    members: list[Pattern] = []
-    member_orders: list[list[str]] = []
+    members: list[PatternFacts] = []
     for merged, aliases in union:
         validation = merged.copy()
         for node in validation.nodes():
@@ -670,45 +758,36 @@ def _validate_uses(
                 order.append(merged_name)
         except KeyError:
             return None
-        members.append(validation)
-        member_orders.append(order)
+        members.append(PatternFacts(validation, summary, order))
 
-    for member, order in zip(members, member_orders):
-        if not is_contained(
-            member, validation_query, summary, pattern_returns=order,
-            view_returns=[query_returns],
-        ):
+    for member in members:
+        if not search.contained(member, [validation_query]):
             return None
-    if not is_contained(
-        validation_query,
-        members,
-        summary,
-        pattern_returns=query_returns,
-        view_returns=member_orders,
-    ):
+    if not search.contained(validation_query, members):
         return None
 
     plan = _build_plan(query, query_returns, uses, glues, regroup)
     return Rewriting(
         plan=plan,
-        views=tuple(use.entry.name for use in uses),
-        equivalent_patterns=tuple(members),
+        views=_views_of(uses),
+        equivalent_patterns=tuple(member.pattern for member in members),
         kind="single" if len(uses) == 1 else "join",
     )
+
+
+def _views_of(uses: list[_Use]) -> tuple[str, ...]:
+    return tuple(use.entry.name for use in uses)
 
 
 _INFEASIBLE = object()
 
 
-def _unnest_pattern(pattern: Pattern, only_names=None) -> Pattern:
-    """Turn nest edges into their flat counterparts; with ``only_names``,
-    only the nest edges entering the named nodes (the collections a γ will
-    rebuild) are flattened."""
-    from .xam import NEST, NEST_OUTER
-
+def _unnest_pattern(pattern: Pattern, names: frozenset) -> Pattern:
+    """Turn the nest edges entering the named nodes (the collections a γ
+    will rebuild) into their flat counterparts."""
     clone = pattern.copy()
     for edge in clone.edges():
-        if only_names is not None and edge.child.name not in only_names:
+        if edge.child.name not in names:
             continue
         if edge.semantics == NEST:
             edge.semantics = JOIN
@@ -1040,60 +1119,30 @@ def _query_top_level_attrs(query: Pattern) -> list[str]:
 # Union rewritings (§5.3)
 # ---------------------------------------------------------------------------
 
-def _union_plans(
-    query: Pattern,
-    query_returns: list[str],
-    catalog: Catalog,
-    candidates: dict[str, list[_Candidate]],
-    summary: PathSummary,
-    max_union: int,
-):
+def _union_plans(search: _Search, max_union: int):
     """Views one-way contained in the query that jointly cover it."""
+    query, query_returns = search.query, search.query_returns
     arity = len(query_returns)
-    usable: list[tuple[CatalogEntry, list[str]]] = []
-    for entry in catalog.views():
-        view_returns = [n.name for n in entry.pattern.return_nodes()]
-        if len(view_returns) != arity:
-            continue
-        if is_contained(
-            entry.pattern,
-            query,
-            summary,
-            pattern_returns=view_returns,
-            view_returns=[query_returns],
-        ):
-            usable.append((entry, view_returns))
-    if len(usable) < 2:
-        return
+    usable: list[tuple[CatalogEntry, PatternFacts]] = [
+        (entry, view)
+        for entry, view in search.views
+        if len(view.return_names) == arity and search.contained(view, [search.facts])
+    ]
     for size in range(2, min(max_union, len(usable)) + 1):
-        for subset in _subsets_of_size(usable, size):
-            members = [entry.pattern for entry, _ in subset]
-            orders = [order for _, order in subset]
-            if is_contained(
-                query,
-                members,
-                summary,
-                pattern_returns=query_returns,
-                view_returns=orders,
-            ):
+        for subset in itertools.combinations(usable, size):
+            if search.contained(search.facts, [view for _entry, view in subset]):
                 parts = []
-                for entry, order in subset:
+                for entry, view in subset:
                     columns = _view_columns(entry.pattern)
                     part: Operator = Scan(entry.relation, columns)
-                    mapping = dict(zip(order, query_returns))
+                    mapping = dict(zip(view.return_names, query_returns))
                     part = DeepRename(part, mapping)
                     parts.append(part)
                 plan: Operator = UnionOp(*parts)
                 plan = Project(plan, _query_top_level_attrs(query), dedup=True)
                 yield Rewriting(
                     plan=plan,
-                    views=tuple(entry.name for entry, _ in subset),
-                    equivalent_patterns=tuple(members),
+                    views=tuple(entry.name for entry, _view in subset),
+                    equivalent_patterns=tuple(entry.pattern for entry, _ in subset),
                     kind="union",
                 )
-
-
-def _subsets_of_size(items: list, size: int):
-    import itertools
-
-    return itertools.combinations(items, size)

@@ -31,7 +31,7 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..algebra.model import NestedTuple
@@ -81,7 +81,7 @@ from ..xquery.extract import (
 )
 from ..xquery.parser import parse_query
 from .embedding import evaluate_pattern
-from .rewrite import Rewriting, rewrite_pattern
+from .rewrite import Rewriting, SearchStats, rewrite_pattern
 from .statistics import CatalogStatistics, rank_rewritings
 from .xam import Pattern
 from .xam_parser import parse_pattern
@@ -912,8 +912,15 @@ class Database:
     ) -> PatternResolution:
         ctx = ctx or self.execution_context()
         estimate = ctx.statistics.pattern_cardinality(pattern)
+        # the pattern's rewritings, enumerated at most once: the pin match
+        # and the ranker read the same list
+        rewritings: Optional[list[Rewriting]] = None
         if pinned is not None:
-            resolution = self._resolve_pinned(pattern, pinned, ctx, estimate)
+            if pinned.access != "base":
+                rewritings = self._search_rewritings(pattern, ctx)
+            resolution = self._resolve_pinned(
+                pattern, pinned, rewritings, ctx, estimate
+            )
             if resolution is not None:
                 if pin_state is not None:
                     pin_state["applied"] += 1
@@ -927,61 +934,92 @@ class Database:
             ctx.bump("plan_pin.unmatched")
             ctx.event("plan_pin.unmatched", pattern=pattern.to_text())
         if prefer_views and len(self.catalog.views()) > 0:
-            with ctx.span(
-                "rewrite-search", pattern=pattern.to_text()
-            ) as search_span:
-                # enumerate *fully* — truncating before ranking would hide
-                # the cheapest candidate from the cost model
-                rewritings = rewrite_pattern(
-                    pattern, self.catalog, self.summary, max_results=None
-                )
-                # open-circuit modules are out of the race at planning
-                # time; half-open ones stay in (the probe that may close
-                # them)
-                unavailable = self.breakers.unavailable_names()
-                if unavailable:
-                    rewritings = [
-                        r for r in rewritings if not unavailable & set(r.views)
-                    ]
-                if search_span is not None:
-                    search_span.attributes["candidates"] = len(rewritings)
-            if rewritings:
-                with ctx.span("rank", candidates=len(rewritings)):
-                    best = rank_rewritings(
-                        rewritings,
-                        self.catalog,
-                        self.summary,
-                        self.store,
-                        statistics=ctx.statistics,
-                    )[0]
+            if rewritings is None:
+                rewritings = self._search_rewritings(pattern, ctx)
+            best = self._best_rewriting(rewritings, ctx)
+            if best is not None:
                 return PatternResolution(
                     pattern, "rewriting", best, estimated_cardinality=estimate
                 )
         return PatternResolution(pattern, "base", estimated_cardinality=estimate)
 
+    #: SearchStats field → the counter it is accumulated under
+    _SEARCH_COUNTERS = {
+        "containment_tests": "rewrite.containment_tests",
+        "prefilter_rejected": "rewrite.prefilter_rejected",
+        "memo_hits": "rewrite.memo_hits",
+        "product_truncated": "rewrite.product_truncated",
+        "psi_capped": "containment.psi_capped",
+    }
+
+    def _search_rewritings(
+        self,
+        pattern: Pattern,
+        ctx: ExecutionContext,
+        exclude: frozenset = frozenset(),
+    ) -> list[Rewriting]:
+        """Every S-equivalent rewriting of the pattern whose access modules
+        are available, smallest plan first — under a ``rewrite-search``
+        span carrying what the search did and what it capped."""
+        with ctx.span("rewrite-search", pattern=pattern.to_text()) as search_span:
+            stats = SearchStats()
+            # enumerate *fully* — truncating before ranking would hide
+            # the cheapest candidate from the cost model
+            rewritings = rewrite_pattern(
+                pattern, self.catalog, self.summary, max_results=None, stats=stats
+            )
+            # open-circuit modules are out of the race at planning
+            # time; half-open ones stay in (the probe that may close
+            # them)
+            unavailable = exclude | self.breakers.unavailable_names()
+            if unavailable:
+                rewritings = [
+                    r for r in rewritings if not unavailable & set(r.views)
+                ]
+            counts = asdict(stats)
+            if search_span is not None:
+                search_span.attributes["candidates"] = len(rewritings)
+                search_span.attributes.update(counts)
+            for name, count in counts.items():
+                if count:
+                    ctx.bump(self._SEARCH_COUNTERS[name], count)
+        return rewritings
+
+    def _best_rewriting(
+        self, rewritings: list[Rewriting], ctx: ExecutionContext
+    ) -> Optional[Rewriting]:
+        """The cost model's pick among the candidates (None without any)."""
+        if not rewritings:
+            return None
+        with ctx.span("rank", candidates=len(rewritings)):
+            return rank_rewritings(
+                rewritings,
+                self.catalog,
+                self.summary,
+                self.store,
+                statistics=ctx.statistics,
+            )[0]
+
     def _resolve_pinned(
         self,
         pattern: Pattern,
         pinned: PinnedChoice,
+        rewritings: Optional[list[Rewriting]],
         ctx: ExecutionContext,
         estimate: Optional[float],
     ) -> Optional[PatternResolution]:
-        """Apply one pinned access-path choice, or None when it cannot be
-        honored (signature matches nothing at this catalog state, or the
-        pinned views sit behind an open breaker).  Pins only ever select
-        among S-equivalent candidates, so an unmatched pin degrades plan
-        *choice*, never answer correctness."""
+        """Apply one pinned access-path choice among the enumerated
+        ``rewritings``, or None when it cannot be honored (signature
+        matches nothing at this catalog state, or the pinned views sit
+        behind an open breaker).  Pins only ever select among S-equivalent
+        candidates, so an unmatched pin degrades plan *choice*, never
+        answer correctness."""
         if pinned.access == "base":
             return PatternResolution(
                 pattern, "base", estimated_cardinality=estimate, pinned=True
             )
-        unavailable = self.breakers.unavailable_names()
         with ctx.span("pin-match", pattern=pattern.to_text()):
-            for rewriting in rewrite_pattern(
-                pattern, self.catalog, self.summary, max_results=None
-            ):
-                if unavailable & set(rewriting.views):
-                    continue
+            for rewriting in rewritings or ():
                 if rewriting_signature(rewriting) == pinned.signature:
                     return PatternResolution(
                         pattern,
@@ -1184,23 +1222,9 @@ class Database:
     ) -> Optional[Rewriting]:
         """Best S-equivalent rewriting avoiding the just-failed and any
         open-circuit access modules; None when no candidate survives."""
-        exclusions = failed | self.breakers.unavailable_names()
-        candidates = [
-            r
-            for r in rewrite_pattern(
-                pattern, self.catalog, self.summary, max_results=None
-            )
-            if not exclusions & set(r.views)
-        ]
-        if not candidates:
-            return None
-        return rank_rewritings(
-            candidates,
-            self.catalog,
-            self.summary,
-            self.store,
-            statistics=ctx.statistics,
-        )[0]
+        return self._best_rewriting(
+            self._search_rewritings(pattern, ctx, exclude=frozenset(failed)), ctx
+        )
 
     def _base_pattern_tuples(
         self,

@@ -12,7 +12,9 @@ span                      covers
 ``query``                 the whole lifecycle (the root; one per trace)
 ``parse``                 query text → AST
 ``extract``               AST → maximal query patterns (translation included)
-``rewrite-search``        rewriting enumeration for one pattern
+``rewrite-search``        rewriting enumeration for one pattern (attributes:
+                          candidates, containment tests, pre-filter
+                          rejections, memo hits, caps reached)
 ``rank``                  cost-ranking the candidate rewritings
 ``compile``               logical → physical lowering
 ``execute``               running the prepared plan against the store

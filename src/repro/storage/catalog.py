@@ -13,7 +13,7 @@ physical order and index-key attributes for restricted XAMs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from ..core.xam import Pattern
 from ..core.xam_parser import parse_pattern
@@ -35,6 +35,10 @@ class CatalogEntry:
     #: the optimizer treats all uniformly, which is the whole point
     kind: str = "view"
     metadata: dict = field(default_factory=dict)
+    #: what the rewriting search has worked out about this XAM under the
+    #: current summary (:func:`repro.core.rewrite.rewrite_pattern` fills and
+    #: checks it); lives and dies with the entry
+    search_memo: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.relation:

@@ -18,7 +18,7 @@ have mail descendants, V1 can be used directly").
 from __future__ import annotations
 
 from ..xmldata import ATTRIBUTE, ELEMENT, TEXT, Document, XMLNode
-from .path_summary import PathSummary, SummaryNode, build_summary
+from .path_summary import STRONG, PathSummary, SummaryNode, build_summary
 
 __all__ = [
     "annotate_edges",
@@ -117,7 +117,7 @@ def is_strong_chain(ancestor: SummaryNode, descendant: SummaryNode) -> bool:
     ``1``: every instance of the ancestor path has at least one descendant
     on the descendant path."""
     return all(
-        node.edge_annotation in ("+", "1")
+        node.edge_annotation in STRONG
         for node in _edges_on_chain(ancestor, descendant)
     )
 

@@ -16,17 +16,29 @@ Summary nodes carry:
 * an optional edge annotation (``'1'``, ``'+'`` or ``'*'``) describing the
   edge from the parent — see :mod:`repro.summary.enhanced`.
 
+:meth:`PathSummary.finalize` also builds what the rewriting search would
+otherwise re-derive per candidate: per label the nodes in pre-order (a
+``//label`` step below a node is a bisect over its ``[pre, post]``
+interval, not a subtree walk), per node the children behind strong
+(``+``/``1``) edges, and whether the summary records text paths at all.
+:attr:`PathSummary.generation` changes whenever any of this may have: facts
+derived from a summary are stamped with it.
+
 The synthetic root node (number 0, label ``#document``) stands for the ⊤ of
 XAM patterns, so pattern→summary embeddings can map ⊤ somewhere concrete.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional, Sequence
 
 from ..xmldata import ATTRIBUTE, DOCUMENT, ELEMENT, TEXT, Document, XMLNode
 
 __all__ = ["SummaryNode", "PathSummary", "build_summary"]
+
+#: the edge annotations guaranteeing at least one child on the path
+STRONG = ("+", "1")
 
 
 class SummaryNode:
@@ -38,7 +50,8 @@ class SummaryNode:
         "parent",
         "children",
         "cardinality",
-        "edge_annotation",
+        "_edge_annotation",
+        "strong_children",
         "pre",
         "post",
         "summary",
@@ -50,13 +63,34 @@ class SummaryNode:
         self.children: dict[str, SummaryNode] = {}
         self.number: int = -1
         self.cardinality: int = 0
-        #: annotation of the edge parent → self: '1' (exactly one child on
-        #: this path under every parent instance), '+' (at least one), '*'
-        #: (no constraint), or None when constraints were not computed.
-        self.edge_annotation: Optional[str] = None
+        self._edge_annotation: Optional[str] = None
+        #: the children reached by strong (``+``/``1``) edges, in child order
+        self.strong_children: tuple[SummaryNode, ...] = ()
         self.pre: int = -1
         self.post: int = -1
         self.summary: Optional["PathSummary"] = None
+
+    @property
+    def edge_annotation(self) -> Optional[str]:
+        """Annotation of the edge parent → self: '1' (exactly one child on
+        this path under every parent instance), '+' (at least one), '*'
+        (no constraint), or None when constraints were not computed."""
+        return self._edge_annotation
+
+    @edge_annotation.setter
+    def edge_annotation(self, value: Optional[str]) -> None:
+        self._edge_annotation = value
+        if self.parent is not None:
+            self.parent._index_strong_children()
+        if self.summary is not None:
+            self.summary.generation += 1
+
+    def _index_strong_children(self) -> None:
+        self.strong_children = tuple(
+            child
+            for child in self.children.values()
+            if child._edge_annotation in STRONG
+        )
 
     # -- structure ----------------------------------------------------------
 
@@ -129,8 +163,15 @@ class PathSummary:
     def __init__(self) -> None:
         self.root = SummaryNode("#document")
         self._by_number: list[SummaryNode] = []
-        self._by_label: dict[str, list[SummaryNode]] = {}
+        #: label (``None``: any element) → (pre numbers, nodes), both in
+        #: pre-order — see :meth:`descendants_labeled`
+        self._label_index: dict[Optional[str], tuple[list[int], list[SummaryNode]]] = {}
         self._finalized = False
+        #: whether any path has a ``#text`` child (summaries built from
+        #: bare label paths carry no value information)
+        self.tracks_text = False
+        #: bumped by every :meth:`finalize` and edge re-annotation
+        self.generation = 0
 
     # -- construction -------------------------------------------------------
 
@@ -169,9 +210,10 @@ class PathSummary:
         visit(doc.top, self.root.ensure_child(doc.top.label))
 
     def finalize(self) -> "PathSummary":
-        """Assign path numbers and pre/post intervals; build label index."""
+        """Assign path numbers and pre/post intervals; build the label,
+        strong-edge and text indexes the rewriting search reads."""
         self._by_number = []
-        self._by_label = {}
+        by_label: dict[Optional[str], list[SummaryNode]] = {None: []}
         number = 0
         clock = 0
 
@@ -184,7 +226,10 @@ class PathSummary:
                 number += 1
                 node.number = number
                 self._by_number.append(node)
-                self._by_label.setdefault(node.label, []).append(node)
+                by_label.setdefault(node.label, []).append(node)
+                if not node.is_attribute and not node.is_text:
+                    by_label[None].append(node)
+            node._index_strong_children()
             # Interval numbering from one clock: for any descendant d of n,
             # n.pre < d.pre < d.post < n.post — O(1) ancestor tests.
             clock += 1
@@ -195,6 +240,12 @@ class PathSummary:
             node.post = clock
 
         visit(self.root)
+        self._label_index = {
+            label: ([node.pre for node in nodes], nodes)
+            for label, nodes in by_label.items()
+        }
+        self.tracks_text = "#text" in by_label
+        self.generation += 1
         self._finalized = True
         return self
 
@@ -224,7 +275,24 @@ class PathSummary:
         """Summary nodes carrying ``label`` (used to enumerate embedding
         candidates; ``*`` patterns consider every node)."""
         self._require_finalized()
-        return list(self._by_label.get(label, []))
+        return list(self._label_index.get(label, ((), ()))[1])
+
+    def descendants_labeled(
+        self, node: SummaryNode, label: Optional[str]
+    ) -> list[SummaryNode]:
+        """The proper descendants of ``node`` carrying ``label`` (``None``:
+        any element), in pre-order — a bisect over the label's pre-order
+        list, since ``node.pre < d.pre < node.post`` for exactly the
+        descendants ``d``."""
+        self._require_finalized()
+        pres, nodes = self._label_index.get(label, ((), ()))
+        return nodes[bisect_right(pres, node.pre) : bisect_left(pres, node.post)]
+
+    def has_labeled_below(self, node: SummaryNode, label: Optional[str]) -> bool:
+        """Whether :meth:`descendants_labeled` would return anything."""
+        pres = self._label_index.get(label, ((), ()))[0]
+        first = bisect_right(pres, node.pre)
+        return first < len(pres) and pres[first] < node.post
 
     def node_for_path(self, path: str) -> Optional[SummaryNode]:
         """Resolve a rooted path string like ``/site/people/person``."""
@@ -284,7 +352,7 @@ class PathSummary:
     # -- statistics --------------------------------------------------------------
 
     def count_strong_edges(self) -> int:
-        return sum(1 for n in self.nodes() if n.edge_annotation in ("+", "1"))
+        return sum(1 for n in self.nodes() if n.edge_annotation in STRONG)
 
     def count_one_to_one_edges(self) -> int:
         return sum(1 for n in self.nodes() if n.edge_annotation == "1")

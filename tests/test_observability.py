@@ -352,6 +352,25 @@ class TestLifecycleTracing:
             assert expected in names, f"missing span {expected!r}"
         assert "cache.miss" in names
 
+    def test_rewrite_search_span_says_what_the_search_did(self, service):
+        """The search's own counts (and what it capped) ride on the
+        ``rewrite-search`` span and accumulate as per-query counters."""
+        result = service.query(PERSON_QUERY)
+        (span,) = service.trace(result.trace_id).find("rewrite-search")
+        for count in (
+            "candidates", "containment_tests", "prefilter_rejected",
+            "memo_hits", "product_truncated", "psi_capped",
+        ):
+            assert count in span.attributes, count
+        assert span.attributes["containment_tests"] > 0
+        assert (
+            result.counters["rewrite.containment_tests"]
+            == span.attributes["containment_tests"]
+        )
+        # nothing was capped, so nothing is counted as capped
+        assert "rewrite.product_truncated" not in result.counters
+        assert "containment.psi_capped" not in result.counters
+
     def test_stats_run_adds_compile_span(self, service):
         result = service.query(PERSON_QUERY, stats=True)
         trace = service.trace(result.trace_id)

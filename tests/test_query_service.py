@@ -423,6 +423,90 @@ class TestConcurrentSmoke:
         # every reader finished all its queries
         assert sum(len(s.latency) for s in svc.sessions()) == 8 * 12
 
+    NICK_QUERY = "//people/person/nick/text()"
+    NICK_DOC = "<site><people><person><nick>Bo</nick></person></people></site>"
+
+    def test_prepare_racing_mutations_never_uses_a_stale_memo(self, xmark_db):
+        """Readers prepare while a writer adds a view and then a document
+        whose new path makes a so far useless view serve a query.  The
+        facts the search memoises per view are stamped with the summary
+        generation, so any prepare *started after* the writer is done must
+        plan exactly as a database built from scratch in the final state
+        does."""
+        queries = self.QUERIES + [self.NICK_QUERY]
+        xmark_db.add_view("v_nick", "//person[id:s]{/nick[id:s, val]}")
+        svc = QueryService(xmark_db, cache_capacity=16, max_workers=8)
+        for query in queries:  # fill the per-view memos under the old state
+            xmark_db.prepare(query)
+        assert xmark_db.catalog["v_nick"].search_memo is not None
+        errors: list = []
+        stale: list = []
+        late_prepares: list = []
+        started = threading.Barrier(9)
+        mutated = threading.Event()
+        expected: dict = {}
+
+        def reader(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                started.wait()
+                deadline = time.monotonic() + 60
+                while len(late_prepares) < 40 and time.monotonic() < deadline:
+                    query = rng.choice(queries)
+                    settled = mutated.is_set()
+                    try:
+                        prepared = xmark_db.prepare(query)
+                    except RuntimeError:
+                        # the summary is re-finalized in place: a search
+                        # overlapping that may see it unfinalized
+                        assert not settled
+                        continue
+                    if settled:
+                        late_prepares.append(query)
+                        if prepared.fingerprint != expected[query]:
+                            stale.append((seed, query))
+            except Exception as error:  # pragma: no cover - failure detail
+                errors.append((seed, error))
+
+        def mutator() -> None:
+            try:
+                started.wait()
+                time.sleep(0.02)  # land mid-run
+                svc.add_view(
+                    "v_closed",
+                    "//closed_auctions/closed_auction[id:s]{/price[id:s, val]}",
+                )
+                svc.add_document_xml(self.NICK_DOC, "nick.xml")
+                fresh = Database()
+                fresh.add_documents(xmark_db.documents)
+                for entry in xmark_db.catalog:
+                    fresh.add_view(entry.name, entry.pattern)
+                expected.update(
+                    {query: fresh.prepare(query).fingerprint for query in queries}
+                )
+                mutated.set()
+            except Exception as error:  # pragma: no cover - failure detail
+                errors.append(("mutator", error))
+                mutated.set()
+
+        threads = [threading.Thread(target=reader, args=(s,)) for s in range(8)]
+        threads.append(threading.Thread(target=mutator))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        svc.shutdown()
+
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(late_prepares) >= 40 and self.NICK_QUERY in late_prepares
+        assert not stale, stale
+        # the new path did change a plan: the view now answers the query
+        nick = xmark_db.prepare(self.NICK_QUERY)
+        assert [r.access_path for unit in nick.units for r in unit.resolutions] == [
+            "rewriting"
+        ]
+
     def test_repeatable_across_runs(self, xmark_db):
         """The same mixed workload twice yields identical result sets —
         determinism independent of thread scheduling."""

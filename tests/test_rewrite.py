@@ -2,6 +2,7 @@
 §5.5 plan→pattern machinery, and answer agreement with direct evaluation."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import evaluate_pattern, parse_pattern, rewrite_pattern
 from repro.core.plan_pattern import GlueCondition, merged_patterns
@@ -332,3 +333,224 @@ class TestRanking:
         counts = [r.plan.operator_count() for r in rewritings]
         assert counts == sorted(counts)
         assert rewritings[0].views == ("exact",)
+
+
+# ---------------------------------------------------------------------------
+# The search does each piece of work once — and answers exactly as before
+# ---------------------------------------------------------------------------
+
+class TestGolden:
+    def test_search_reproduces_the_pre_optimisation_answers(self):
+        """Ordered rewritings (kind, views, signature) and every
+        (view, query) / (query, view) containment verdict, byte for byte
+        as recorded on the commit before the search was optimised."""
+        from tests.rewrite_golden import GOLDEN_PATH, SEEDS, answers, render
+
+        assert render({str(seed): answers(seed) for seed in SEEDS}) == (
+            GOLDEN_PATH.read_text()
+        )
+
+
+@pytest.fixture(scope="module")
+def xmark_env():
+    from repro.workloads import generate_xmark
+
+    return build_enhanced_summary(generate_xmark(scale=1, seed=5))
+
+
+#: return-node labels the random patterns draw from: paths that overlap
+#: partly (name, text, keyword occur under several parents), so that the
+#: annotation filter both rejects and lets through
+_RETURN_LABELS = ["name", "keyword", "text", "description", "item", "listitem"]
+
+
+def _random_pattern(summary, seed, size, returns, labels, optional_probability):
+    import random
+
+    from repro.workloads import GeneratorConfig, generate_pattern
+    from tests.rewrite_golden import MAX_EMBEDDINGS, embedding_count
+
+    config = GeneratorConfig(
+        return_labels=tuple(labels), optional_probability=optional_probability
+    )
+    pattern = generate_pattern(summary, size, returns, random.Random(seed), config)
+    assume(embedding_count(pattern, summary) <= MAX_EMBEDDINGS)
+    return pattern
+
+
+class TestPreFilters:
+    """The pre-filter may only reject what the decision procedure — the
+    oracle — would have rejected."""
+
+    _shape = dict(
+        size=st.integers(2, 5),
+        returns=st.integers(1, 2),
+        labels=st.permutations(_RETURN_LABELS).map(lambda labels: labels[:2]),
+        optional_probability=st.sampled_from([0.0, 0.3]),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(seeds=st.tuples(*[st.integers(0, 10_000)] * 3), **_shape)
+    def test_annotation_filter_rejects_only_non_containments(
+        self, xmark_env, seeds, **shape
+    ):
+        from repro.core.containment import (
+            PatternFacts,
+            contained_in,
+            may_be_contained,
+        )
+
+        pattern, *views = (
+            PatternFacts(_random_pattern(xmark_env, seed, **shape), xmark_env)
+            for seed in seeds
+        )
+        for container in ([views[0]], [views[1]], views):
+            if not may_be_contained(pattern, container):
+                assert not contained_in(pattern, container)
+        # a pattern is contained in itself: the filter must let that through
+        assert may_be_contained(pattern, [pattern])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), **_shape)
+    def test_filter_never_changes_the_rewritings(self, xmark_env, seed, **shape):
+        from repro.core import rewrite
+        from repro.engine.qlog import rewriting_signature
+        from tests.rewrite_golden import CATALOG_14
+
+        query = _random_pattern(xmark_env, seed, **shape)
+
+        def search() -> list:
+            catalog = Catalog()
+            for name, text in CATALOG_14:
+                catalog.register(name, text)
+            found = rewrite_pattern(query, catalog, xmark_env, max_results=None)
+            return [(r.kind, r.views, rewriting_signature(r)) for r in found]
+
+        filtered = search()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rewrite, "may_be_contained", lambda p, views: True)
+            assert search() == filtered
+
+
+class TestSearchStats:
+    def _run(self, env, views, query):
+        from repro.core.rewrite import SearchStats
+
+        doc, summary = env
+        _store, catalog = setup_views(doc, views)
+        stats = SearchStats()
+        rewrite_pattern(
+            parse_pattern(query), catalog, summary, max_results=None, stats=stats
+        )
+        return stats
+
+    def test_counts_repeat_exactly(self, env):
+        views = {"items": "//item[id:s]", "names": "//name[id:s, val]"}
+        query = "//item[id:s]{/no:name[id:s, val]}"
+        first, second = self._run(env, views, query), self._run(env, views, query)
+        assert first == second
+        assert first.containment_tests > 0
+
+    def test_annotation_prefilter_is_counted(self, env):
+        # "mails" reaches no path the query's return node takes
+        stats = self._run(
+            env,
+            {"mails": "//mail[id:s, val]", "names": "//name[id:s, val]"},
+            "//name[id:s, val]",
+        )
+        assert stats.prefilter_rejected > 0
+
+    def test_product_truncation_is_counted(self):
+        from repro.core import rewrite
+        from repro.core.rewrite import SearchStats
+
+        stats = SearchStats()
+        # 9 options for each of 2 return nodes = 81 > 64 combinations
+        combos = rewrite._product([list(range(9)), list(range(9))], stats)
+        assert len(combos) == rewrite.MAX_COMBINATIONS
+        assert stats.product_truncated == 1
+
+    def test_psi_cap_is_counted(self, env, monkeypatch):
+        from repro.core import containment
+
+        monkeypatch.setattr(containment, "MAX_PSI_ASSIGNMENTS", 0)
+        stats = self._run(
+            env,
+            {"cheap": "//item[id:s]{/name[val=Fish]}"},
+            "//item[id:s]{/name[val=Rock]}",
+        )
+        assert stats.psi_capped > 0
+
+    def test_memoised_view_facts_are_counted(self, env):
+        from repro.core.rewrite import SearchStats
+
+        doc, summary = env
+        _store, catalog = setup_views(doc, {"names": "//name[id:s, val]"})
+        query = parse_pattern("//name[id:s, val]")
+        cold, warm = SearchStats(), SearchStats()
+        rewrite_pattern(query, catalog, summary, stats=cold)
+        rewrite_pattern(query, catalog, summary, stats=warm)
+        assert warm.memo_hits == cold.memo_hits + 1  # the one view's facts
+
+
+class TestViewMemoLifetime:
+    """Facts kept on a catalog entry are functions of (view pattern,
+    summary generation) and must die with either."""
+
+    NICK_VIEW = "//person[id:s]{/nick[id:s, val]}"
+    NICK_QUERY = "//person[id:s]{/nick[id:s, val]}"
+
+    def _db(self):
+        from repro import Database
+
+        db = Database.from_xml(
+            "<site><people><person><name>Ann</name></person></people></site>"
+        )
+        db.add_view("v_nick", self.NICK_VIEW)
+        db.add_view("v_names", "//name[id:s, val]")
+        return db
+
+    def test_new_summary_path_revives_a_useless_view(self):
+        db = self._db()
+        assert db.rewrite("//name[id:s, val]")  # fills v_nick's memo too
+        stale = db.catalog["v_nick"].search_memo
+        assert stale is not None and stale.annotations  # filled: no nick path
+        assert db.rewrite(self.NICK_QUERY) == []
+        db.add_document_xml(
+            "<site><people><person><nick>Bo</nick></person></people></site>",
+            "nick.xml",
+        )
+        found = db.rewrite(self.NICK_QUERY)
+        assert [r.views for r in found][:1] == [("v_nick",)]
+        fresh = db.catalog["v_nick"].search_memo
+        assert fresh is not stale and fresh.current_for(db.summary)
+        assert not stale.current_for(db.summary)
+
+    def test_reannotated_edges_start_a_new_generation(self, env):
+        doc, summary = env
+        _store, catalog = setup_views(doc, {"names": "//name[id:s, val]"})
+        rewrite_pattern(parse_pattern("//name[id:s, val]"), catalog, summary)
+        memo = catalog["names"].search_memo
+        summary.node_for_path("/site/regions/item/mail").edge_annotation = "*"
+        assert not memo.current_for(summary)
+
+    def test_drop_and_reregister_under_the_same_name(self):
+        db = self._db()
+        query = "//name[id:s, val]"
+        assert [r.views for r in db.rewrite(query)] == [("v_names",)]
+        db.drop_view("v_names")
+        assert db.rewrite(query) == []
+        # same name, different pattern: nothing of the old entry survives
+        db.add_view("v_names", "//person[id:s]")
+        assert db.catalog["v_names"].search_memo is None
+        assert db.rewrite(query) == []
+        assert [r.views for r in db.rewrite("//person[id:s]")] == [("v_names",)]
+
+    def test_memo_is_per_summary(self, env):
+        doc, summary = env
+        _store, catalog = setup_views(doc, {"names": "//name[id:s, val]"})
+        query = parse_pattern("//name[id:s, val]")
+        assert rewrite_pattern(query, catalog, summary)
+        other = PathSummary.from_paths(["/site/people/person/name"])
+        assert rewrite_pattern(query, catalog, other)
+        assert catalog["names"].search_memo.summary is other

@@ -350,6 +350,41 @@ class TestPinLifecycle:
         ctx_counters = result.counters
         assert ctx_counters.get("plan_pin.unmatched", 0) >= 1
 
+    def test_unmatched_pin_enumerates_each_pattern_once(
+        self, xmark_doc, monkeypatch
+    ):
+        """A pin miss hands the rewritings it enumerated to the ranker
+        instead of enumerating the same pattern a second time."""
+        from repro.core import uload
+
+        searched = []
+        enumerate_rewritings = uload.rewrite_pattern
+
+        def counting(pattern, *args, **kwargs):
+            searched.append(pattern.to_text())
+            return enumerate_rewritings(pattern, *args, **kwargs)
+
+        monkeypatch.setattr(uload, "rewrite_pattern", counting)
+        db = make_db(xmark_doc)
+        db.query(PERSON_QUERY)
+        unpinned, searched[:] = list(searched), []
+        db.plan_pins.pin(
+            PinnedPlan(
+                query=" ".join(PERSON_QUERY.split()),
+                catalog_version=db.catalog_version,
+                choices=(
+                    PinnedChoice(
+                        unit=0, pattern=0, access="rewriting",
+                        signature="feedfacefeedface",
+                        views=("v_gone",),
+                    ),
+                ),
+            )
+        )
+        result = db.query(PERSON_QUERY)
+        assert result.counters["plan_pin.unmatched"] == 1
+        assert searched == unpinned
+
     def test_pin_store_persistence_round_trip(self, xmark_doc, tmp_path):
         db = make_db(xmark_doc)
         pin = self.pin_for(db)
