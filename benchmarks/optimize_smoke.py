@@ -5,20 +5,24 @@ The CI optimize lane runs this script on every push to prove the
 ``repro optimize`` loop — enumerate → validate → benchmark → promote —
 works end to end and never trades correctness for speed:
 
-1. **record** — an XMark workload (the person query plus an unrelated
-   item query) runs through a :class:`~repro.core.service.QueryService`
-   against *honest* statistics; the capture's checksums and plan
-   fingerprints are the tournament's ground truth;
+1. **record** — an XMark workload (the item-description query plus an
+   unrelated person query) runs through a
+   :class:`~repro.core.service.QueryService` against *honest*
+   statistics; the capture's checksums and plan fingerprints are the
+   tournament's ground truth;
 2. **misrank** — a fresh, identical database gets one poisoned
-   statistics entry (``v_person`` → 1e9) so the cost model's default
-   pick for the person pattern flips to the genuinely slower
-   ``v_person_ids`` ⨝ ``v_person_names`` join.  This makes the lane
+   statistics entry (``v_item`` → 1e9) so the cost model's default pick
+   for the description pattern flips to the genuinely slower
+   ``v_item_ids`` ⨝ ``v_item_descriptions`` join.  This makes the lane
    non-vacuous: there is a real misranking for the tournament to find;
 3. **tournament** — every candidate of every query must reproduce the
    recorded checksum under the recorded flags *and* under both
    executors (zero divergences), and the tournament must promote at
    least one pinned plan with a measured margin — the single-view
-   person plan rediscovered despite the poisoned ranking;
+   description plan rediscovered despite the poisoned ranking.  The
+   query returns whole ``description`` elements, which the views store
+   serialized and the base store re-serializes on every run, so the
+   recorded plan beats the base store by a wide margin too;
 4. **pinned replay** — with the promoted pins installed, replaying the
    capture against the poisoned database is diff-free (the pin restores
    the recorded plan), while a pin-less poisoned replay shows the
@@ -48,25 +52,25 @@ from repro.core.tournament import run_tournament
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.qlog import QueryLog
 
+DESCRIPTION_QUERY = "for $i in //regions//item return $i/description"
 PERSON_QUERY = "for $p in //people/person return $p/name/text()"
-ITEM_QUERY = "for $i in //regions//item return $i/name/text()"
 
 
 def build_database(poisoned: bool = False) -> Database:
     """XMark database whose catalog supports both a single-view and a
-    join access path for the person pattern.  ``poisoned=True`` plants
-    the misranking the tournament exists to catch: with ``v_person``
-    priced at a billion tuples the default pick becomes the two-view
-    join, which is S-equivalent but measurably slower."""
+    join access path for the description pattern.  ``poisoned=True``
+    plants the misranking the tournament exists to catch: with
+    ``v_item`` priced at a billion tuples the default pick becomes the
+    two-view join, which is S-equivalent but measurably slower."""
     from repro.workloads import generate_xmark
 
     db = Database(metrics=MetricsRegistry(), executor="batch")
     db.add_document(generate_xmark(scale=2, seed=0))
-    db.add_view("v_person", "//people/person[id:s]{/name[id:s, val]}")
-    db.add_view("v_person_ids", "//people/person[id:s]")
-    db.add_view("v_person_names", "//people/person/name[id:s, val]")
+    db.add_view("v_item", "//regions//item[id:s]{/description[id:s, cont]}")
+    db.add_view("v_item_ids", "//regions//item[id:s]")
+    db.add_view("v_item_descriptions", "//regions//item/description[id:s, cont]")
     if poisoned:
-        db.override_statistic("v_person", 1e9)
+        db.override_statistic("v_item", 1e9)
     return db
 
 
@@ -100,7 +104,7 @@ def main(argv=None) -> int:
         shutil.rmtree(args.audit_dir)
     qlog = QueryLog(args.qlog)
     with QueryService(build_database(), qlog=qlog) as service:
-        for query in (PERSON_QUERY, ITEM_QUERY):
+        for query in (DESCRIPTION_QUERY, PERSON_QUERY):
             service.query(query)
     qlog.close()
     records = QueryLog.read_all(args.qlog)
@@ -113,10 +117,10 @@ def main(argv=None) -> int:
     # -- the misranking must be real before the tournament runs ------------
     recorded = {r["query"]: r["fingerprint"] for r in records}
     tournament_db = build_database(poisoned=True)
-    misranked = tournament_db.prepare(PERSON_QUERY, consult_pins=False)
+    misranked = tournament_db.prepare(DESCRIPTION_QUERY, consult_pins=False)
     check(
-        misranked.fingerprint != recorded[PERSON_QUERY],
-        "poisoned statistics flip the default person plan "
+        misranked.fingerprint != recorded[DESCRIPTION_QUERY],
+        "poisoned statistics flip the default description plan "
         "(non-vacuity: there is a misranking to find)",
         failures,
     )
@@ -150,13 +154,13 @@ def main(argv=None) -> int:
         f"at least one pinned plan promoted ({len(promotions)})",
         failures,
     )
-    person = next(
-        (q for q in report.queries if q.query == PERSON_QUERY), None
+    described = next(
+        (q for q in report.queries if q.query == DESCRIPTION_QUERY), None
     )
     check(
-        person is not None and person.promoted and person.margin > 0.0,
-        "the person query's misranked default lost to the recorded plan "
-        + (f"({person.margin:.1%} margin)" if person else "(missing)"),
+        described is not None and described.promoted and described.margin > 0.0,
+        "the description query's misranked default lost to the recorded plan "
+        + (f"({described.margin:.1%} margin)" if described else "(missing)"),
         failures,
     )
     for name in ("summary.json", "pins.json"):
@@ -165,10 +169,10 @@ def main(argv=None) -> int:
             f"audit artifact {name} written",
             failures,
         )
-    if person is not None:
+    if described is not None:
         check(
             os.path.exists(
-                os.path.join(args.audit_dir, person.slug, "winner.json")
+                os.path.join(args.audit_dir, described.slug, "winner.json")
             ),
             "promoted query's winner.json names the evidence",
             failures,
@@ -192,9 +196,9 @@ def main(argv=None) -> int:
     )
 
     # -- stale-pin safety: mutations drop the pin, answers stay right ------
-    expected = next(r for r in records if r["query"] == PERSON_QUERY)
+    expected = next(r for r in records if r["query"] == DESCRIPTION_QUERY)
     tournament_db.add_view("v_late", "//closed_auction[id:s]")
-    after = tournament_db.query(PERSON_QUERY)
+    after = tournament_db.query(DESCRIPTION_QUERY)
     from repro.engine.qlog import result_checksum
 
     check(

@@ -448,7 +448,7 @@ class ValueJoin(Operator):
         return _combine(
             left,
             right,
-            lambda a, b: self.predicate.holds(a, b),
+            self.predicate.join_test(left, right),
             self.kind,
             self.nest_as,
             right_columns,

@@ -13,7 +13,7 @@ satisfies the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..xmldata.ids import is_ancestor_id, is_parent_id
 from .model import NestedTuple
@@ -66,6 +66,10 @@ class Predicate:
         self, left: NestedTuple, right: Optional[NestedTuple] = None
     ) -> bool:
         return self.holds(left, right)
+
+    def join_test(self, left_rows, right_rows) -> Callable[..., bool]:
+        """:meth:`holds` as the pair test of a join over these inputs."""
+        return self.holds
 
 
 def _operand_values(operand, left: NestedTuple, right: Optional[NestedTuple]):
@@ -137,6 +141,17 @@ class Compare(Predicate):
                 if _compare_values(self.op, a, b):
                     return True
         return False
+
+    def join_test(self, left_rows, right_rows) -> Callable[..., bool]:
+        # ``A θ right.B``: each row's values are read once, not once per pair
+        if (getattr(self.left, "side", 1), getattr(self.right, "side", 0)) != (0, 1):
+            return self.holds
+        op = self.op
+        mine = {id(t): list(t.iter_path(self.left.path)) for t in left_rows}
+        theirs = {id(t): list(t.iter_path(self.right.path)) for t in right_rows}
+        return lambda a, b: any(
+            _compare_values(op, x, y) for x in mine[id(a)] for y in theirs[id(b)]
+        )
 
     def __repr__(self) -> str:
         def show(operand):

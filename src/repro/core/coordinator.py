@@ -85,8 +85,6 @@ from .uload import (
     PreparedUnit,
     QueryResult,
 )
-from .xam import Pattern
-from .xam_parser import parse_pattern
 
 __all__ = [
     "ShardedDatabase",
@@ -269,25 +267,14 @@ class ShardedDatabase(Database):
                 self.shards[index].add_documents(batch)
         return docs
 
-    def add_view(
-        self, name: str, pattern: "Pattern | str", kind: str = "view"
-    ) -> CatalogEntry:
-        """Register the view globally (identical planner state and
-        statistics to the unsharded database) *and* install its
-        per-document segments on the owning shards."""
-        if isinstance(pattern, str):
-            pattern = parse_pattern(pattern)
-        entry = super().add_view(name, pattern, kind)
-        segments: dict[int, list] = {}
-        for seq, doc in enumerate(self.documents):
-            segments[seq] = evaluate_pattern(pattern, doc)
-        self._segments[name] = segments
-        for index, partition in enumerate(self._partitions):
-            tuples = [t for seq, _doc in partition for t in segments[seq]]
-            shard = self.shards[index]
-            shard.store.add(name, tuples)
-            shard.catalog.register(name, pattern, relation=name, kind=kind)
-        return entry
+    def _view_added(self, entry: CatalogEntry, segments: list[list]) -> None:
+        """Install the view's per-document segments on the owning shards;
+        ``add_view`` registered it globally, as the unsharded database."""
+        name = entry.name
+        self._segments[name] = dict(enumerate(segments))
+        for shard, partition in zip(self.shards, self._partitions):
+            shard.store.add(name, [t for seq, _doc in partition for t in segments[seq]])
+            shard.catalog.register(name, entry.pattern, relation=name, kind=entry.kind)
 
     def drop_view(self, name: str) -> None:
         super().drop_view(name)

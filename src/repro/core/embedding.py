@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..algebra.model import NULL, NestedTuple
 from ..xmldata.ids import id_of
-from ..xmldata.node import ATTRIBUTE, ELEMENT, TEXT, Document, XMLNode
+from ..xmldata.node import ATTRIBUTE, ELEMENT, TEXT, Document, TagIndex, XMLNode
 from .xam import CHILD, JOIN, NEST, NEST_OUTER, OUTER, SEMI, Pattern, PatternEdge, PatternNode
 
 __all__ = [
@@ -66,12 +66,17 @@ def admits_xml_node(pattern_node: PatternNode, xml_node: XMLNode) -> bool:
     return True
 
 
-def _axis_candidates(xml_node: XMLNode, edge: PatternEdge) -> Iterator[XMLNode]:
+def _axis_candidates(
+    xml_node: XMLNode, edge: PatternEdge, index: TagIndex
+) -> Sequence[XMLNode]:
+    """An edge's candidate images in document order: ``children`` for child
+    steps, a window of the document's tag index for descendant steps."""
     if edge.axis == CHILD:
-        yield from xml_node.children
-    else:
-        for child in xml_node.children:
-            yield from child.iter_subtree()
+        return xml_node.children
+    tag = edge.child.tag
+    if tag is None:  # ``*`` admits elements only
+        return [n for n in index.descendants(xml_node) if n.kind == ELEMENT]
+    return index.descendants(xml_node, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +119,9 @@ def _null_subtree_attrs(pattern_node: PatternNode) -> dict[str, Any]:
     return attrs
 
 
-def _eval_at(pattern_node: PatternNode, xml_node: XMLNode) -> Optional[list[NestedTuple]]:
+def _eval_at(
+    pattern_node: PatternNode, xml_node: XMLNode, index: TagIndex
+) -> Optional[list[NestedTuple]]:
     """Tuples produced by matching the pattern subtree at ``xml_node``;
     ``None`` when the subtree has no embedding here."""
     if not admits_xml_node(pattern_node, xml_node):
@@ -122,8 +129,8 @@ def _eval_at(pattern_node: PatternNode, xml_node: XMLNode) -> Optional[list[Nest
     tuples = [NestedTuple(_node_attrs(pattern_node, xml_node))]
     for edge in pattern_node.edges:
         child_tuples: list[NestedTuple] = []
-        for candidate in _axis_candidates(xml_node, edge):
-            result = _eval_at(edge.child, candidate)
+        for candidate in _axis_candidates(xml_node, edge, index):
+            result = _eval_at(edge.child, candidate, index)
             if result is not None:
                 child_tuples.extend(result)
         tuples = _combine_edge(tuples, child_tuples, edge)
@@ -167,8 +174,9 @@ def _combine_edge(
 def evaluate_pattern(pattern: Pattern, doc: Document) -> list[NestedTuple]:
     """Evaluate a XAM over a document: Definition 4.1.1 extended with the
     decorated / optional / attribute / nested semantics of §4.1, producing
-    duplicate-free tuples in document order."""
-    result = _eval_at(pattern.root, doc.root)
+    duplicate-free tuples in document order.  ``doc`` must be labelled
+    (descendant steps read its tag index; ``ValueError`` otherwise)."""
+    result = _eval_at(pattern.root, doc.root, doc.index)
     if result is None:
         return []
     out: list[NestedTuple] = []

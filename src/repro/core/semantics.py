@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from ..algebra.model import NestedTuple
+from ..algebra.model import NULL, NestedTuple
 from ..algebra.operators import BaseTuples, Operator, StructuralJoin
 from ..xmldata.ids import STRUCTURAL, id_of
 from ..xmldata.node import ATTRIBUTE, ELEMENT, Document
@@ -96,7 +96,11 @@ def build_semantics_plan(pattern: Pattern, doc: Document) -> Operator:
     bottom-up, over the node collections of the XAM."""
 
     def plan_for(pattern_node: PatternNode) -> Operator:
-        plan: Operator = BaseTuples(_node_collection(pattern_node, doc))
+        # declared columns: an empty collection still pads outer joins
+        columns = [f"{pattern_node.name}{_HIDDEN_SUFFIX}"] + [
+            f"{pattern_node.name}.{attr}" for attr in pattern_node.stored_attrs()
+        ]
+        plan: Operator = BaseTuples(_node_collection(pattern_node, doc), columns)
         for edge in pattern_node.edges:
             axis = "child" if edge.axis == CHILD else "descendant"
             plan = StructuralJoin(
@@ -137,6 +141,9 @@ def _strip_hidden(t: NestedTuple) -> NestedTuple:
             continue
         if isinstance(value, list):
             attrs[name] = [_strip_hidden(member) for member in value]
+        elif value is NULL and "." not in name:
+            # an outer join padded a nest edge's collection (a bare column)
+            attrs[name] = []
         else:
             attrs[name] = value
     return NestedTuple(attrs)

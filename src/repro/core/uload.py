@@ -527,15 +527,21 @@ class Database:
         if isinstance(pattern, str):
             pattern = parse_pattern(pattern)
         if len(self.documents) == 1:
-            return materialize_view(
+            entry = materialize_view(
                 name, pattern, self.documents[0], self.store, self.catalog, kind
             )
-        # multi-document: concatenate per-document materializations
-        tuples: list[NestedTuple] = []
-        for doc in self.documents:
-            tuples.extend(evaluate_pattern(pattern, doc))
-        self.store.add(name, tuples)
-        return self.catalog.register(name, pattern, relation=name, kind=kind)
+            segments = [self.store[name].tuples]
+        else:
+            # multi-document: concatenate per-document materializations
+            segments = [evaluate_pattern(pattern, doc) for doc in self.documents]
+            self.store.add(name, [t for segment in segments for t in segment])
+            entry = self.catalog.register(name, pattern, relation=name, kind=kind)
+        self._view_added(entry, segments)
+        return entry
+
+    def _view_added(self, entry: CatalogEntry, segments: list[list]) -> None:
+        """Hook run after a view is stored; ``segments`` holds its tuples
+        per document, in document order."""
 
     def drop_view(self, name: str) -> None:
         self.catalog.unregister(name)
@@ -1270,11 +1276,13 @@ class Database:
         events: Optional[list[str]] = None,
         fingerprint: Optional[str] = None,
     ) -> None:
+        cpu_started = time.thread_time_ns() if ctx.profile else 0
         unit = prepared_unit.unit
         resolutions = prepared_unit.resolutions
         result.resolutions.extend(resolutions)
         bindings = {}
         pattern_mark = len(ctx.metrics)
+        metrics = None
         for index, resolution in enumerate(resolutions):
             with ctx.span(
                 "pattern", index=index, access=resolution.access_path
@@ -1285,10 +1293,11 @@ class Database:
                 )
             resolution.actual_cardinality = len(tuples)
             bindings[f"__pattern_{index}"] = tuples
+        pattern_trees = ctx.metrics[pattern_mark:]
         if ctx.profile:
             # profiled rewriting runs instrumented their plans into
             # ctx.metrics; surface those trees alongside the unit plan's
-            result.metrics.extend(ctx.metrics[pattern_mark:])
+            result.metrics.extend(pattern_trees)
         plan = prepared_unit.logical
         result.plans.append(plan)
         try:
@@ -1331,6 +1340,12 @@ class Database:
                     for value in t.iter_path(path):
                         if value is not None and not isinstance(value, list):
                             result.values.append(value)
+        if ctx.profile and metrics is not None:
+            # CPU outside every operator window (spans, bindings, output
+            # extraction) folds into the root, as run() folds its drive loop
+            outside = time.thread_time_ns() - cpu_started
+            outside -= sum(tree.total_cpu_ns() for tree in pattern_trees)
+            metrics.root.cpu_ns = max(metrics.root.cpu_ns, outside)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

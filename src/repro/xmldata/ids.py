@@ -158,9 +158,10 @@ def label_document(doc: Document) -> Document:
     The document node gets ``pre = post_max + 1``?  No — following Fig. 1.1
     the document node is ignored for labeling purposes: the top element has
     ``pre = 1`` and ``depth = 1``; attribute and text nodes participate in
-    the traversal so that every node owns a unique label.  Returns ``doc``
-    for chaining.
+    the traversal so that every node owns a unique label.  Drops the stale
+    tag index (:meth:`Document.relabelled`).  Returns ``doc`` for chaining.
     """
+    doc.relabelled()
     pre_counter = 0
     post_counter = 0
 

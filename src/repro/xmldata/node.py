@@ -18,6 +18,8 @@ assigned by :func:`repro.xmldata.ids.label_document` after parsing.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from typing import Iterator, Optional
 
 __all__ = ["XMLNode", "Document", "DOCUMENT", "ELEMENT", "ATTRIBUTE", "TEXT"]
@@ -186,6 +188,19 @@ class Document:
             )
         self.root = document_node
         self.name = name
+        self._index: Optional[TagIndex] = None
+
+    @property
+    def index(self) -> "TagIndex":
+        """The :class:`TagIndex` of the current labels, built on first use.
+        It holds every node, so it lives on the document and dies with it."""
+        if self._index is None:
+            self._index = TagIndex(self.root)
+        return self._index
+
+    def relabelled(self) -> None:
+        """Drop the stale index (``label_document``, the writer of ``pre``)."""
+        self._index = None
 
     @classmethod
     def from_top_element(cls, top: XMLNode, name: str = "doc.xml") -> "Document":
@@ -216,10 +231,42 @@ class Document:
         return sum(1 for n in self.nodes() if n.kind == kind)
 
     def find_by_pre(self, pre: int) -> Optional[XMLNode]:
-        for node in self.nodes():
-            if node.pre == pre:
-                return node
-        return None
+        nodes = self.index.nodes
+        return nodes[pre] if 0 < pre < len(nodes) else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Document {self.name!r} top={self.top.label!r}>"
+
+
+class TagIndex:
+    """The XISS element index (tag → node IDs) over the XPath-Accelerator
+    pre/post plane (thesis §2.3.3, Example 1.2.1) of one labelled document:
+    ``nodes[p]`` is the node with ``pre == p`` (the document node is
+    ``nodes[0]``) and per label a sorted ``array('i')`` holds its pre
+    numbers.  Node ``v``'s proper descendants are exactly the pre numbers
+    in ``(v.pre, v.post + v.depth − 1]``, so a ``//label`` step is two
+    bisects and a slice, and a label the document lacks costs nothing."""
+
+    __slots__ = ("nodes", "_pres")
+
+    def __init__(self, root: XMLNode):
+        self.nodes: list[XMLNode] = []
+        self._pres: dict[str, array] = {}
+        for node in root.iter_subtree():
+            if node.pre != len(self.nodes):
+                raise ValueError(
+                    "document labels are missing or stale; call "
+                    "label_document() after parsing or changing the tree"
+                )
+            self.nodes.append(node)
+            self._pres.setdefault(node.label, array("i")).append(node.pre)
+
+    def descendants(self, node: XMLNode, label: Optional[str] = None) -> list[XMLNode]:
+        """Proper descendants of ``node`` in document order — only those
+        labelled ``label`` when one is given."""
+        last = node.post + node.depth - 1
+        if label is None:
+            return self.nodes[node.pre + 1 : last + 1]
+        pres, nodes = self._pres.get(label, ()), self.nodes
+        window = pres[bisect_right(pres, node.pre) : bisect_right(pres, last)]
+        return [nodes[pre] for pre in window]

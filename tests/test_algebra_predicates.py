@@ -49,6 +49,33 @@ def test_compare_across_join_sides():
     assert not pred.holds(NestedTuple({"x": 1}), NestedTuple({"y": 2}))
 
 
+@pytest.mark.parametrize("op", ["=", "!=", "<", ">="])
+@pytest.mark.parametrize(
+    "pred_of",
+    [
+        lambda op: Compare(Attr("x", 0), op, Attr("c/v", 1)),  # hoisted
+        lambda op: Compare(Attr("c/v", 1), op, Attr("x", 0)),  # sides swapped
+        lambda op: Compare(Attr("x", 0), op, Const(3)),
+        lambda op: And((Compare(Attr("x", 0), op, Attr("c/v", 1)),)),
+    ],
+)
+def test_join_test_agrees_with_holds_on_every_pair(op, pred_of):
+    """A join's pair test (operand values read once per row) decides every
+    pair exactly as ``holds`` does: nested paths, ⊥, empty collections and
+    string/number coercion included."""
+    lefts = [NestedTuple({"x": x}) for x in (None, 3, "3", "abc", 7.5)]
+    lefts.append(lefts[1])  # the same row twice
+    rights = [
+        NestedTuple({"c": [NestedTuple({"v": v}) for v in values]})
+        for values in ([], [None], [3], ["3", 9], ["abc", 1], [7.5, None])
+    ]
+    pred = pred_of(op)
+    test = pred.join_test(lefts, rights)
+    for a in lefts:
+        for b in rights:
+            assert test(a, b) == pred.holds(a, b), (a, b)
+
+
 def test_right_side_without_right_tuple_raises():
     pred = Compare(Attr("x", 0), "=", Attr("y", 1))
     with pytest.raises(ValueError):

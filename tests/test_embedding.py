@@ -1,9 +1,15 @@
 """Tests for the embedding-based semantics (§4.1): edge semantics,
-kind admission, and the generic return-tuple machinery."""
+kind admission, the lifetime of the tag index evaluation reads, and the
+generic return-tuple machinery."""
+
+import gc
+import weakref
+
+import pytest
 
 from repro.core import evaluate_pattern, parse_pattern, return_tuples
 from repro.core.embedding import admits_xml_node, embeddings
-from repro.xmldata import load
+from repro.xmldata import XMLNode, label_document, load, parse_document
 
 
 DOC = load(
@@ -74,6 +80,44 @@ class TestEdgeSemantics:
         # both kws reach the same (site, item-ID) pair through // twice
         out = evaluate_pattern(parse_pattern("//site{//item[id:s]}"), DOC)
         assert len(out) == len({t.freeze() for t in out})
+
+
+class TestTagIndexLifetime:
+    def test_relabelling_shows_an_appended_node(self):
+        doc = load("<r><a/><b/></r>")
+        pattern = parse_pattern("//r{//c[id:s]}")
+        assert evaluate_pattern(pattern, doc) == []
+        doc.top.element_children()[0].add_element("c")
+        label_document(doc)
+        assert [t["e2.ID"].pre for t in evaluate_pattern(pattern, doc)] == [3]
+        assert doc.find_by_pre(3).label == "c"
+
+    def test_index_dies_with_its_document(self):
+        # a store holds its documents inside reference cycles; an index
+        # kept anywhere but on the document would hold the tree through
+        # the one collection that frees the document
+        doc = load("<lifetime><a><b/></a><b/></lifetime>")
+        assert len(evaluate_pattern(parse_pattern("//b[id:s]"), doc)) == 2
+        holder = [doc]
+        holder.append(holder)
+        dropped = weakref.ref(doc)
+        del doc, holder
+        gc.collect()
+        assert dropped() is None
+        assert not any(
+            isinstance(o, XMLNode) and o.label == "lifetime" for o in gc.get_objects()
+        )
+
+    def test_unlabelled_document_is_refused(self):
+        doc = parse_document("<r><a>x</a></r>")
+        with pytest.raises(ValueError, match="label_document"):
+            evaluate_pattern(parse_pattern("//a[val]"), doc)
+
+    def test_node_appended_without_relabelling_is_refused(self):
+        doc = load("<r><a/></r>")
+        doc.top.add_element("b")
+        with pytest.raises(ValueError, match="label_document"):
+            evaluate_pattern(parse_pattern("//b"), doc)
 
 
 class TestReturnTuples:

@@ -71,7 +71,9 @@ def test_btree_len_counts_entries(keys):
 # ID axioms on random trees
 # --------------------------------------------------------------------------
 
-def _random_document(rng: random.Random, size: int) -> Document:
+def _random_document(rng: random.Random, size: int, leaves: bool = False) -> Document:
+    """A random element tree; with ``leaves``, elements also carry an
+    ``@a`` attribute or interleaved text children at random."""
     root = XMLNode("element", "r")
     nodes = [root]
     for i in range(size):
@@ -79,6 +81,10 @@ def _random_document(rng: random.Random, size: int) -> Document:
         child = XMLNode("element", f"t{i % 3}")
         parent.append(child)
         nodes.append(child)
+        if leaves and rng.random() < 0.5:
+            child.add_attribute("a", str(i % 3))
+        if leaves and rng.random() < 0.5:
+            parent.add_text(f"x{i % 2}")
     document_node = XMLNode(DOCUMENT, "#document")
     document_node.append(root)
     return label_document(Document(document_node, "rand.xml"))

@@ -315,19 +315,30 @@ class TestSigtermUnderSaturation:
         env["PYTHONPATH"] = (
             str(repo_root / "src") + os.pathsep + env.get("PYTHONPATH", "")
         )
+        env["PYTHONUNBUFFERED"] = "1"
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve", str(document),
                 "--queries", str(queries), "--repeat", "2000",
                 "--workers", "1", "--queue-capacity", "4",
             ],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
             env=env,
             cwd=str(repo_root),
         )
+        # the saturation signal: serve prints a shed query's outcome only
+        # from inside its signal-handling loop, once the queue is full
+        saturated = threading.Event()
+
+        def drain():
+            for line in process.stdout:
+                if line.startswith(b"  rejected [queue_full]"):
+                    saturated.set()
+
+        threading.Thread(target=drain, daemon=True).start()
         try:
-            time.sleep(1.5)  # let the flood saturate the queue
+            assert saturated.wait(60), "serve never shed a query"
             assert process.poll() is None, "serve finished before SIGTERM"
             process.send_signal(signal.SIGTERM)
             try:

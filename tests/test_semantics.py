@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Database
 from repro.algebra import NestedTuple
 from repro.core import (
     evaluate_algebraic,
@@ -16,8 +17,12 @@ from repro.core import (
     tag_derived_collection,
     tuple_intersection,
 )
+from repro.core.embedding import _combine_edge, _node_attrs, admits_xml_node
 from repro.core.semantics import binding_signature, build_semantics_plan
+from repro.core.xam import CHILD
 from repro.xmldata import load
+
+from tests.test_properties_substrates import _random_document
 
 
 class TestTagDerivedCollections:
@@ -71,6 +76,17 @@ class TestAlgebraicVsEmbedding:
         algebraic = sorted(t.freeze() for t in evaluate_algebraic(pattern, auction_doc))
         embedding = sorted(t.freeze() for t in evaluate_pattern(pattern, auction_doc))
         assert algebraic == embedding
+
+    @pytest.mark.parametrize(
+        "text",
+        ["/library[id:s]{/o:zz[id:s]}", "/library[id:s]{/o:zz[id:s]{/nj:title[val]}}"],
+    )
+    def test_outer_padding_of_an_empty_collection(self, bib_doc, text):
+        # no zz in the document: ⊥ for its stored attributes, [] for the
+        # collection nested below it
+        pattern = parse_pattern(text)
+        algebraic = [t.freeze() for t in evaluate_algebraic(pattern, bib_doc)]
+        assert algebraic == [t.freeze() for t in evaluate_pattern(pattern, bib_doc)]
 
     def test_plan_shape_mirrors_pattern(self, bib_doc):
         pattern = parse_pattern("//book{/title, /author}")
@@ -190,15 +206,103 @@ def random_bib_patterns(draw):
     return body
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_bib_patterns())
-def test_property_semantics_agree(bib_pattern_text):
-    doc = load(
-        "<library><book year='1999'><title>T1</title><author>A</author>"
-        "<author>B</author></book><book><title>T2</title></book>"
-        "<phdthesis year='2004'><title>T3</title><author>C</author></phdthesis></library>"
-    )
-    pattern = parse_pattern(bib_pattern_text)
-    algebraic = sorted((t.freeze() for t in evaluate_algebraic(pattern, doc)), key=repr)
-    embedding = sorted((t.freeze() for t in evaluate_pattern(pattern, doc)), key=repr)
-    assert algebraic == embedding
+#: the labels of ``_random_document`` plus one no document carries
+_ELEMENT_STEPS = ["r", "t0", "t1", "t2", "absent", "*"]
+_LEAF_STEPS = ["@a", "#text"]
+
+
+@st.composite
+def random_tree_patterns(draw):
+    """Random XAMs over ``_random_document``'s vocabulary: ``*``,
+    attribute and text steps, an absent label, every edge semantics, and
+    chains deep enough to anchor steps at leaves and deep nodes."""
+
+    def node(height):
+        label = draw(st.sampled_from(_ELEMENT_STEPS + _LEAF_STEPS))
+        text = label + draw(
+            st.sampled_from(["[id:s]", "[val]", "[tag]", "[id:s, val]", "[cont]", ""])
+        )
+        if height == 0 or label in _LEAF_STEPS:
+            return text
+        children = [
+            draw(st.sampled_from(["/", "//"]))
+            + draw(st.sampled_from(["", "o:", "s:", "nj:", "no:"]))
+            + node(height - 1)
+            for _ in range(draw(st.integers(min_value=0, max_value=2)))
+        ]
+        return text + ("{" + ", ".join(children) + "}" if children else "")
+
+    return draw(st.sampled_from(["/", "//"])) + node(3)
+
+
+@st.composite
+def agreement_cases(draw):
+    """(documents, pattern text): the bib document with a bib pattern, or
+    one to three random labelled documents with a random tree pattern."""
+    if draw(st.booleans()):
+        doc = load(
+            "<library><book year='1999'><title>T1</title><author>A</author>"
+            "<author>B</author></book><book><title>T2</title></book>"
+            "<phdthesis year='2004'><title>T3</title><author>C</author></phdthesis></library>"
+        )
+        return [doc], draw(random_bib_patterns())
+    docs = [
+        _random_document(
+            random.Random(draw(st.integers(0, 10_000))),
+            draw(st.integers(0, 30)),
+            leaves=True,
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    return docs, draw(random_tree_patterns())
+
+
+def _walk_reference(pattern, doc):
+    """The reference for ``evaluate_pattern``'s ordered output: the same
+    tuple construction, with every ``//`` step walking the anchor's whole
+    subtree instead of reading the tag index."""
+
+    def at(pattern_node, xml_node):
+        if not admits_xml_node(pattern_node, xml_node):
+            return None
+        tuples = [NestedTuple(_node_attrs(pattern_node, xml_node))]
+        for edge in pattern_node.edges:
+            if edge.axis == CHILD:
+                below = xml_node.children
+            else:
+                below = [n for c in xml_node.children for n in c.iter_subtree()]
+            found = [t for n in below for t in at(edge.child, n) or []]
+            tuples = _combine_edge(tuples, found, edge)
+            if tuples is None:
+                return None
+        return tuples
+
+    unique = {}
+    for t in at(pattern.root, doc.root) or []:
+        unique.setdefault(t.freeze(), t)
+    return list(unique)
+
+
+@settings(max_examples=100, deadline=None)
+@given(agreement_cases())
+def test_property_semantics_agree(case):
+    docs, text = case
+    pattern = parse_pattern(text)
+    reference = []
+    for doc in docs:
+        algebraic = [t.freeze() for t in evaluate_algebraic(pattern, doc)]
+        indexed = [t.freeze() for t in evaluate_pattern(pattern, doc)]
+        assert sorted(algebraic, key=repr) == sorted(indexed, key=repr)
+        assert indexed == _walk_reference(pattern, doc)
+        reference.extend(indexed)
+    # the same ordered list through a store: a view over all documents,
+    # and the relation and per-document segments of a sharded copy
+    db = Database()
+    db.add_documents(docs)
+    db.add_view("v", pattern)
+    assert [t.freeze() for t in db.store["v"]] == reference
+    with db.shard(2) as sharded:
+        assert [t.freeze() for t in sharded.store["v"]] == reference
+        segments = sharded._segments["v"]
+        joined = [t.freeze() for seq in sorted(segments) for t in segments[seq]]
+        assert joined == reference
