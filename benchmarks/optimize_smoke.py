@@ -16,8 +16,8 @@ works end to end and never trades correctness for speed:
    ``v_item_ids`` ⨝ ``v_item_descriptions`` join.  This makes the lane
    non-vacuous: there is a real misranking for the tournament to find;
 3. **tournament** — every candidate of every query must reproduce the
-   recorded checksum under the recorded flags *and* under both
-   executors (zero divergences), and the tournament must promote at
+   recorded checksum under the recorded flags *and* as a compiled
+   physical plan (zero divergences), and the tournament must promote at
    least one pinned plan with a measured margin — the single-view
    description plan rediscovered despite the poisoned ranking.  The
    query returns whole ``description`` elements, which the views store
@@ -64,7 +64,7 @@ def build_database(poisoned: bool = False) -> Database:
     two-view join, which is S-equivalent but measurably slower."""
     from repro.workloads import generate_xmark
 
-    db = Database(metrics=MetricsRegistry(), executor="batch")
+    db = Database(metrics=MetricsRegistry())
     db.add_document(generate_xmark(scale=2, seed=0))
     db.add_view("v_item", "//regions//item[id:s]{/description[id:s, cont]}")
     db.add_view("v_item_ids", "//regions//item[id:s]")
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
     check(
         report.ok,
         "zero validation failures: every candidate reproduced the "
-        f"recorded checksum under both executors "
+        f"recorded checksum in both execution modes "
         f"({len(report.divergences)} divergence(s))",
         failures,
     )

@@ -7,16 +7,17 @@ replay loop is deterministic end to end:
 1. **record** — the XMark query battery runs through a
    :class:`~repro.core.service.QueryService` with a file-backed query
    log, twice over, so the capture holds both cache-miss and cache-hit
-   executions of every plan;
+   executions of every plan.  Each query is recorded under the default
+   flags (the logical algebra) *and* with ``physical=True`` (the
+   compiled batch plan), and every record of a query must carry the same
+   result checksum — the lane is *cross-mode*;
 2. **replay** — a *fresh* database (same document generator, same seed,
-   same views) re-runs the capture; any plan-fingerprint or
-   result-checksum diff fails the job.  Against unchanged state the diff
-   count must be exactly zero — a non-zero diff means preparation or
-   execution stopped being deterministic, which is precisely the
-   regression this lane exists to catch.  The lane is deliberately
-   *cross-engine*: it records under the ``iter`` executor and replays
-   under ``batch``, so zero diffs also proves the two engines agree on
-   every fingerprint and checksum in the workload;
+   same views) re-runs the capture, each record under its recorded
+   flags; any plan-fingerprint or result-checksum diff fails the job.
+   Against unchanged state the diff count must be exactly zero — a
+   non-zero diff means preparation or execution stopped being
+   deterministic, which is precisely the regression this lane exists to
+   catch;
 3. **sentinel cross-check** — the run must have produced no plan flips
    (stable state ⇒ silent sentinel), and a deliberately poisoned
    statistics entry must produce both a sentinel flip and a replay diff
@@ -45,8 +46,13 @@ from repro.engine.qlog import QueryLog
 from repro.workloads import XMARK_QUERIES, generate_xmark
 
 
-def build_database(executor: "str | None" = None) -> Database:
-    db = Database(metrics=MetricsRegistry(), executor=executor)
+#: the execution modes every query is recorded under: the logical
+#: algebra (default flags) and the compiled physical plan
+MODES = ({}, {"physical": True})
+
+
+def build_database() -> Database:
+    db = Database(metrics=MetricsRegistry())
     db.add_document(generate_xmark(scale=2, seed=0))
     # v_person and v_person_twin are S-equivalent: ranking races them on
     # statistics alone, so one poisoned entry is enough to flip the plan.
@@ -92,32 +98,40 @@ def main(argv=None) -> int:
         if os.path.exists(stale):
             os.remove(stale)
     qlog = QueryLog(args.qlog)
-    record_db = build_database(executor="iter")
+    record_db = build_database()
     with QueryService(record_db, cache_capacity=64, qlog=qlog) as service:
         for _ in range(args.rounds):
             for query in XMARK_QUERIES.values():
-                service.query(query)
+                for flags in MODES:
+                    service.query(query, **flags)
         check(
             service.sentinel.plan_flips == 0,
             "no plan flips while recording against stable state",
             failures,
         )
     qlog.close()
-    expected = len(XMARK_QUERIES) * args.rounds
+    expected = len(XMARK_QUERIES) * len(MODES) * args.rounds
     check(
         qlog.written == expected,
         f"capture holds the whole workload ({qlog.written}/{expected})",
         failures,
     )
 
-    # -- replay against a fresh, identical database — other engine ---------
+    # -- cross-mode: logical and physical records agree ---------------------
     records = QueryLog.read_all(args.qlog)
+    checksums: dict = {}
+    for record in records:
+        checksums.setdefault(record["query"], set()).add(record["checksum"])
+    split = sorted(query for query, seen in checksums.items() if len(seen) > 1)
     check(
-        all(record.get("executor") == "iter" for record in records),
-        "capture records carry the recording executor",
+        len(checksums) == len(XMARK_QUERIES) and not split,
+        "logical and physical records of every query share one checksum "
+        f"({len(split)} query(ies) split)",
         failures,
     )
-    report = replay_records(build_database(executor="batch"), records)
+
+    # -- replay against a fresh, identical database -------------------------
+    report = replay_records(build_database(), records)
     print(f"--  {report.render()}")
     check(
         report.replayed == expected and report.skipped == 0,
@@ -126,7 +140,7 @@ def main(argv=None) -> int:
     )
     check(
         report.ok and report.matches == expected,
-        "zero diffs on unchanged state, iter-recorded -> batch-replayed "
+        "zero diffs on unchanged state, both modes replayed "
         f"({len(report.diffs)} diff(s))",
         failures,
     )

@@ -14,7 +14,8 @@ The motivating claims:
 import pytest
 
 from repro.algebra import Project, Scan, StructuralJoin, plan_shape
-from repro.engine import Store, execute
+from repro.engine import Store, compile_plan
+from repro.engine.batch import compile_batch
 from repro.storage import (
     Catalog,
     build_content_store,
@@ -23,6 +24,11 @@ from repro.storage import (
     materialize_view,
 )
 from repro.summary import build_enhanced_summary
+
+
+def execute(plan, context, scan_orders):
+    """Compile a logical plan and run it on the batch engine."""
+    return compile_batch(compile_plan(plan, scan_orders))(context).tuples
 
 
 def scan(name, columns, alias):

@@ -39,7 +39,7 @@ divergence — the plan-regression gate CI runs on every push.  ``serve``,
 on SIGINT/SIGTERM before exiting with code 130.
 
 The ``profile`` form runs a workload with attributed resource profiling
-on (per-operator CPU and peak traced memory at the executors' existing
+on (per-operator CPU and peak traced memory at the engine's existing
 observation points) plus an optional continuous stack sampler, then
 prints the per-query top-CPU operators and the cost-model calibration
 table.  ``--flamegraph-out`` writes the sampler's aggregate in
@@ -53,11 +53,11 @@ profiled operator rows.
 The ``optimize`` form runs the offline plan tournament
 (:mod:`repro.core.tournament`) over such a capture: every S-equivalent
 rewriting of each distinct query is enumerated without the online
-enumeration cap, checksum-validated against the recording under both
-executors (exit 1 on any divergence — that is a rewriting bug, not a
-tuning detail), benchmarked with trimmed-mean timed runs, and winners
-are promoted as pinned plans (``pins.json`` in the audit directory;
-``serve --pins`` installs them).
+enumeration cap, checksum-validated against the recording and as a
+compiled physical plan (exit 1 on any divergence — that is a rewriting
+bug, not a tuning detail), benchmarked with trimmed-mean timed runs, and
+winners are promoted as pinned plans (``pins.json`` in the audit
+directory; ``serve --pins`` installs them).
 
 Without ``--query``, starts a REPL with commands:
 
@@ -72,7 +72,6 @@ Without ``--query``, starts a REPL with commands:
     .metrics                 the unified metrics registry (Prometheus text)
     .slow                    the slow-query log (span trees over threshold)
     .cache                   plan-cache counters (.cache clear to reset)
-    .executor [iter|batch]   show or switch the executor mode
     .profile [on|off]        show or toggle attributed resource profiling
     .health                  access-module circuit-breaker states
     .summary                 summary statistics
@@ -105,7 +104,7 @@ from .core.coordinator import resolve_shards
 from .core.httpapi import start_observability_server
 from .core.replay import replay_records
 from .core.service import QueryService, QueryTimeout
-from .core.uload import EXECUTORS, Database, resolve_executor, resolve_profile
+from .core.uload import Database, resolve_profile
 from .core.xam_parser import XAMParseError
 from .engine.faults import FaultInjector
 from .engine.qlog import QueryLog
@@ -309,18 +308,6 @@ def run_command(db: Database, line: str) -> bool:
         dropped = service.invalidate()
         print(f"  dropped {dropped} cached plan(s)")
         return True
-    if line == ".executor" or line.startswith(".executor "):
-        argument = line[len(".executor"):].strip()
-        if not argument:
-            print(f"  executor: {db.executor}")
-            return True
-        try:
-            db.executor = resolve_executor(argument)
-        except ValueError as error:
-            print(f"  {error}")
-            return True
-        print(f"  executor: {db.executor}")
-        return True
     if line == ".profile" or line.startswith(".profile "):
         argument = line[len(".profile"):].strip()
         if argument:
@@ -422,12 +409,10 @@ def _load_database(
     document: str,
     view_specs: list[str],
     announce: bool = True,
-    executor: str | None = None,
     profile: bool | None = None,
 ) -> Database:
     with open(document, encoding="utf-8") as handle:
         db = Database.from_xml(handle.read(), document)
-    db.executor = resolve_executor(executor)
     db.profile = resolve_profile(profile)
     if announce:
         print(f"loaded {document}: {db.documents[0].count()} nodes, "
@@ -480,24 +465,13 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", action="store_true",
         help="attribute per-operator CPU and peak traced memory at the "
-        "executors' observation points (flows into results, EXPLAIN, the "
+        "engine's observation points (flows into results, EXPLAIN, the "
         "query log and /profile); default honours $REPRO_PROFILE, else off",
     )
     parser.add_argument(
         "--sample-hz", type=float, default=None, metavar="HZ",
         help="run the continuous stack sampler at HZ samples/second and "
         "serve the aggregate at /flamegraph (collapsed-stack text)",
-    )
-
-
-def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="execution engine: 'batch' runs compiled columnar-block "
-        "closures, 'iter' the per-tuple operator iterators; default "
-        "honours $REPRO_EXECUTOR, else batch",
     )
 
 
@@ -515,11 +489,8 @@ def _explain_main(argv: list[str]) -> int:
         metavar="NAME=XAM",
         help="materialize a view before explaining (repeatable)",
     )
-    _add_executor_argument(parser)
     args = parser.parse_args(argv)
-    db = _load_database(
-        args.document, args.view, announce=False, executor=args.executor
-    )
+    db = _load_database(args.document, args.view, announce=False)
     try:
         print(db.explain(args.query).render())
     except ReproError as error:
@@ -604,7 +575,6 @@ def _serve_main(argv: list[str]) -> int:
         help="install tournament-promoted pinned plans from a pins.json "
         "written by 'repro optimize' before serving",
     )
-    _add_executor_argument(parser)
     _add_profile_arguments(parser)
     _add_shards_argument(parser)
     _add_admission_arguments(parser)
@@ -617,7 +587,7 @@ def _serve_main(argv: list[str]) -> int:
         return 1
 
     db = _load_database(
-        args.document, args.view, announce=False, executor=args.executor,
+        args.document, args.view, announce=False,
         profile=True if args.profile else None,
     )
     if args.no_trace:
@@ -759,7 +729,6 @@ def _record_main(argv: list[str]) -> int:
         "operator rows carry cpu_ms/peak_mem_kb, making the log a "
         "'repro calibrate' input; default honours $REPRO_PROFILE",
     )
-    _add_executor_argument(parser)
     args = parser.parse_args(argv)
 
     queries = _read_queries(args.queries)
@@ -767,7 +736,7 @@ def _record_main(argv: list[str]) -> int:
         print("no queries to record", file=sys.stderr)
         return EXIT_ERROR
     db = _load_database(
-        args.document, args.view, announce=False, executor=args.executor,
+        args.document, args.view, announce=False,
         profile=True if args.profile else None,
     )
     qlog = QueryLog(args.qlog)
@@ -822,15 +791,12 @@ def _replay_main(argv: list[str]) -> int:
     parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    _add_executor_argument(parser)
     _add_shards_argument(parser)
     _add_hedge_arguments(parser)
     args = parser.parse_args(argv)
 
     records = QueryLog.read_all(args.qlog)
-    db = _load_database(
-        args.document, args.view, announce=False, executor=args.executor
-    )
+    db = _load_database(args.document, args.view, announce=False)
     db = _shard_database(
         db, args.shards, announce=not args.json,
         hedge=True if args.hedge else None,
@@ -851,10 +817,10 @@ def _optimize_main(argv: list[str]) -> int:
         prog="repro optimize",
         description="plan tournament over a recorded workload: enumerate "
         "every S-equivalent rewriting of each distinct query, validate "
-        "each candidate's result checksum against the recording under "
-        "both executors (any divergence is a rewriting bug and fails the "
-        "run), benchmark the survivors, and promote winners as pinned "
-        "plans with a full per-query audit trail",
+        "each candidate's result checksum against the recording and as "
+        "a compiled physical plan (any divergence is a rewriting bug and "
+        "fails the run), benchmark the survivors, and promote winners as "
+        "pinned plans with a full per-query audit trail",
     )
     parser.add_argument("document", help="XML document to load")
     parser.add_argument(
@@ -892,16 +858,13 @@ def _optimize_main(argv: list[str]) -> int:
     parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    _add_executor_argument(parser)
     args = parser.parse_args(argv)
 
     from .core.replay import load_records
     from .core.tournament import run_tournament
 
     records = load_records(args.qlog)
-    db = _load_database(
-        args.document, args.view, announce=False, executor=args.executor
-    )
+    db = _load_database(args.document, args.view, announce=False)
     report = run_tournament(
         db,
         records,
@@ -962,7 +925,6 @@ def _profile_main(argv: list[str]) -> int:
     parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    _add_executor_argument(parser)
     args = parser.parse_args(argv)
     if args.flamegraph_out and not args.sample_hz:
         parser.error("--flamegraph-out requires --sample-hz")
@@ -974,10 +936,7 @@ def _profile_main(argv: list[str]) -> int:
     if not queries:
         print("no queries to profile", file=sys.stderr)
         return EXIT_ERROR
-    db = _load_database(
-        args.document, args.view, announce=False, executor=args.executor,
-        profile=True,
-    )
+    db = _load_database(args.document, args.view, announce=False, profile=True)
     # an explicit deep-dive: take the tracemalloc hit on every query so
     # the memory column is never a stale sample
     db.profile_memory_stride = 1
@@ -1013,8 +972,7 @@ def _profile_main(argv: list[str]) -> int:
     else:
         for profile in profiles:
             print(f"== {profile.query}")
-            print(f"  executor={profile.executor} "
-                  f"wall={profile.seconds * 1000:.2f}ms "
+            print(f"  wall={profile.seconds * 1000:.2f}ms "
                   f"cpu={profile.cpu_ms:.2f}ms")
             for op in profile.top_cpu(args.top):
                 print(f"  cpu {op['self_cpu_ms']:>9.3f}ms  {op['label']} "
@@ -1136,11 +1094,10 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=2,
         help="worker threads of the shell's query service (default 2)",
     )
-    _add_executor_argument(parser)
     _add_admission_arguments(parser)
     args = parser.parse_args(argv)
 
-    db = _load_database(args.document, args.view, executor=args.executor)
+    db = _load_database(args.document, args.view)
     # the shell's QueryService is created lazily by run_command; record
     # its constructor knobs now so the first query picks them up
     _SERVICE_SETTINGS[db] = {
@@ -1160,7 +1117,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     print("repro shell — .quit to exit, .views/.view/.drop/.explain/.stats/"
-          ".trace/.metrics/.slow/.cache/.executor/.profile/.health/.summary")
+          ".trace/.metrics/.slow/.cache/.profile/.health/.summary")
     while True:
         try:
             line = input("xam> ")

@@ -141,16 +141,13 @@ class ShardedDatabase(Database):
         partitioner: Optional[Partitioner] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: "object | None | bool" = True,
-        executor: Optional[str] = None,
         shard_timeout: Optional[float] = None,
         fanout_workers: Optional[int] = None,
         hedge: Optional[bool] = None,
         hedge_delay: Optional[float] = None,
         profile: "bool | str | None" = None,
     ) -> None:
-        super().__init__(
-            metrics=metrics, tracer=tracer, executor=executor, profile=profile
-        )
+        super().__init__(metrics=metrics, tracer=tracer, profile=profile)
         shard_count = resolve_shards(shard_count)
         self.shard_count = shard_count
         self.partitioner: Partitioner = partitioner or RoundRobinPartitioner()
@@ -162,7 +159,6 @@ class ShardedDatabase(Database):
             Database(
                 metrics=MetricsRegistry(),
                 tracer=None,
-                executor=self.executor,
                 profile=self.profile,
             )
             for _ in range(shard_count)

@@ -466,11 +466,6 @@ class QueryService:
             "compiled batch artifacts dropped on catalog-version bumps",
         )
         registry.counter(
-            "executor.fallback",
-            "plans run on the iterator engine because the batch path "
-            "does not cover an operator",
-        )
-        registry.counter(
             "fallback.materialized_rows",
             "input rows materialized by PLogicalFallback substitutions",
         )
@@ -860,11 +855,6 @@ class QueryService:
                 ctx.trace,
                 plan_fingerprint=(
                     getattr(result, "plan_fingerprint", "") or ""
-                    if result is not None
-                    else ""
-                ),
-                executor=(
-                    getattr(result, "executor", "") or ""
                     if result is not None
                     else ""
                 ),

@@ -16,16 +16,17 @@ store — and runs a tournament over it:
    it; the cost model's own pick is always candidate 0.
 
 2. **Validate.**  Every candidate executes under the recorded flags *and*
-   under both executors (iterator and batch), and every result checksum
-   must equal the recorded one.  S-equivalence says they must agree —
-   a divergence is a rewriting/executor bug, never a tie-breaking
-   detail, so it is reported loudly and fails the run.  This makes the
+   as a compiled physical plan (``physical=True, stats=True``), and
+   every result checksum must equal the recorded one.  S-equivalence
+   says they must agree — a divergence is a rewriting/engine bug, never
+   a tie-breaking detail, so it is reported loudly and fails the run.  This makes the
    tournament a standing differential-correctness harness over the whole
    rewriting framework, independent of whether anything gets promoted.
 
-3. **Benchmark.**  Validated candidates run timed laps under the batch
-   executor (one warmup, then ``runs`` measured executions); the score is
-   the trimmed mean (min and max dropped once there are ≥ 3 samples).
+3. **Benchmark.**  Validated candidates run timed laps through the
+   physical engine (one warmup, then ``runs`` measured executions); the
+   score is the trimmed mean (min and max dropped once there are ≥ 3
+   samples).
 
 4. **Promote.**  A non-default winner beating the default pick by at
    least ``min_margin`` becomes a pinned plan in the database's
@@ -34,7 +35,7 @@ store — and runs a tournament over it:
    the moment a mutation bumps it.
 
 Every step lands in a per-query **audit directory** (candidates with
-fingerprints, per-executor validation verdicts, raw timings, the chosen
+fingerprints, per-run validation verdicts, raw timings, the chosen
 winner and the losers' margins), so a promotion is reproducible and two
 tournament runs are diffable.
 """
@@ -65,10 +66,6 @@ __all__ = [
     "run_tournament",
     "trimmed_mean",
 ]
-
-#: executors every candidate must agree under (the differential axis)
-EXECUTORS = ("iter", "batch")
-
 
 def trimmed_mean(samples: Sequence[float]) -> float:
     """Mean with the single smallest and largest samples dropped (once
@@ -195,7 +192,7 @@ class TournamentReport:
     @property
     def ok(self) -> bool:
         """Zero divergences: every candidate of every query reproduced
-        the recorded checksum under every executor."""
+        the recorded checksum in every validation run."""
         return not self.divergences
 
     def as_dict(self) -> dict:
@@ -317,63 +314,31 @@ def _enumerate_candidates(
     return combos, space
 
 
-def _validation_runs(flags: dict) -> list[tuple[str, dict, Optional[str]]]:
+def _validation_runs(flags: dict) -> list[tuple[str, dict]]:
     """The executions every candidate must survive checksum-identical:
-    the recorded flag combination under the database's own executor, then
-    a full physical run under each executor explicitly."""
+    the recorded flag combination, then a full physical run."""
     recorded = {
-        "prefer_views": flags.get("prefer_views", True),
         "physical": flags.get("physical", False),
         "stats": flags.get("stats", False),
     }
-    runs: list[tuple[str, dict, Optional[str]]] = [
-        ("recorded", recorded, None)
+    return [
+        ("recorded", recorded),
+        ("physical", {"physical": True, "stats": True}),
     ]
-    for executor in EXECUTORS:
-        runs.append(
-            (executor, {"physical": True, "stats": True}, executor)
-        )
-    return runs
-
-
-def _execute_candidate(
-    db: Database,
-    prepared,
-    run_flags: dict,
-    executor: Optional[str],
-):
-    """One validation execution, with the database's executor temporarily
-    forced when the run names one."""
-    saved = db.executor
-    try:
-        if executor is not None:
-            db.executor = executor
-        return db.execute_prepared(
-            prepared,
-            physical=run_flags.get("physical", False),
-            stats=run_flags.get("stats", False),
-        )
-    finally:
-        db.executor = saved
 
 
 def _benchmark_candidate(
     db: Database, prepared, runs: int
 ) -> list[float]:
-    """Timed laps under the batch executor (the production default): one
-    unrecorded warmup, then ``runs`` measured executions."""
-    saved = db.executor
-    try:
-        db.executor = "batch"
-        db.execute_prepared(prepared, physical=True)  # warmup
-        laps = []
-        for _ in range(max(1, runs)):
-            started = time.perf_counter()
-            db.execute_prepared(prepared, physical=True)
-            laps.append(time.perf_counter() - started)
-        return laps
-    finally:
-        db.executor = saved
+    """Timed laps through the physical engine: one unrecorded warmup,
+    then ``runs`` measured executions."""
+    db.execute_prepared(prepared, physical=True)  # warmup
+    laps = []
+    for _ in range(max(1, runs)):
+        started = time.perf_counter()
+        db.execute_prepared(prepared, physical=True)
+        laps.append(time.perf_counter() - started)
+    return laps
 
 
 def _slug(ordinal: int, normalized: str) -> str:
@@ -531,11 +496,9 @@ def run_tournament(
                     f"{type(exc).__name__}: {exc}"
                 )
                 continue
-            for run_name, run_flags, executor in validation:
+            for run_name, run_flags in validation:
                 try:
-                    result = _execute_candidate(
-                        db, prepared, run_flags, executor
-                    )
+                    result = db.execute_prepared(prepared, **run_flags)
                     checksum = result_checksum(result)
                 except Exception as exc:
                     candidate.valid = False

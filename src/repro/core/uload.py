@@ -28,7 +28,6 @@ estimated *and* actual per-operator cardinalities and timings.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -37,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from ..algebra.model import NestedTuple
 from ..algebra.operators import Operator
 from ..engine import faults
-from ..engine.batch import batch_covered, compile_batch
+from ..engine.batch import compile_batch
 from ..engine.breaker import OPEN, BreakerBoard
 from ..engine.context import (
     EXEC_CTX_KEY,
@@ -95,9 +94,6 @@ __all__ = [
     "QueryCancelled",
     "ExplainUnit",
     "ExplainReport",
-    "EXECUTORS",
-    "EXECUTOR_ENV_VAR",
-    "resolve_executor",
     "PROFILE_ENV_VAR",
     "resolve_profile",
 ]
@@ -107,27 +103,6 @@ class QueryCancelled(ReproError, RuntimeError):
     """Raised inside :meth:`Database.execute_prepared` when the caller's
     ``should_stop`` callback asks a running query to abandon its remaining
     units (the service's cooperative cancellation hook)."""
-
-
-#: the two execution engines: the per-tuple iterator interpreter and the
-#: batch (columnar-block) executor of :mod:`repro.engine.batch`
-EXECUTORS = ("iter", "batch")
-
-#: environment variable selecting the default executor for new databases
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-
-
-def resolve_executor(value: Optional[str]) -> str:
-    """Normalize and validate an executor name (``None`` → the
-    ``REPRO_EXECUTOR`` environment variable → ``"batch"``)."""
-    if value is None:
-        value = os.environ.get(EXECUTOR_ENV_VAR) or "batch"
-    name = value.strip().lower()
-    if name not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {value!r}: expected one of {', '.join(EXECUTORS)}"
-        )
-    return name
 
 
 @dataclass
@@ -180,10 +155,6 @@ class QueryResult:
     #: paths (see :func:`repro.engine.qlog.fingerprint_plan`) — what the
     #: query log records and the plan-regression sentinel watches
     plan_fingerprint: Optional[str] = None
-    #: which execution engine served this query (``"iter"`` / ``"batch"``
-    #: — the *requested* mode; a per-plan coverage fallback shows up as an
-    #: ``executor.fallback`` counter, never as a different fingerprint)
-    executor: Optional[str] = None
     #: how many store partitions served this query (None = unsharded
     #: database; the query log stamps this so replay can diff the same
     #: workload across physical layouts)
@@ -376,7 +347,6 @@ class Database:
         self,
         metrics: Optional[MetricsRegistry] = None,
         tracer: "Tracer | None | bool" = True,
-        executor: Optional[str] = None,
         profile: "bool | str | None" = None,
     ) -> None:
         self.store = Store()
@@ -417,15 +387,9 @@ class Database:
         #: document/statistics mutation counter (catalog mutations are
         #: counted by the catalog itself; see :attr:`catalog_version`)
         self._mutations = 0
-        #: which execution engine queries run under (``"iter"`` /
-        #: ``"batch"``); defaults to ``$REPRO_EXECUTOR`` or ``"batch"``.
-        #: Mutable at runtime (the REPL's ``.executor`` command) — plans
-        #: and fingerprints are executor-independent, only execution
-        #: changes.
-        self.executor = resolve_executor(executor)
         #: attributed resource profiling (per-operator CPU + peak traced
-        #: memory in both executors): ``None`` defers to ``$REPRO_PROFILE``,
-        #: off by default.  Mutable at runtime (the REPL's ``.profile``
+        #: memory): ``None`` defers to ``$REPRO_PROFILE``, off by
+        #: default.  Mutable at runtime (the REPL's ``.profile``
         #: command) — it only changes what execution records, never the
         #: plan.
         self.profile = resolve_profile(profile)
@@ -570,7 +534,6 @@ class Database:
             shard_count,
             metrics=self.metrics,
             tracer=self.tracer,
-            executor=self.executor,
             profile=self.profile,
             **kwargs,
         )
@@ -600,7 +563,6 @@ class Database:
             metrics_registry=self.metrics,
         )
         ctx.fault_injector = self.fault_injector or faults.injector_from_env()
-        ctx.executor = self.executor
         ctx.profile = self.profile
         if self.profile:
             stride = max(1, int(self.profile_memory_stride))
@@ -737,7 +699,6 @@ class Database:
         result.counters = dict(ctx.counters)
         result.trace_id = ctx.trace_id
         result.plan_fingerprint = prepared.fingerprint or None
-        result.executor = getattr(ctx, "executor", None)
         result.pinned = prepared.pinned
         ctx.end_trace("degraded" if result.degraded else "ok")
         return result
@@ -828,17 +789,10 @@ class Database:
                         prepared_unit.compiled_plan,
                         ctx,
                     )
-                    if slot is not None:
-                        with slot.lock:
-                            _, metrics = ctx.run(
-                                slot.plan, bindings, batch_fn=slot.fn
-                            )
-                        explained_physical = slot.plan
-                    else:
+                    with slot.lock:
                         _, metrics = ctx.run(
-                            prepared_unit.compiled_plan, bindings
+                            slot.plan, bindings, batch_fn=slot.fn
                         )
-                        explained_physical = prepared_unit.compiled_plan
                     units.append(
                         ExplainUnit(
                             logical=prepared_unit.logical,
@@ -847,7 +801,7 @@ class Database:
                                 r.rewriting.plan if r.rewriting is not None else None
                                 for r in prepared_unit.resolutions
                             ],
-                            physical=explained_physical,
+                            physical=slot.plan,
                             metrics=metrics,
                         )
                     )
@@ -875,26 +829,16 @@ class Database:
         slot_name: str,
         physical_plan,
         ctx: ExecutionContext,
-    ) -> Optional[CompiledSlot]:
-        """The compiled batch slot for one physical plan, or None when the
-        iterator engine should run it.
+    ) -> CompiledSlot:
+        """The compiled batch slot for one physical plan.
 
-        Selection: the context must request the batch executor, and the
-        plan must be covered (an uncovered operator falls the *whole plan*
-        back to the iterator path, counted via ``executor.fallback``).
         Compiled closures are cached in :attr:`compiled_plans` under the
         plan fingerprint, stamped with the catalog version — a
         view/document/statistics mutation makes the artifact stale on the
         next lookup (``plan_compile.invalidate``) and it is recompiled.
         """
-        if getattr(ctx, "executor", "iter") != "batch":
-            return None
-        if not batch_covered(physical_plan):
-            ctx.bump("executor.fallback")
-            ctx.event("executor.fallback", plan=physical_plan.label())
-            return None
         if not fingerprint:
-            # unfingerprinted plans compile uncached (still batch-executed)
+            # unfingerprinted plans compile uncached
             return CompiledSlot(slot_name, physical_plan, compile_batch(physical_plan))
         version = self.catalog_version
         artifact, outcome = self.compiled_plans.lookup(fingerprint, version)
@@ -1144,11 +1088,10 @@ class Database:
         fingerprint: Optional[str] = None,
     ) -> list[NestedTuple]:
         """Run the originally chosen rewriting, reusing the unit's compiled
-        plan cache (and, under the batch executor, the fingerprint-keyed
-        compiled closure); storage-level surprises are normalized to the
-        typed hierarchy (a vanished relation is an unavailable module,
-        anything else is a plan-execution fault blamed on this
-        rewriting)."""
+        plan cache and the fingerprint-keyed compiled closure;
+        storage-level surprises are normalized to the typed hierarchy (a
+        vanished relation is an unavailable module, anything else is a
+        plan-execution fault blamed on this rewriting)."""
         plan = rewriting.plan
         context = self.store.context()
         context[EXEC_CTX_KEY] = ctx
@@ -1170,18 +1113,13 @@ class Database:
                     # rewriting plan's CPU/memory is attributed (the trees
                     # land in ctx.metrics; _run_prepared_unit forwards
                     # them into the result)
-                    if slot is not None:
-                        with slot.lock:
-                            tuples, _ = ctx.run(
-                                slot.plan, context, batch_fn=slot.fn
-                            )
-                    else:
-                        tuples, _ = ctx.run(compiled, context)
-                    return tuples
-                if slot is not None:
                     with slot.lock:
-                        return slot.fn(context).tuples
-                return list(compiled.execute(context))
+                        tuples, _ = ctx.run(
+                            slot.plan, context, batch_fn=slot.fn
+                        )
+                    return tuples
+                with slot.lock:
+                    return slot.fn(context).tuples
             return plan.evaluate(context)
         except ReproError:
             raise
@@ -1312,14 +1250,9 @@ class Database:
                     prepared_unit.compiled_plan,
                     ctx,
                 )
-                if slot is not None:
-                    with slot.lock:
-                        tuples, metrics = ctx.run(
-                            slot.plan, bindings, batch_fn=slot.fn
-                        )
-                else:
+                with slot.lock:
                     tuples, metrics = ctx.run(
-                        prepared_unit.compiled_plan, bindings
+                        slot.plan, bindings, batch_fn=slot.fn
                     )
                 result.metrics.append(metrics)
             else:

@@ -38,7 +38,6 @@ from .physical import (
     PStackTreeDesc,
     PhysicalOperator,
     compile_plan,
-    execute,
 )
 from .storage import Store, StoredRelation
 
@@ -85,7 +84,6 @@ __all__ = [
     "PStackTreeDesc",
     "PhysicalOperator",
     "compile_plan",
-    "execute",
     "Store",
     "StoredRelation",
 ]

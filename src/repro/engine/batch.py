@@ -1,40 +1,33 @@
-"""Batch (columnar-block) execution and plan-to-closure compilation.
+"""Batch (columnar-block) execution: the one physical engine.
 
-The iterator engine of :mod:`repro.engine.physical` pays Python generator
-machinery per tuple per operator — and, when instrumented, two
-``perf_counter`` calls per tuple on top.  This module trades that for
-block-at-a-time execution: :func:`compile_batch` lowers a compiled
-physical plan into one specialized closure per operator, each consuming
-and producing a :class:`Block` (the tuple list plus lazily extracted
-parallel arrays of structural IDs and the order descriptor).  The closure
-tree *is* the compiled artifact the fingerprint-keyed plan cache stores
-(:class:`repro.engine.plan_cache.CompiledPlanArtifact`).
+:func:`compile_batch` lowers a compiled physical plan
+(:mod:`repro.engine.physical`) into one specialized closure per operator,
+each consuming and producing a :class:`Block` (the tuple list plus lazily
+extracted parallel arrays of structural IDs and the order descriptor).
+The closure tree *is* the compiled artifact the fingerprint-keyed plan
+cache stores (:class:`repro.engine.plan_cache.CompiledPlanArtifact`).
 
-Semantics are bit-for-bit those of the iterator engine:
+The thesis' §1.2.3 algorithms live on here as block passes:
 
-* every operator produces tuples in the same order (sorts reuse
+* every operator produces tuples in a deterministic order (sorts reuse
   :func:`~repro.engine.orderdesc.sort_key_for` and Python's stable sort,
-  which reproduces the B+-tree's duplicate-bucket order; hash joins and
-  group-bys keep insertion/first-seen order);
-* children are evaluated in the order the iterator algorithms consume
-  them (build side first for hash/nested-loops joins and difference,
-  ancestors before descendants for the stack-tree joins), so seeded
-  chaos fault injection draws the same RNG sequence under either engine;
-* the stack-tree structural joins run as merge passes over pre-extracted
-  sorted ID arrays instead of generator chains — same stack discipline,
+  which reproduces the B+-tree Sort_φ's duplicate-bucket order; hash
+  joins and group-bys keep insertion/first-seen order);
+* children are evaluated in a fixed order (build side first for
+  hash/nested-loops joins and difference, ancestors before descendants
+  for the stack-tree joins), so seeded chaos fault injection draws the
+  same RNG sequence on every run;
+* the StackTreeDesc/StackTreeAnc structural joins run as merge passes
+  over pre-extracted sorted ID arrays — the same stack discipline,
   integer-indexed.
 
-Cold operators (``PLogicalFallback``, ``PConcat``, ``PDifference``) are
-not rewritten: :class:`PBlockInput` adapts a compiled batch closure back
-into an iterator-model child, so their original ``_run`` algorithms
-execute unmodified over batch-produced inputs.  A plan containing any
-*other* operator type is not covered (:func:`batch_covered` is False) and
-the caller falls back to the iterator engine for the whole plan.
+``PLogicalFallback`` materializes its child blocks and evaluates a clone
+of its logical operator over them; the clone is local to the call, so a
+cached plan holds no data of the query that last ran it.
 
 Metrics stay exact: each closure reads its operator's ``metrics`` node at
 call time and accumulates actual rows per block and inclusive wall time
-per operator — the same quantities the iterator engine's per-tuple
-``_record`` wrapper maintains, at block granularity.
+per operator.
 """
 
 from __future__ import annotations
@@ -42,9 +35,13 @@ from __future__ import annotations
 import copy
 import time
 import tracemalloc
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence
 
-from ..algebra.model import NestedTuple, concat
+from ..algebra.model import NULL, NestedTuple, concat
+from ..algebra.operators import BaseTuples
+from ..xmldata.ids import DeweyID, StructuralID
+from .context import EXEC_CTX_KEY
+from .orderdesc import sort_key_for
 from .physical import (
     PBase,
     PConcat,
@@ -60,25 +57,74 @@ from .physical import (
     PStackTreeAnc,
     PStackTreeDesc,
     PhysicalOperator,
-    _covers,
-    _emit_variant,
-    _is_rel,
-    _pre,
-    _sid,
 )
-from .orderdesc import sort_key_for
 
 __all__ = [
     "Block",
-    "BatchUnsupported",
-    "PBlockInput",
     "BatchFn",
-    "batch_covered",
     "compile_batch",
 ]
 
 #: a compiled batch closure: evaluation context in, one Block out
 BatchFn = Callable[[Optional[dict]], "Block"]
+
+
+def _emit_variant(
+    kind: str,
+    anc: NestedTuple,
+    matches: list[NestedTuple],
+    nest_as: str,
+    right_columns: Sequence[str],
+) -> Iterator[NestedTuple]:
+    if kind == "j":
+        for m in matches:
+            yield concat(anc, m)
+    elif kind == "o":
+        if matches:
+            for m in matches:
+                yield concat(anc, m)
+        else:
+            yield concat(anc, NestedTuple({c: NULL for c in right_columns}))
+    elif kind == "s":
+        if matches:
+            yield anc
+    elif kind == "nj":
+        if matches:
+            yield anc.with_attrs(**{nest_as: matches})
+    elif kind == "no":
+        yield anc.with_attrs(**{nest_as: matches})
+    else:  # pragma: no cover - guarded by constructors
+        raise AssertionError(kind)
+
+
+def _sid(t: NestedTuple, attr: str):
+    value = t.get(attr)
+    if value is None:
+        return None
+    if not isinstance(value, (StructuralID, DeweyID)):
+        raise TypeError(
+            f"structural join attribute {attr!r} holds {type(value).__name__}, "
+            "which is not a structural identifier"
+        )
+    return value
+
+
+def _pre(identifier) -> tuple:
+    if isinstance(identifier, StructuralID):
+        return (identifier.pre,)
+    return identifier.path  # DeweyID: document order = path order
+
+
+def _is_rel(anc_id, desc_id, axis: str) -> bool:
+    if axis == "child":
+        return anc_id.is_parent_of(desc_id)
+    return anc_id.is_ancestor_of(desc_id)
+
+
+def _covers(anc_id, desc_id) -> bool:
+    """Whether desc is inside anc's interval (ancestor-descendant test,
+    used for stack maintenance regardless of the join axis)."""
+    return anc_id.is_ancestor_of(desc_id)
 
 
 class Block:
@@ -134,64 +180,6 @@ class Block:
         return f"<Block n={len(self.tuples)} order={self.order!r}>"
 
 
-class BatchUnsupported(Exception):
-    """The plan contains an operator the batch engine does not cover."""
-
-
-class PBlockInput(PhysicalOperator):
-    """Block→iterator adapter.
-
-    Presents a compiled batch closure as an iterator-model child, so
-    adapted (cold) operators run their original ``_run`` algorithms
-    unmodified over batch-produced inputs.  The closure is invoked when
-    the parent first pulls the iterator — the same point the iterator
-    engine would start the child subtree — keeping fault-injection draw
-    order identical across engines.
-    """
-
-    def __init__(self, fn: BatchFn, template: PhysicalOperator):
-        self.fn = fn
-        self.output_order = template.output_order
-        self.estimated_rows = template.estimated_rows
-
-    def _run(self, context=None):
-        return iter(self.fn(context).tuples)
-
-    def label(self) -> str:
-        return "PBlockInput"
-
-
-# ---------------------------------------------------------------------------
-# Coverage
-# ---------------------------------------------------------------------------
-
-#: operators with a native batch implementation
-_HOT = (
-    PScan,
-    PBase,
-    PFilter,
-    PProject,
-    PSort,
-    PHashGroupBy,
-    PHashJoin,
-    PNestedLoopsJoin,
-    PStackTreeDesc,
-    PStackTreeAnc,
-)
-
-#: cold operators run unmodified behind the PBlockInput adapter
-_ADAPTED = (PConcat, PDifference, PLogicalFallback)
-
-_COVERED = _HOT + _ADAPTED + (PBlockInput,)
-
-
-def batch_covered(physical: PhysicalOperator) -> bool:
-    """Whether every operator of the plan is either batch-native or
-    adapted; False means the caller must run the iterator engine (the
-    per-plan ``executor.fallback`` path)."""
-    return all(isinstance(op, _COVERED) for op in physical.walk())
-
-
 # ---------------------------------------------------------------------------
 # Per-operator closure builders
 # ---------------------------------------------------------------------------
@@ -199,8 +187,7 @@ def batch_covered(physical: PhysicalOperator) -> bool:
 def _observed(op: PhysicalOperator, fn: BatchFn) -> BatchFn:
     """Wrap a closure with metrics accounting against the operator's
     (dynamically attached) metrics node: inclusive wall time per call,
-    actual rows per block — the batch-granularity equivalent of the
-    iterator engine's per-tuple ``_record``."""
+    actual rows per block."""
     clock = time.perf_counter
 
     def run(context):
@@ -240,8 +227,8 @@ def _scan(op: PScan) -> BatchFn:
             if missing_ok:
                 return Block([], order)
             raise KeyError(f"base relation {name!r} missing from context")
-        # context[name] fires the relation.scan fault point, exactly as
-        # the iterator PScan does; the copy keeps store state unaliased
+        # context[name] fires the relation.scan fault point; the copy
+        # keeps store state unaliased
         return Block(list(context[name]), order)
 
     return fn
@@ -334,8 +321,7 @@ def _hash_join(op: PHashJoin, left: BatchFn, right: BatchFn) -> BatchFn:
     order = op.output_order
 
     def fn(context):
-        # build side first — the order the iterator algorithm consumes
-        # its children in (fault-draw parity)
+        # build side first (the order seeded fault draws are made in)
         table: dict = {}
         for r in right(context).tuples:
             key = r.first(right_attr)
@@ -481,25 +467,61 @@ def _stack_tree_anc(op: PStackTreeAnc, left: BatchFn, right: BatchFn) -> BatchFn
     return fn
 
 
-def _adapted(op: PhysicalOperator, child_fns: List[BatchFn]) -> BatchFn:
-    """Run a cold operator's original iterator algorithm over
-    batch-compiled children: a shallow copy of the operator gets
-    :class:`PBlockInput` children, and its unmodified ``_run`` drives
-    them.  Metrics for the operator itself are recorded at block level by
-    the :func:`_observed` wrapper (the shadow's ``metrics`` stays None so
-    nothing double-counts)."""
-    shadow = copy.copy(op)
-    shadow.metrics = None
-    shadow.children = tuple(
-        PBlockInput(fn, child) for fn, child in zip(child_fns, op.children)
-    )
-    if isinstance(op, PLogicalFallback):
-        # the shadow keeps its own per-context substitution slot
-        shadow._substituted = None
+def _concat(op: PConcat, parts: List[BatchFn]) -> BatchFn:
     order = op.output_order
 
     def fn(context):
-        return Block(list(shadow._run(context)), order)
+        out: list = []
+        for part in parts:
+            out.extend(part(context).tuples)
+        return Block(out, order)
+
+    return fn
+
+
+def _difference(op: PDifference, left: BatchFn, right: BatchFn) -> BatchFn:
+    order = op.output_order
+
+    def fn(context):
+        # right side first: its multiplicities are the count table
+        counts: dict = {}
+        for t in right(context).tuples:
+            key = t.freeze()
+            counts[key] = counts.get(key, 0) + 1
+        out: list = []
+        for t in left(context).tuples:
+            key = t.freeze()
+            remaining = counts.get(key, 0)
+            if remaining:
+                counts[key] = remaining - 1
+            else:
+                out.append(t)
+        return Block(out, order)
+
+    return fn
+
+
+def _logical_fallback(op: PLogicalFallback, children: List[BatchFn]) -> BatchFn:
+    logical, order = op.logical, op.output_order
+    schemas = [child.schema() for child in logical.children]
+
+    def fn(context):
+        # materialize the child blocks, substitute them as base inputs of
+        # a call-local clone, and evaluate the logical operator over them
+        materialized = [child(context).tuples for child in children]
+        clone = copy.copy(logical)
+        clone.children = tuple(
+            BaseTuples(rows, schema)
+            for rows, schema in zip(materialized, schemas)
+        )
+        if context is not None:
+            sink = context.get(EXEC_CTX_KEY)
+            if sink is not None:
+                sink.bump(
+                    "fallback.materialized_rows",
+                    float(sum(len(rows) for rows in materialized)),
+                )
+        return Block(clone.evaluate(context), order)
 
     return fn
 
@@ -510,48 +532,39 @@ def _adapted(op: PhysicalOperator, child_fns: List[BatchFn]) -> BatchFn:
 
 def compile_batch(physical: PhysicalOperator) -> BatchFn:
     """Compile a physical plan into one specialized closure tree:
-    ``fn(context) -> Block``.
-
-    Raises :class:`BatchUnsupported` when the plan contains an operator
-    outside the covered set — callers should test :func:`batch_covered`
-    first and fall back to the iterator engine.
-    """
+    ``fn(context) -> Block``.  An operator type without a closure builder
+    is a :class:`TypeError` here, at compile time."""
 
     def build(op: PhysicalOperator) -> BatchFn:
+        kids = [build(child) for child in op.children]
         if isinstance(op, PScan):
             raw = _scan(op)
         elif isinstance(op, PBase):
             raw = _base(op)
         elif isinstance(op, PFilter):
-            raw = _filter(op, build(op.children[0]))
+            raw = _filter(op, *kids)
         elif isinstance(op, PProject):
-            raw = _project(op, build(op.children[0]))
+            raw = _project(op, *kids)
         elif isinstance(op, PSort):
-            raw = _sort(op, build(op.children[0]))
+            raw = _sort(op, *kids)
         elif isinstance(op, PHashGroupBy):
-            raw = _group_by(op, build(op.children[0]))
+            raw = _group_by(op, *kids)
         elif isinstance(op, PHashJoin):
-            raw = _hash_join(op, build(op.children[0]), build(op.children[1]))
+            raw = _hash_join(op, *kids)
         elif isinstance(op, PNestedLoopsJoin):
-            raw = _nested_loops(
-                op, build(op.children[0]), build(op.children[1])
-            )
+            raw = _nested_loops(op, *kids)
         elif isinstance(op, PStackTreeDesc):
-            raw = _stack_tree_desc(
-                op, build(op.children[0]), build(op.children[1])
-            )
+            raw = _stack_tree_desc(op, *kids)
         elif isinstance(op, PStackTreeAnc):
-            raw = _stack_tree_anc(
-                op, build(op.children[0]), build(op.children[1])
-            )
-        elif isinstance(op, PBlockInput):
-            raw = op.fn
-        elif isinstance(op, _ADAPTED):
-            raw = _adapted(op, [build(child) for child in op.children])
+            raw = _stack_tree_anc(op, *kids)
+        elif isinstance(op, PConcat):
+            raw = _concat(op, kids)
+        elif isinstance(op, PDifference):
+            raw = _difference(op, *kids)
+        elif isinstance(op, PLogicalFallback):
+            raw = _logical_fallback(op, kids)
         else:
-            raise BatchUnsupported(
-                f"no batch implementation for {op.label()}"
-            )
+            raise TypeError(f"no batch implementation for {op.label()}")
         return _observed(op, raw)
 
     return build(physical)

@@ -48,7 +48,6 @@ __all__ = [
 OPERATOR_CLASSES: tuple[tuple[str, str], ...] = (
     ("PScan", "scan"),
     ("PBase", "scan"),
-    ("PBlockInput", "scan"),
     ("PFilter", "filter"),
     ("PProject", "project"),
     ("PConcat", "concat"),

@@ -169,8 +169,8 @@ class EmptyStatistics(StatisticsProvider):
 class OperatorMetrics:
     """Runtime record of one physical operator.
 
-    ``elapsed`` is inclusive wall time: seconds spent pulling this
-    operator's iterator, children included (a child's time is also part of
+    ``elapsed`` is inclusive wall time: seconds spent running this
+    operator's closure, children included (a child's time is also part of
     every ancestor's).  ``rows_in`` derives from the children's outputs.
     """
 
@@ -179,7 +179,7 @@ class OperatorMetrics:
     rows_out: int = 0
     elapsed: float = 0.0
     executions: int = 0
-    #: inclusive thread CPU time (``time.thread_time_ns``) spent pulling
+    #: inclusive thread CPU time (``time.thread_time_ns``) spent running
     #: this operator, children included; stays 0 unless the query ran with
     #: attributed profiling enabled
     cpu_ns: int = 0
@@ -306,17 +306,11 @@ class ExecutionContext:
         #: optional :class:`~repro.engine.faults.FaultInjector` activated
         #: around this query's execution (chaos mode); None in production
         self.fault_injector = None
-        #: which execution engine this query runs under: ``"iter"`` (the
-        #: per-tuple iterator interpreter — the default for stand-alone
-        #: contexts, which never receive batch closures) or ``"batch"``
-        #: (set by ``Database.execution_context`` when the batch executor
-        #: is selected).  Recorded into results and the query log.
-        self.executor = "iter"
-        #: attributed resource profiling: when True, both executors pay
+        #: attributed resource profiling: when True, the batch closures pay
         #: the extra ``thread_time_ns`` reads per observation point and a
         #: bounded tracemalloc window, filling ``OperatorMetrics.cpu_ns``
         #: and ``peak_mem_bytes``.  Off by default — the unprofiled hot
-        #: path must not grow even a branch on a flag read per tuple.
+        #: path must not grow even a branch on a flag read per block.
         self.profile = False
         #: whether THIS profiled run opens the tracemalloc window for the
         #: peak-memory column.  CPU attribution is near-free and runs on
@@ -420,14 +414,17 @@ class ExecutionContext:
     ) -> tuple[list, PlanMetrics]:
         """Instrument, execute to completion, and return (tuples, metrics).
 
-        ``batch_fn`` is an optional compiled batch closure for the same
-        plan (see :func:`repro.engine.batch.compile_batch`); when given,
-        it executes in place of the iterator walk — metrics land in the
-        same instrumented nodes, accumulated per block instead of per
-        tuple.  Either way the context publishes itself into the data
-        context under :data:`EXEC_CTX_KEY` so operators can reach the
-        counter sink at runtime.
+        ``batch_fn`` is the plan's compiled batch closure (see
+        :func:`repro.engine.batch.compile_batch`), typically a cached one;
+        without it the plan is compiled here.  Metrics land in the
+        instrumented nodes, accumulated per block.  The context publishes
+        itself into the data context under :data:`EXEC_CTX_KEY` so
+        operators can reach the counter sink at runtime.
         """
+        if batch_fn is None:
+            from .batch import compile_batch
+
+            batch_fn = compile_batch(physical)
         plan_metrics = self.instrument(physical)
         if data_context is not None:
             try:
@@ -445,10 +442,7 @@ class ExecutionContext:
             window = traced_memory() if self.mem_sample else nullcontext()
             with window:
                 cpu_started = time.thread_time_ns()
-                if batch_fn is not None:
-                    tuples = batch_fn(data_context).tuples
-                else:
-                    tuples = list(physical.execute(data_context))
+                tuples = batch_fn(data_context).tuples
                 drive_cpu = time.thread_time_ns() - cpu_started
             # the drive loop and the observation points themselves burn
             # CPU between operator windows; fold that overhead into the
@@ -456,10 +450,8 @@ class ExecutionContext:
             # attributed CPU accounts for the whole plan execution
             if drive_cpu > plan_metrics.root.cpu_ns:
                 plan_metrics.root.cpu_ns = drive_cpu
-        elif batch_fn is not None:
-            tuples = batch_fn(data_context).tuples
         else:
-            tuples = list(physical.execute(data_context))
+            tuples = batch_fn(data_context).tuples
         return tuples, plan_metrics
 
     # -- timing primitive used by the physical layer ------------------------

@@ -1,10 +1,12 @@
-"""Physical operators and the logical→physical compiler (thesis §1.2.3).
+"""Physical plan nodes and the logical→physical compiler (thesis §1.2.3).
 
-Physical operators follow the iterator model (Python generators).  The
-library mirrors the thesis engine:
+A physical plan is a tree of operator *descriptions*: each node names
+the algorithm the engine runs, its parameters, the order descriptor of
+its output and the compiler's cardinality estimate.  The node library
+mirrors the thesis engine:
 
 * ``Scan``/``Filter``/``Project``/``Union`` — straightforward streaming;
-* ``Sort`` — backed by the B+ tree of :mod:`repro.engine.btree`;
+* ``Sort`` — the thesis' B+-tree Sort_φ;
 * ``HashGroupBy`` — memory-resident hash table;
 * value joins — nested loops and hash join;
 * structural joins — the **StackTreeDesc** and **StackTreeAnc** algorithms
@@ -12,6 +14,9 @@ library mirrors the thesis engine:
   ``StackTreeDesc`` emits in descendant order, ``StackTreeAnc`` in
   ancestor order.  Outer/semi/nest variants derive from the
   ancestor-grouped formulation, as the thesis implements them.
+
+Execution lives in :mod:`repro.engine.batch`, which compiles a plan into
+one block-at-a-time closure per node.
 
 :func:`compile_plan` lowers a logical plan to a physical one, consulting
 order descriptors (:mod:`repro.engine.orderdesc`) and inserting ``Sort``
@@ -24,11 +29,9 @@ total.
 
 from __future__ import annotations
 
-import time
-import tracemalloc
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from ..algebra.model import NULL, NestedTuple, concat
+from ..algebra.model import NestedTuple
 from ..algebra.operators import (
     BaseTuples,
     Difference,
@@ -43,10 +46,8 @@ from ..algebra.operators import (
     ValueJoin,
 )
 from ..algebra.predicates import Attr, Compare
-from ..xmldata.ids import DeweyID, StructuralID
-from .btree import BPlusTree
-from .context import EXEC_CTX_KEY, ExecutionContext, OperatorMetrics
-from .orderdesc import project_order, satisfies, sort_key_for
+from .context import ExecutionContext, OperatorMetrics
+from .orderdesc import project_order, satisfies
 
 __all__ = [
     "PhysicalOperator",
@@ -64,20 +65,16 @@ __all__ = [
     "PStackTreeAnc",
     "PLogicalFallback",
     "compile_plan",
-    "execute",
 ]
-
-Context = Mapping[str, Sequence[NestedTuple]]
 
 
 class PhysicalOperator:
-    """Base class: generators in, generator out, plus an order descriptor.
+    """Base class: children plus an order descriptor.
 
-    Subclasses implement :meth:`_run`; the public :meth:`execute` wraps it
-    and — when :meth:`ExecutionContext.instrument` attached a metrics node
-    — records tuples-out and inclusive wall time into it.  ``estimated_rows``
-    is stamped by the compiler from the logical plan's cardinality walk, so
-    EXPLAIN can print estimates and actuals side by side.
+    ``estimated_rows`` is stamped by the compiler from the logical plan's
+    cardinality walk, so EXPLAIN can print estimates and actuals side by
+    side; ``metrics`` is the node :meth:`ExecutionContext.instrument`
+    attaches for the batch closures to record actual rows and time into.
     """
 
     children: tuple["PhysicalOperator", ...] = ()
@@ -90,74 +87,6 @@ class PhysicalOperator:
     #: alongside ``metrics``; only consulted when a metrics node exists,
     #: so the unobserved fast path stays a single ``is None`` check
     profiled: bool = False
-
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        raise NotImplementedError
-
-    def execute(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        if self.metrics is None:
-            return self._run(context)
-        if self.profiled:
-            return self._record_profiled(context)
-        return self._record(context)
-
-    def _record(self, context: Optional[Context]) -> Iterator[NestedTuple]:
-        m = self.metrics
-        m.executions += 1
-        clock = time.perf_counter
-        source = self._run(context)
-        while True:
-            started = clock()
-            try:
-                t = next(source)
-            except StopIteration:
-                m.elapsed += clock() - started
-                return
-            m.elapsed += clock() - started
-            m.rows_out += 1
-            yield t
-
-    #: profiled-mode memory sampling cadence: traced-allocation reads are
-    #: ~10x a clock read, so sample every N tuples rather than every tuple
-    _MEM_SAMPLE_EVERY = 64
-
-    def _record_profiled(self, context: Optional[Context]) -> Iterator[NestedTuple]:
-        """The :meth:`_record` loop plus per-tuple thread-CPU attribution
-        and a periodically sampled traced-memory high-water mark.
-
-        CPU accumulates inclusively (children's profiled loops also
-        record), mirroring ``elapsed``; ``peak_mem_bytes`` is the largest
-        traced-allocation delta vs the open snapshot observed at any
-        sampling point between operator open and close."""
-        m = self.metrics
-        m.executions += 1
-        clock = time.perf_counter
-        cpu_clock = time.thread_time_ns
-        traced = tracemalloc.get_traced_memory
-        mem_base = traced()[0]
-        peak = 0
-        countdown = self._MEM_SAMPLE_EVERY
-        source = self._run(context)
-        while True:
-            started = clock()
-            cpu_started = cpu_clock()
-            try:
-                t = next(source)
-            except StopIteration:
-                m.cpu_ns += cpu_clock() - cpu_started
-                m.elapsed += clock() - started
-                peak = max(peak, traced()[0] - mem_base)
-                if peak > m.peak_mem_bytes:
-                    m.peak_mem_bytes = peak
-                return
-            m.cpu_ns += cpu_clock() - cpu_started
-            m.elapsed += clock() - started
-            m.rows_out += 1
-            countdown -= 1
-            if countdown <= 0:
-                countdown = self._MEM_SAMPLE_EVERY
-                peak = max(peak, traced()[0] - mem_base)
-            yield t
 
     def label(self) -> str:
         return type(self).__name__
@@ -202,13 +131,6 @@ class PScan(PhysicalOperator):
         self.output_order = order
         self.missing_ok = missing_ok
 
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        if context is None or self.name not in context:
-            if self.missing_ok:
-                return
-            raise KeyError(f"base relation {self.name!r} missing from context")
-        yield from context[self.name]
-
     def label(self) -> str:
         return f"PScan({self.name})"
 
@@ -220,9 +142,6 @@ class PBase(PhysicalOperator):
         self.tuples = list(tuples)
         self.output_order = order
 
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        yield from self.tuples
-
 
 class PFilter(PhysicalOperator):
     """Pipelined selection; preserves the child's order descriptor."""
@@ -231,11 +150,6 @@ class PFilter(PhysicalOperator):
         self.children = (child,)
         self.predicate = predicate
         self.output_order = child.output_order
-
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        for t in self.children[0].execute(context):
-            if self.predicate(t):
-                yield t
 
 
 class PProject(PhysicalOperator):
@@ -254,19 +168,6 @@ class PProject(PhysicalOperator):
         # its attribute does (dedup keeps first occurrences, also in order)
         self.output_order = project_order(child.output_order, self.columns, self.renames)
 
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        seen: set[tuple] = set()
-        for t in self.children[0].execute(context):
-            projected = t.project(self.columns)
-            if self.renames:
-                projected = projected.rename(self.renames)
-            if self.dedup:
-                key = projected.freeze()
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield projected
-
 
 class PConcat(PhysicalOperator):
     """Bag union of its inputs, in argument order (ordered only in the
@@ -277,10 +178,6 @@ class PConcat(PhysicalOperator):
         if len(parts) == 1:
             self.output_order = parts[0].output_order
 
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        for child in self.children:
-            yield from child.execute(context)
-
 
 class PDifference(PhysicalOperator):
     """Bag difference: left tuples minus right multiplicities (blocks on
@@ -289,34 +186,15 @@ class PDifference(PhysicalOperator):
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
         self.children = (left, right)
 
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        counts: dict[tuple, int] = {}
-        for t in self.children[1].execute(context):
-            key = t.freeze()
-            counts[key] = counts.get(key, 0) + 1
-        for t in self.children[0].execute(context):
-            key = t.freeze()
-            remaining = counts.get(key, 0)
-            if remaining:
-                counts[key] = remaining - 1
-            else:
-                yield t
-
 
 class PSort(PhysicalOperator):
-    """Sort through a B+ tree, as the thesis' Sort_φ operator does."""
+    """The thesis' B+-tree Sort_φ, executed as the stable sort that
+    reproduces its order (equal keys keep input order)."""
 
     def __init__(self, child: PhysicalOperator, path: str):
         self.children = (child,)
         self.path = path
         self.output_order = path
-
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        tree = BPlusTree()
-        key = sort_key_for(self.path)
-        for t in self.children[0].execute(context):
-            tree.insert((key(t),), t)
-        yield from tree.values_in_order()
 
     def label(self) -> str:
         return f"PSort[{self.path}]"
@@ -334,82 +212,6 @@ class PHashGroupBy(PhysicalOperator):
         # key yields groups in that key's order
         if child.output_order in self.keys:
             self.output_order = child.output_order
-
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        groups: dict[tuple, list[NestedTuple]] = {}
-        heads: dict[tuple, NestedTuple] = {}
-        order: list[tuple] = []
-        for t in self.children[0].execute(context):
-            head = t.project(self.keys)
-            key = head.freeze()
-            if key not in groups:
-                groups[key] = []
-                heads[key] = head
-                order.append(key)
-            groups[key].append(t.drop(self.keys))
-        for key in order:
-            yield heads[key].with_attrs(**{self.nest_as: groups[key]})
-
-
-def _emit_variant(
-    kind: str,
-    anc: NestedTuple,
-    matches: list[NestedTuple],
-    nest_as: str,
-    right_columns: Sequence[str],
-) -> Iterator[NestedTuple]:
-    if kind == "j":
-        for m in matches:
-            yield concat(anc, m)
-    elif kind == "o":
-        if matches:
-            for m in matches:
-                yield concat(anc, m)
-        else:
-            yield concat(anc, NestedTuple({c: NULL for c in right_columns}))
-    elif kind == "s":
-        if matches:
-            yield anc
-    elif kind == "nj":
-        if matches:
-            yield anc.with_attrs(**{nest_as: matches})
-    elif kind == "no":
-        yield anc.with_attrs(**{nest_as: matches})
-    else:  # pragma: no cover - guarded by constructors
-        raise AssertionError(kind)
-
-
-def _sid(t: NestedTuple, attr: str):
-    value = t.get(attr)
-    if value is None:
-        return None
-    if not isinstance(value, (StructuralID, DeweyID)):
-        raise TypeError(
-            f"structural join attribute {attr!r} holds {type(value).__name__}, "
-            "which is not a structural identifier"
-        )
-    if isinstance(value, DeweyID):
-        # StackTree needs interval tests; Dewey prefixes give them directly.
-        return value
-    return value
-
-
-def _pre(identifier) -> tuple:
-    if isinstance(identifier, StructuralID):
-        return (identifier.pre,)
-    return identifier.path  # DeweyID: document order = path order
-
-
-def _is_rel(anc_id, desc_id, axis: str) -> bool:
-    if axis == "child":
-        return anc_id.is_parent_of(desc_id)
-    return anc_id.is_ancestor_of(desc_id)
-
-
-def _covers(anc_id, desc_id) -> bool:
-    """Whether desc is inside anc's interval (ancestor-descendant test,
-    used for stack maintenance regardless of the join axis)."""
-    return anc_id.is_ancestor_of(desc_id)
 
 
 class PStackTreeDesc(PhysicalOperator):
@@ -434,31 +236,6 @@ class PStackTreeDesc(PhysicalOperator):
         self.desc_attr = desc_attr
         self.axis = axis
         self.output_order = desc_attr
-
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        anc_stream = iter(self.children[0].execute(context))
-        desc_stream = iter(self.children[1].execute(context))
-        stack: list[tuple] = []  # (anc_id, anc_tuple)
-        anc = next(anc_stream, None)
-        desc = next(desc_stream, None)
-        while desc is not None:
-            desc_id = _sid(desc, self.desc_attr)
-            # Push every ancestor starting before this descendant.
-            while anc is not None:
-                anc_id = _sid(anc, self.anc_attr)
-                if _pre(anc_id) < _pre(desc_id):
-                    while stack and not _covers(stack[-1][0], anc_id):
-                        stack.pop()
-                    stack.append((anc_id, anc))
-                    anc = next(anc_stream, None)
-                else:
-                    break
-            while stack and not _covers(stack[-1][0], desc_id):
-                stack.pop()
-            for anc_id, anc_tuple in stack:
-                if _is_rel(anc_id, desc_id, self.axis):
-                    yield concat(anc_tuple, desc)
-            desc = next(desc_stream, None)
 
     def label(self) -> str:
         return f"PStackTreeDesc[{self.anc_attr} {self.axis} {self.desc_attr}]"
@@ -493,58 +270,6 @@ class PStackTreeAnc(PhysicalOperator):
         self.right_columns = list(right_columns)
         self.output_order = anc_attr
 
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        anc_stream = iter(self.children[0].execute(context))
-        desc_stream = iter(self.children[1].execute(context))
-        # stack entries: [anc_id, anc_tuple, matches]
-        stack: list[list] = []
-        pending: list = []  # popped ancestors not yet emitted (anc order)
-
-        def pop_entry():
-            entry = stack.pop()
-            pending.append(entry)
-
-        def flush_pending() -> Iterator[NestedTuple]:
-            # Ancestors can be emitted once no live stack entry precedes
-            # them; entries are collected in pop order (deepest first), so
-            # sort by pre to restore ancestor order.
-            pending.sort(key=lambda e: _pre(e[0]))
-            for anc_id, anc_tuple, matches in pending:
-                yield from _emit_variant(
-                    self.kind, anc_tuple, matches, self.nest_as, self.right_columns
-                )
-            pending.clear()
-
-        anc = next(anc_stream, None)
-        desc = next(desc_stream, None)
-        while anc is not None or desc is not None:
-            if anc is not None:
-                anc_id = _sid(anc, self.anc_attr)
-            if desc is not None:
-                desc_id = _sid(desc, self.desc_attr)
-            advance_anc = desc is None or (
-                anc is not None and _pre(anc_id) < _pre(desc_id)
-            )
-            if advance_anc:
-                while stack and not _covers(stack[-1][0], anc_id):
-                    pop_entry()
-                if not stack:
-                    yield from flush_pending()
-                stack.append([anc_id, anc, []])
-                anc = next(anc_stream, None)
-            else:
-                while stack and not _covers(stack[-1][0], desc_id):
-                    pop_entry()
-                if not stack:
-                    yield from flush_pending()
-                for entry in stack:
-                    if _is_rel(entry[0], desc_id, self.axis):
-                        entry[2].append(desc)
-                desc = next(desc_stream, None)
-        while stack:
-            pop_entry()
-        yield from flush_pending()
-
     def label(self) -> str:
         return (
             f"PStackTreeAnc[{self.anc_attr} {self.axis} {self.desc_attr}, "
@@ -575,14 +300,6 @@ class PNestedLoopsJoin(PhysicalOperator):
         self.description = description
         self.output_order = left.output_order if kind in ("s", "nj", "no") else None
 
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        right = list(self.children[1].execute(context))
-        for left_tuple in self.children[0].execute(context):
-            matches = [r for r in right if self.match(left_tuple, r)]
-            yield from _emit_variant(
-                self.kind, left_tuple, matches, self.nest_as, self.right_columns
-            )
-
     def label(self) -> str:
         return f"PNestedLoopsJoin[{self.description}, {self.kind}]"
 
@@ -609,19 +326,6 @@ class PHashJoin(PhysicalOperator):
         self.right_columns = list(right_columns)
         self.output_order = left.output_order if kind in ("s", "nj", "no") else None
 
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        table: dict = {}
-        for r in self.children[1].execute(context):
-            key = r.first(self.right_attr)
-            if key is not None:
-                table.setdefault(key, []).append(r)
-        for left_tuple in self.children[0].execute(context):
-            key = left_tuple.first(self.left_attr)
-            matches = table.get(key, []) if key is not None else []
-            yield from _emit_variant(
-                self.kind, left_tuple, matches, self.nest_as, self.right_columns
-            )
-
     def label(self) -> str:
         return f"PHashJoin[{self.left_attr} = {self.right_attr}, {self.kind}]"
 
@@ -630,48 +334,11 @@ class PLogicalFallback(PhysicalOperator):
     """Materializing wrapper for logical operators without a streaming
     counterpart (map-extended joins, templates, navigation…): physical
     children are materialized, substituted as base inputs, and the logical
-    operator evaluates over them.
-
-    Each physical input is materialized **exactly once per execution
-    context** — one materialized block set per context, not an unbounded
-    accumulation: re-executing the same compiled plan against the same
-    context reuses the substituted inputs, and a new context *replaces*
-    the slot instead of growing it.  Every (re)build reports its size
-    through the ``fallback.materialized_rows`` counter of the execution
-    context published under :data:`~repro.engine.context.EXEC_CTX_KEY`,
-    so the buffering is observable rather than silent."""
+    operator evaluates over them."""
 
     def __init__(self, logical: Operator, children: Sequence[PhysicalOperator]):
         self.logical = logical
         self.children = tuple(children)
-        # (context object, substituted clone) — the context is kept alive
-        # so identity comparison stays sound
-        self._substituted: Optional[tuple[Optional[Context], Operator]] = None
-
-    def _substitute(self, context: Optional[Context]) -> Operator:
-        import copy
-
-        if self._substituted is None or self._substituted[0] is not context:
-            materialized = [
-                list(child.execute(context)) for child in self.children
-            ]
-            clone = copy.copy(self.logical)
-            clone.children = tuple(
-                BaseTuples(rows, self.logical.children[index].schema())
-                for index, rows in enumerate(materialized)
-            )
-            self._substituted = (context, clone)
-            if context is not None:
-                sink = context.get(EXEC_CTX_KEY)
-                if sink is not None:
-                    sink.bump(
-                        "fallback.materialized_rows",
-                        float(sum(len(rows) for rows in materialized)),
-                    )
-        return self._substituted[1]
-
-    def _run(self, context: Optional[Context] = None) -> Iterator[NestedTuple]:
-        yield from self._substitute(context).evaluate(context)
 
     def label(self) -> str:
         return f"PLogicalFallback[{self.logical.label()}]"
@@ -812,21 +479,3 @@ def _lower_structural_join(op: StructuralJoin, lower) -> PhysicalOperator:
         right_columns=op.children[1].schema(),
     )
 
-
-def execute(
-    logical: Operator,
-    context: Optional[Context] = None,
-    scan_orders: Optional[Mapping[str, str]] = None,
-    execution_context: Optional[ExecutionContext] = None,
-) -> Iterator[NestedTuple]:
-    """Compile and run a logical plan through the physical engine.
-
-    Returns a **lazy iterator**: tuples are produced as the root operator
-    pulls them, so callers that stop early (LIMIT-style consumption,
-    existence checks) never pay for the full result.  Wrap in ``list()``
-    to materialize; blocking operators (sorts, hash builds, fallbacks)
-    still materialize their own inputs internally as their algorithms
-    require.
-    """
-    physical = compile_plan(logical, scan_orders, context=execution_context)
-    return physical.execute(context)

@@ -124,7 +124,7 @@ class CompiledSlot:
 
 
 class CompiledPlanArtifact:
-    """The compiled-executor artifact cached under one plan fingerprint.
+    """The compiled batch artifact cached under one plan fingerprint.
 
     A prepared query compiles to several physical plans — one per
     extraction unit (``unit:<n>``) plus one per chosen rewriting

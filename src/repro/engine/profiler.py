@@ -7,8 +7,8 @@ been checked against observed resource usage.  This module adds the two
 collection modes that close the gap:
 
 **Mode 1 — attributed profiling** (per query, opt-in via
-``Database(profile=True)`` / ``$REPRO_PROFILE``).  Both executors already
-observe every operator at block/tuple granularity; with
+``Database(profile=True)`` / ``$REPRO_PROFILE``).  The batch engine already
+observes every operator at block granularity; with
 ``ExecutionContext.profile`` set, those same observation points also read
 ``time.thread_time_ns()`` (per-thread CPU, so concurrent queries do not
 bleed into each other) and sample ``tracemalloc``'s traced-allocation
@@ -54,8 +54,8 @@ __all__ = [
     "valid_trace_id",
 ]
 
-#: environment override for the attributed-profiling default, mirroring
-#: ``$REPRO_EXECUTOR``: truthy values ("1", "true", "on", "yes") enable
+#: environment override for the attributed-profiling default: truthy
+#: values ("1", "true", "on", "yes") enable
 PROFILE_ENV_VAR = "REPRO_PROFILE"
 
 _TRUTHY = frozenset({"1", "true", "on", "yes"})
@@ -281,7 +281,6 @@ class QueryProfile:
 
     trace_id: str
     query: str
-    executor: str
     seconds: float
     #: flat pre-order operator rows: label / est / actual / wall ms /
     #: inclusive cpu ms / exclusive cpu ms / peak traced KB
@@ -301,7 +300,6 @@ class QueryProfile:
         return {
             "trace_id": self.trace_id,
             "query": self.query,
-            "executor": self.executor,
             "seconds": self.seconds,
             "cpu_ms": self.cpu_ms,
             "operators": list(self.operators),
@@ -334,7 +332,6 @@ class QueryProfile:
         return cls(
             trace_id=getattr(result, "trace_id", None) or "",
             query=query,
-            executor=getattr(result, "executor", "") or "",
             seconds=seconds,
             operators=operators,
         )
@@ -417,7 +414,6 @@ class Profiler:
                 {
                     "trace_id": p.trace_id,
                     "query": p.query,
-                    "executor": p.executor,
                     "seconds": p.seconds,
                     "cpu_ms": p.cpu_ms,
                     "top_cpu": [

@@ -201,9 +201,6 @@ def build_record(
         return record
     record["fingerprint"] = result.plan_fingerprint
     record["checksum"] = result_checksum(result)
-    executor = getattr(result, "executor", None)
-    if executor is not None:
-        record["executor"] = executor
     # stamp the physical layout: replaying the same workload across
     # different shard counts must diff clean (physical data independence)
     shard_count = getattr(result, "shard_count", None)

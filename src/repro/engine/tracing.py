@@ -367,8 +367,6 @@ class SlowQuery:
     #: plan fingerprint of the execution that was slow — actionable
     #: without cross-referencing the query log
     plan_fingerprint: str = ""
-    #: which engine ran it ("iter"/"batch")
-    executor: str = ""
     #: top CPU-consuming operators ("label cpu=…ms" strings), present
     #: only when the query ran with attributed profiling enabled
     top_cpu: tuple = ()
@@ -380,8 +378,6 @@ class SlowQuery:
         )
         if self.plan_fingerprint:
             text += f" plan={self.plan_fingerprint}"
-        if self.executor:
-            text += f" executor={self.executor}"
         return text
 
 
@@ -407,7 +403,6 @@ class SlowQueryLog:
         outcome: str,
         trace: Optional[Trace],
         plan_fingerprint: str = "",
-        executor: str = "",
         top_cpu: tuple = (),
     ) -> Optional[SlowQuery]:
         if self.threshold is None or seconds < self.threshold:
@@ -419,7 +414,6 @@ class SlowQueryLog:
             outcome=outcome,
             rendered=trace.render() if trace is not None else "(tracing disabled)",
             plan_fingerprint=plan_fingerprint,
-            executor=executor,
             top_cpu=tuple(top_cpu),
         )
         with self._lock:

@@ -2,9 +2,21 @@
 
 import pytest
 
+from repro.engine.batch import compile_batch
+from repro.engine.physical import compile_plan
 from repro.summary import build_enhanced_summary
 from repro.workloads import generate_dblp, generate_xmark
 from repro.xmldata import load
+
+def run_physical(physical, context=None):
+    """Execute a physical plan through its compiled batch closure."""
+    return compile_batch(physical)(dict(context or {})).tuples
+
+
+def run_plan(plan, context=None, scan_orders=None):
+    """Compile a logical plan and execute it on the batch engine."""
+    return compile_batch(compile_plan(plan, scan_orders))(context or {}).tuples
+
 
 #: Figure 2.5 — the bibliographic running example
 BIB_XML = """

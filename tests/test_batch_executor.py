@@ -1,8 +1,11 @@
-"""Batch executor tests: Block execution, operator-level iter/batch
-agreement, plan-to-closure compilation, the fingerprint-keyed artifact
-cache and its invalidation protocol, the executor toggles, and the new
-counters (``plan_compile.*``, ``executor.fallback``,
-``fallback.materialized_rows``)."""
+"""Batch engine tests: Block execution, operator-level agreement of the
+compiled closures with the logical algebra, plan-to-closure compilation,
+the fingerprint-keyed artifact cache and its invalidation protocol, and
+the counters (``plan_compile.*``, ``fallback.materialized_rows``)."""
+
+import gc
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -24,22 +27,12 @@ from repro.algebra import (
     ValueJoin,
 )
 from repro.algebra.operators import TemplateAttr, TemplateElement, XMLize
-from repro.cli import main as cli_main, run_command
-from repro.core.uload import (
-    EXECUTOR_ENV_VAR,
-    EXECUTORS,
-    resolve_executor,
-)
-from repro.engine.batch import (
-    Block,
-    PBlockInput,
-    batch_covered,
-    compile_batch,
-)
+from repro.engine.batch import Block, compile_batch
 from repro.engine.context import ExecutionContext
 from repro.engine.metrics import MetricsRegistry
+from repro.engine.orderdesc import sort_key_for
 from repro.engine.physical import PhysicalOperator, compile_plan
-from repro.engine.qlog import build_record, result_checksum
+from repro.engine.qlog import result_checksum
 from repro.workloads import generate_xmark
 from repro.xmldata import id_of, load
 
@@ -50,13 +43,29 @@ CONSTRUCTOR_QUERY = (
 )
 
 
-def make_db(executor=None, scale=1, views=True):
-    db = Database(metrics=MetricsRegistry(), executor=executor)
+def make_db(scale=1, views=True):
+    db = Database(metrics=MetricsRegistry())
     db.add_document(generate_xmark(scale=scale, seed=0))
     if views:
         db.add_view("v_person", "//people/person[id:s]{/name[id:s, val]}")
         db.add_view("v_item", "//regions//item[id:s]{/name[id:s, val]}")
     return db
+
+
+# a case runs its query once, on freshly compiled closures ("batch"), or
+# iterates it, running again on the closures the first lap cached ("iter")
+LAPS = [pytest.param(1, id="batch"), pytest.param(2, id="iter")]
+
+
+def run_laps(db, query, laps, **flags):
+    """Run ``query`` ``laps`` times and return the last result; from the
+    second lap on, the unit plans must come from the compiled-plan cache."""
+    for lap in range(laps):
+        result = db.query(query, **flags)
+        if lap:
+            assert result.counters.get("plan_compile.hit", 0) >= 1
+            assert result.counters.get("plan_compile.miss", 0) == 0
+    return result
 
 
 def sid_rows(doc, label, name):
@@ -77,16 +86,18 @@ def doc():
 
 
 def batch_agreement(plan, context=None):
-    """The compiled batch closure must reproduce the iterator engine's
-    output *in order*, not just as a multiset."""
-    expected = [
-        t.freeze() for t in compile_plan(plan).execute(dict(context or {}))
-    ]
+    """The compiled batch closure must produce the logical operator's
+    output as a multiset, sorted by the order descriptor it advertises."""
+    expected = [t.freeze() for t in plan.evaluate(dict(context or {}))]
     physical = compile_plan(plan)
-    assert batch_covered(physical), physical.pretty()
     block = compile_batch(physical)(dict(context or {}))
-    assert [t.freeze() for t in block.tuples] == expected
-    return expected
+    got = [t.freeze() for t in block.tuples]
+    assert Counter(got) == Counter(expected), physical.pretty()
+    assert block.order == physical.output_order
+    if block.order is not None:
+        keys = [sort_key_for(block.order)(t) for t in block.tuples]
+        assert keys == sorted(keys), physical.pretty()
+    return got
 
 
 # -- Block basics -----------------------------------------------------------
@@ -103,12 +114,6 @@ class TestBlock:
         assert values == [t.get("x.ID") for t in tuples]
         pres = block.pre_column("x.ID")
         assert pres == sorted(pres)  # document order in this fixture
-
-    def test_block_input_adapts_closure_to_iterator(self, doc):
-        tuples = sid_rows(doc, "c", "y").tuples
-        template = compile_plan(BaseTuples(tuples))
-        adapter = PBlockInput(lambda ctx: Block(list(tuples)), template)
-        assert list(adapter._run({})) == tuples
 
 
 # -- operator-level agreement ----------------------------------------------
@@ -171,11 +176,11 @@ class TestOperatorAgreement:
 
     def test_scan_missing_relation_message_matches(self):
         physical = compile_plan(Scan("ghost", ["x"]))
-        with pytest.raises(KeyError) as iter_err:
-            list(compile_plan(Scan("ghost", ["x"])).execute({}))
+        with pytest.raises(KeyError) as logical_err:
+            Scan("ghost", ["x"]).evaluate({})
         with pytest.raises(KeyError) as batch_err:
             compile_batch(physical)({})
-        assert str(batch_err.value) == str(iter_err.value)
+        assert str(batch_err.value) == str(logical_err.value)
 
     def test_adapted_fallback_operator(self):
         template = TemplateElement("r", [TemplateAttr("x")])
@@ -188,7 +193,7 @@ class TestOperatorAgreement:
         assert len(rows) == 3
 
 
-# -- coverage and fallback --------------------------------------------------
+# -- compilation -------------------------------------------------------------
 
 
 class POpaque(PhysicalOperator):
@@ -197,84 +202,70 @@ class POpaque(PhysicalOperator):
     def __init__(self, child):
         self.children = (child,)
 
-    def _run(self, context=None):
-        yield from self.children[0].execute(context)
-
 
 class TestCoverage:
     def test_uncovered_operator_detected(self):
+        """An operator without a closure builder fails at compile time."""
         physical = compile_plan(BaseTuples([NestedTuple({"x": 1})]))
-        assert batch_covered(physical)
-        assert not batch_covered(POpaque(physical))
-        with pytest.raises(Exception):
+        with pytest.raises(TypeError, match="POpaque"):
             compile_batch(POpaque(physical))
 
-    def test_uncovered_plan_falls_back_whole_query(self):
-        db = make_db(executor="batch")
-        ctx = db.execution_context()
-        # a lowering override producing an operator outside the batch
-        # engine's coverage: the affected plan must run, whole, on the
-        # iterator path — counted, not crashed
-        ctx.registry[Scan] = lambda op, lower, _ctx: POpaque(
-            compile_plan(op, context=ExecutionContext())
-        )
-        result = db.query(
-            PERSON_QUERY, stats=True, physical=True, context=ctx
-        )
-        assert result.counters.get("executor.fallback", 0) >= 1
-        reference = make_db(executor="iter").query(
-            PERSON_QUERY, stats=True, physical=True
-        )
-        assert result_checksum(result) == result_checksum(reference)
+
+class TestCompile:
+    def test_run_compiles_when_not_given_a_closure(self):
+        base = BaseTuples([NestedTuple({"x": i}) for i in range(5)])
+        ctx = ExecutionContext()
+        plan = Select(base, Compare(Attr("x"), ">", Const(1)))
+        physical = compile_plan(plan)
+        tuples, metrics = ctx.run(physical, {})
+        assert [t["x"] for t in tuples] == [2, 3, 4]
+        assert metrics.root.rows_out == 3 and metrics.root.executions == 1
 
 
-# -- end-to-end equivalence and metrics exactness ---------------------------
+# -- logical vs physical equivalence and metrics exactness -------------------
 
 
 class TestExecutorEquivalence:
     @pytest.mark.parametrize("query", [PERSON_QUERY, ITEM_QUERY])
     def test_results_and_checksums_match(self, query):
-        batch = make_db(executor="batch").query(
-            query, stats=True, physical=True
-        )
-        iter_ = make_db(executor="iter").query(
-            query, stats=True, physical=True
-        )
-        assert batch.executor == "batch" and iter_.executor == "iter"
-        assert result_checksum(batch) == result_checksum(iter_)
-        assert [t.freeze() for t in batch.tuples] == [
-            t.freeze() for t in iter_.tuples
+        physical = make_db().query(query, stats=True, physical=True)
+        logical = make_db().query(query)
+        assert result_checksum(physical) == result_checksum(logical)
+        assert [t.freeze() for t in physical.tuples] == [
+            t.freeze() for t in logical.tuples
         ]
 
     def test_metrics_exact_under_batching(self):
-        batch = make_db(executor="batch").query(PERSON_QUERY, stats=True)
-        iter_ = make_db(executor="iter").query(PERSON_QUERY, stats=True)
-        assert len(batch.metrics) == len(iter_.metrics)
-        for batch_tree, iter_tree in zip(batch.metrics, iter_.metrics):
-            batch_nodes = list(batch_tree.walk())
-            iter_nodes = list(iter_tree.walk())
-            assert [n.label for n in batch_nodes] == [
-                n.label for n in iter_nodes
+        db = make_db()
+        first = db.query(PERSON_QUERY, stats=True)
+        second = db.query(PERSON_QUERY, stats=True)  # cached closures
+        assert len(first.metrics) == len(second.metrics) >= 1
+        for tree, again in zip(first.metrics, second.metrics):
+            nodes = list(tree.walk())
+            assert [n.label for n in nodes] == [
+                n.label for n in again.walk()
             ]
-            assert [n.rows_out for n in batch_nodes] == [
-                n.rows_out for n in iter_nodes
+            assert [n.rows_out for n in nodes] == [
+                n.rows_out for n in again.walk()
             ]
-            assert [n.executions for n in batch_nodes] == [
-                n.executions for n in iter_nodes
-            ]
-            assert batch_tree.root.elapsed > 0.0
+            # every operator ran exactly once, and the root's row count
+            # is what the query returned
+            assert all(n.executions == 1 for n in nodes)
+            assert tree.root.rows_out == len(first.tuples)
+            assert tree.root.elapsed > 0.0
 
     def test_fingerprint_identical_across_executors(self):
-        batch_db = make_db(executor="batch")
-        iter_db = make_db(executor="iter")
-        batch_prepared = batch_db.prepare(PERSON_QUERY)
-        iter_prepared = iter_db.prepare(PERSON_QUERY)
-        assert batch_prepared.fingerprint == iter_prepared.fingerprint
-        assert batch_prepared.plan_shape == iter_prepared.plan_shape
-        batch_result = batch_db.execute_prepared(batch_prepared, stats=True)
-        iter_result = iter_db.execute_prepared(iter_prepared, stats=True)
+        """The execution mode never changes the plan: preparation is
+        mode-free, and both modes report the prepared fingerprint."""
+        db = make_db()
+        prepared = db.prepare(PERSON_QUERY)
+        assert db.prepare(PERSON_QUERY).plan_shape == prepared.plan_shape
+        logical = db.execute_prepared(prepared)
+        physical = db.execute_prepared(prepared, physical=True, stats=True)
         assert (
-            batch_result.plan_fingerprint == iter_result.plan_fingerprint
+            logical.plan_fingerprint
+            == physical.plan_fingerprint
+            == prepared.fingerprint
         )
 
 
@@ -283,7 +274,7 @@ class TestExecutorEquivalence:
 
 class TestCompiledPlanCache:
     def test_miss_then_hit(self):
-        db = make_db(executor="batch")
+        db = make_db()
         prepared = db.prepare(PERSON_QUERY)
         first = db.execute_prepared(prepared, stats=True)
         assert first.counters.get("plan_compile.miss", 0) >= 1
@@ -294,7 +285,7 @@ class TestCompiledPlanCache:
         assert prepared.fingerprint in db.compiled_plans
 
     def test_artifact_shared_across_preparations(self):
-        db = make_db(executor="batch")
+        db = make_db()
         db.execute_prepared(db.prepare(PERSON_QUERY), stats=True)
         result = db.execute_prepared(db.prepare(PERSON_QUERY), stats=True)
         # identical catalog state → identical fingerprint → compiled
@@ -314,7 +305,7 @@ class TestCompiledPlanCache:
         ids=["view", "document", "statistics"],
     )
     def test_catalog_mutation_invalidates_artifact(self, mutate):
-        db = make_db(executor="batch")
+        db = make_db()
         db.execute_prepared(db.prepare(PERSON_QUERY), stats=True)
         assert len(db.compiled_plans) == 1
         version_before = db.catalog_version
@@ -325,7 +316,7 @@ class TestCompiledPlanCache:
         assert result.counters.get("plan_compile.miss", 0) >= 1
 
     def test_stale_execution_still_correct(self):
-        db = make_db(executor="batch")
+        db = make_db()
         prepared = db.prepare(PERSON_QUERY)
         before = db.execute_prepared(prepared, stats=True)
         db.override_statistic("scan.v_person", 123.0)
@@ -337,77 +328,22 @@ class TestCompiledPlanCache:
 
 
 class TestFallbackMaterialization:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_materialized_rows_counted(self, executor):
-        db = make_db(executor=executor)
-        result = db.query(CONSTRUCTOR_QUERY, stats=True)
+    @pytest.mark.parametrize("laps", LAPS)
+    def test_materialized_rows_counted(self, laps):
+        # the fallback keeps no inputs between executions: a run on the
+        # cached closures materializes (and counts) its rows afresh
+        result = run_laps(make_db(), CONSTRUCTOR_QUERY, laps, stats=True)
         assert result.counters.get("fallback.materialized_rows", 0) > 0
 
-    def test_same_context_does_not_rematerialize(self):
-        template = TemplateElement("r", [TemplateAttr("x")])
-        plan = XMLize(
-            BaseTuples([NestedTuple({"x": i}) for i in range(4)]), template
-        )
-        ctx = ExecutionContext()
-        physical = compile_plan(plan, context=ctx)
-        data = {}
-        ctx.run(physical, data)
-        first = ctx.counters.get("fallback.materialized_rows", 0)
-        assert first == 4
-        list(physical.execute(data))  # same live context: inputs reused
-        assert ctx.counters.get("fallback.materialized_rows", 0) == first
-
-
-# -- executor selection everywhere ------------------------------------------
-
-
-class TestExecutorSelection:
-    def test_resolve_default_is_batch(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        assert resolve_executor(None) == "batch"
-
-    def test_resolve_honours_environment(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "iter")
-        assert resolve_executor(None) == "iter"
-        assert Database(metrics=MetricsRegistry()).executor == "iter"
-        # an explicit argument wins over the environment
-        assert resolve_executor("batch") == "batch"
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_executor("warp")
-        with pytest.raises(ValueError):
-            Database(metrics=MetricsRegistry(), executor="warp")
-
-    def test_result_records_requested_executor(self):
-        db = make_db(executor="iter")
-        assert db.query(PERSON_QUERY, stats=True).executor == "iter"
-        db.executor = "batch"
-        assert db.query(PERSON_QUERY, stats=True).executor == "batch"
-
-    def test_qlog_record_carries_executor(self):
-        db = make_db(executor="batch")
-        result = db.query(PERSON_QUERY, stats=True)
-        record = build_record(PERSON_QUERY, result, 0.01, "ok")
-        assert record["executor"] == "batch"
-
-    def test_repl_executor_command(self, capsys):
-        db = make_db(views=False)
-        run_command(db, ".executor")
-        assert "batch" in capsys.readouterr().out
-        run_command(db, ".executor iter")
-        assert db.executor == "iter"
-        run_command(db, ".executor warp")
-        assert "unknown executor" in capsys.readouterr().out
-        assert db.executor == "iter"
-
-    def test_cli_executor_flag(self, tmp_path, capsys):
-        document = tmp_path / "doc.xml"
-        document.write_text("<a><b>1</b><b>2</b></a>")
-        for executor in EXECUTORS:
-            code = cli_main(
-                [str(document), "--query", "//a/b", "--executor", executor]
-            )
-            assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("<b>1</b>") == 2
+    def test_cached_plan_does_not_keep_query_context_alive(self):
+        """A compiled plan lives on in the plan caches after its query;
+        the fallback's materialized inputs (and, through them, the
+        query's execution context) must not."""
+        db = make_db()
+        ctx = db.execution_context()
+        watched = weakref.ref(ctx)
+        db.query(CONSTRUCTOR_QUERY, physical=True, stats=True, context=ctx)
+        assert len(db.compiled_plans) == 1
+        del ctx
+        gc.collect()
+        assert watched() is None

@@ -1,5 +1,6 @@
 """Tests for the physical engine: StackTree joins, hash join, Sort,
-compilation, and logical/physical agreement (§1.2.3)."""
+compilation, and agreement of the compiled batch closures with the
+logical operators (§1.2.3)."""
 
 import random
 
@@ -23,15 +24,16 @@ from repro.algebra import (
     ValueJoin,
 )
 from repro.engine import (
+    BPlusTree,
     PBase,
     PHashJoin,
     PSort,
     PStackTreeAnc,
     PStackTreeDesc,
     compile_plan,
-    execute,
 )
 from repro.xmldata import id_of, load
+from tests.conftest import run_physical, run_plan
 
 
 def sid_rows(doc, label, name):
@@ -53,7 +55,7 @@ def doc():
 
 def agreement(plan, context=None):
     logical = sorted(t.freeze() for t in plan.evaluate(context or {}))
-    physical = sorted(t.freeze() for t in execute(plan, context or {}))
+    physical = sorted(t.freeze() for t in run_plan(plan, context or {}))
     assert logical == physical
     return logical
 
@@ -81,7 +83,7 @@ class TestStackTree:
             "y.ID",
             "descendant",
         )
-        out = list(physical.execute({}))
+        out = run_physical(physical)
         descendant_ids = [t["y.ID"] for t in out]
         assert descendant_ids == sorted(descendant_ids)
 
@@ -95,7 +97,7 @@ class TestStackTree:
             kind="nj",
             nest_as="g",
         )
-        out = list(physical.execute({}))
+        out = run_physical(physical)
         ancestor_ids = [t["x.ID"] for t in out]
         assert ancestor_ids == sorted(ancestor_ids)
 
@@ -138,8 +140,8 @@ class TestStackTree:
         assert "PSort" not in with_order.pretty()
         without = compile_plan(plan)
         assert "PSort" in without.pretty()
-        assert sorted(t.freeze() for t in with_order.execute(context)) == sorted(
-            t.freeze() for t in without.execute(context)
+        assert sorted(t.freeze() for t in run_physical(with_order, context)) == sorted(
+            t.freeze() for t in run_physical(without, context)
         )
 
 
@@ -159,7 +161,7 @@ class TestDeweyJoins:
             axis="descendant",
         )
         logical = sorted(t.freeze() for t in plan.evaluate({}))
-        physical = sorted(t.freeze() for t in execute(plan, {}))
+        physical = sorted(t.freeze() for t in run_plan(plan, {}))
         assert logical == physical and logical
 
     def test_mixed_id_types_raise_clearly(self, doc):
@@ -201,14 +203,21 @@ class TestValueJoins:
         left = BaseTuples([NestedTuple({"x": None})])
         right = BaseTuples([NestedTuple({"y": None})])
         join = PHashJoin(PBase(left.tuples), PBase(right.tuples), "x", "y")
-        assert list(join.execute({})) == []
+        assert run_physical(join) == []
 
 
 class TestOtherOperators:
     def test_sort_by_btree(self):
         base = PBase([NestedTuple({"x": v}) for v in (3, 1, 2)])
-        out = list(PSort(base, "x").execute({}))
+        out = run_physical(PSort(base, "x"))
         assert [t["x"] for t in out] == [1, 2, 3]
+
+    def test_sort_reproduces_btree_duplicate_order(self):
+        rows = [NestedTuple({"x": v, "n": n}) for n, v in enumerate((2, 1, 2, 1, 2))]
+        tree = BPlusTree()
+        for t in rows:
+            tree.insert((t["x"],), t)
+        assert run_physical(PSort(PBase(rows), "x")) == list(tree.values_in_order())
 
     def test_select_project_union_difference_product_groupby(self):
         base = BaseTuples([NestedTuple({"x": v, "y": v % 2}) for v in range(6)])
@@ -243,7 +252,7 @@ class TestOtherOperators:
 
     def test_scan_missing_ok_compiles(self):
         plan = Scan("ghost", ["x"], missing_ok=True)
-        assert list(execute(plan, {})) == []
+        assert list(run_plan(plan, {})) == []
 
 
 # -- property test: StackTree vs nested loops over random trees -------------
@@ -281,30 +290,5 @@ def test_property_stacktree_matches_naive(source, anc_label, desc_label, axis, k
         nest_as="g",
     )
     logical = sorted(t.freeze() for t in plan.evaluate({}))
-    physical = sorted(t.freeze() for t in execute(plan, {}))
+    physical = sorted(t.freeze() for t in run_plan(plan, {}))
     assert logical == physical
-
-
-class TestLazyExecute:
-    """Module-level ``execute`` streams: callers that stop early never pay
-    for the full result (the eager ``list()`` was removed)."""
-
-    def test_returns_iterator_not_list(self):
-        rows = [NestedTuple({"x": i}) for i in range(3)]
-        result = execute(Scan("r", ["x"]), {"r": rows})
-        assert not isinstance(result, list)
-        assert iter(result) is result  # a true one-shot iterator
-        assert [t["x"] for t in result] == [0, 1, 2]
-
-    def test_early_stop_skips_remaining_work(self):
-        pulled = []
-
-        def counting_rows():
-            for i in range(1000):
-                pulled.append(i)
-                yield NestedTuple({"x": i})
-
-        result = execute(Scan("r", ["x"]), {"r": counting_rows()})
-        first = next(iter(result))
-        assert first["x"] == 0
-        assert len(pulled) <= 2, "execute must not materialize eagerly"

@@ -15,6 +15,7 @@ from repro.engine import (
     Tunables,
     compile_plan,
 )
+from repro.engine.batch import compile_batch
 from repro.engine.orderdesc import project_order
 from repro.workloads import generate_xmark
 from tests.conftest import AUCTION_XML
@@ -210,26 +211,13 @@ class TestLogicalFallbackMaterialization:
         assert child.executions == 1
         assert child.rows_out == 3
 
-    def test_reexecution_with_same_context_reuses_inputs(self):
-        ctx = ExecutionContext()
-        physical = compile_plan(self.fallback_plan(), context=ctx)
-        metrics = ctx.instrument(physical)
-        data = {}
-        first = list(physical.execute(data))
-        second = list(physical.execute(data))
-        assert first == second and len(first) == 3
-        (child,) = metrics.root.children
-        # the child subtree ran once; the second execution reused the
-        # materialized substitution
-        assert child.executions == 1
-
     def test_fresh_context_rematerializes(self):
         ctx = ExecutionContext()
         physical = compile_plan(self.fallback_plan(), context=ctx)
+        run = compile_batch(physical)
         metrics = ctx.instrument(physical)
         first, second = {}, {}  # two live context objects, distinct ids
-        list(physical.execute(first))
-        list(physical.execute(second))
+        assert len(run(first).tuples) == len(run(second).tuples) == 3
         (child,) = metrics.root.children
         assert child.executions == 2
 

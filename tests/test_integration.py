@@ -6,7 +6,7 @@ import pytest
 
 from repro import Database
 from repro.core import evaluate_pattern, is_equivalent, parse_pattern
-from repro.engine import Store, execute
+from repro.engine import Store
 from repro.storage import (
     Catalog,
     build_path_partitioned_store,
@@ -16,6 +16,7 @@ from repro.storage import (
 from repro.summary import build_enhanced_summary
 from repro.workloads import XMARK_QUERIES, generate_xmark
 from repro.xquery import collections_context, alg_path, parse_query
+from tests.conftest import run_plan
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ class TestStorageModelAgreement:
         plan = StructuralJoin(
             scan("tag_book", "b"), scan("tag_title", "t"), "b.ID", "t.ID", axis="child"
         )
-        return {t["t.ID"] for t in execute(plan, store.context(), store.scan_orders())}
+        return {t["t.ID"] for t in run_plan(plan, store.context(), store.scan_orders())}
 
     def answer_from_path_store(self, doc, summary):
         store, catalog = Store(), Catalog()

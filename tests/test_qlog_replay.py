@@ -497,6 +497,16 @@ class TestReplay:
         assert report.matches == 3 and report.skipped == 0
         assert "0 diff" in report.render()
 
+    def test_legacy_executor_field_replays_clean(self, tmp_path):
+        """Captures written when the engine was selectable stamp an
+        ``executor`` field on every record; replay ignores it."""
+        records = load_records(self.record_workload(tmp_path))
+        for record in records:
+            assert "executor" not in record
+            record["executor"] = "iter"
+        report = replay_records(make_xmark_db(), records)
+        assert report.ok and report.matches == 3
+
     def test_dropped_view_shows_as_fingerprint_diff(self, tmp_path):
         path = self.record_workload(tmp_path)
         replay_db = make_xmark_db()

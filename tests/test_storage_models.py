@@ -5,7 +5,7 @@ expected relations, registers describing XAMs, and the QEP-shape claims
 import pytest
 
 from repro.algebra import Scan, StructuralJoin, plan_shape
-from repro.engine import Store, execute
+from repro.engine import Store
 from repro.storage import (
     Catalog,
     build_content_store,
@@ -20,6 +20,7 @@ from repro.storage import (
     build_xrel_store,
     materialize_view,
 )
+from tests.conftest import run_plan
 
 
 @pytest.fixture()
@@ -228,7 +229,7 @@ class TestQEPShapes:
     def test_both_plans_execute(self, auction_doc, auction_summary):
         for builder in (self.qep_blob, self.qep_fragmented):
             plan, store = builder(auction_doc, auction_summary)
-            out = list(execute(plan, store.context(), store.scan_orders()))
+            out = run_plan(plan, store.context(), store.scan_orders())
             assert out  # the first item has listitems/keywords
 
 

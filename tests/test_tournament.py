@@ -4,7 +4,7 @@ pinned-plan layer it promotes into.
 Three concerns share this file because they share machinery:
 
 * the tournament itself — full candidate enumeration, checksum
-  validation against the recording under both executors, benchmark
+  validation against the recording in both execution modes, benchmark
   scoring, promotion, and the per-query audit trail;
 * the pinned-plan lifecycle — a pin bypasses cost-model ranking at
   prepare time, survives LRU cache pressure, is invalidated by every
@@ -12,7 +12,8 @@ Three concerns share this file because they share machinery:
   degrade plan *choice* but never answer correctness;
 * the standing differential sweep — every XMark and DBLP workload query
   has *all* of its S-equivalent candidates validated checksum-identical
-  under both executors (the satellite bug hunt; currently clean, and
+  in both execution modes — the recorded flags and a compiled physical
+  plan (the satellite bug hunt; currently clean, and
   this test keeps it that way).
 """
 
@@ -23,11 +24,7 @@ import pytest
 
 from repro import Database
 from repro.core.service import QueryService
-from repro.core.tournament import (
-    EXECUTORS,
-    run_tournament,
-    trimmed_mean,
-)
+from repro.core.tournament import run_tournament, trimmed_mean
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.plan_cache import PinnedChoice, PinnedPlan, PlanPinStore
 from repro.engine.qlog import (
@@ -40,11 +37,11 @@ from repro.workloads import DBLP_QUERIES, XMARK_QUERIES, generate_dblp, generate
 PERSON_QUERY = "for $p in //people/person return $p/name/text()"
 
 
-def make_db(xmark_doc, executor="batch"):
+def make_db(xmark_doc):
     """XMark database whose catalog supports both a single-view and a
     join access path for the person pattern: ``v_person`` answers it
     alone; ``v_person_ids`` ⨝ ``v_person_names`` reconstructs it."""
-    db = Database(metrics=MetricsRegistry(), executor=executor)
+    db = Database(metrics=MetricsRegistry())
     db.add_document(xmark_doc)
     db.add_view("v_person", "//people/person[id:s]{/name[id:s, val]}")
     db.add_view("v_person_ids", "//people/person[id:s]")
@@ -88,8 +85,8 @@ class TestTournament:
         for candidate in outcome.candidates:
             assert candidate.valid
             assert candidate.fingerprint
-            # recorded flags + one full physical run per executor
-            assert set(candidate.verdicts) == {"recorded", *EXECUTORS}
+            # recorded flags + one full physical run
+            assert set(candidate.verdicts) == {"recorded", "physical"}
             assert all(v == "ok" for v in candidate.verdicts.values())
             assert candidate.score is not None
         # audit trail: per-query directory + run-level summary and pins
@@ -419,8 +416,8 @@ class TestPinLifecycle:
 
 class TestDifferentialSweep:
     """Satellite bug hunt, kept standing: every workload query's *entire*
-    candidate set must validate checksum-identical to a recording under
-    both executors.  The sweep over the full XMark + DBLP workloads (plus
+    candidate set must validate checksum-identical to a recording in
+    both execution modes.  The sweep over the full XMark + DBLP workloads (plus
     random patterns and enriched catalogs) found zero divergences when
     the tournament landed; these compact versions keep the property."""
 

@@ -5,9 +5,9 @@ pattern evaluation and through the physical engine."""
 import pytest
 
 from repro.core import evaluate_pattern, pattern_from_path
-from repro.engine import execute
 from repro.xquery import alg_path, alg_query, collections_context, full_path, parse_query
 from repro.xmldata import load
+from tests.conftest import run_plan
 
 
 DOC = load(
@@ -100,7 +100,7 @@ class TestPhysicalExecution:
     def test_logical_physical_agreement(self, text):
         plan = alg_path(parse_query(text))
         logical = sorted(t.freeze() for t in plan.evaluate(CTX))
-        physical = sorted(t.freeze() for t in execute(plan, CTX))
+        physical = sorted(t.freeze() for t in run_plan(plan, CTX))
         assert logical == physical
 
 
