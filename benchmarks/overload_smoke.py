@@ -3,7 +3,7 @@
 
 The overload CI job runs this script to prove the admission-control spine
 (PR 8) degrades *predictably* — wrong answers are never an acceptable
-overload response.  Three phases:
+overload response.  Two phases:
 
 * ``--phase flood`` — 8 client threads hammer a 2-worker service with a
   queue capacity of 4 while every execution is slowed artificially.  The
@@ -18,14 +18,7 @@ overload response.  Three phases:
   limiter exists to walk down).  The checks: the fixed pool genuinely
   degrades (p99 well above unloaded), the limiter shrinks below the
   worker count, and the adaptive steady-state p99 is no worse than the
-  fixed pool's;
-
-* ``--phase hedge`` — a 4-shard scatter with one shard stalling its
-  first attempt per query.  The checks: hedged scatter cuts the
-  straggler p99 by >= 2x, the hedge genuinely fired and won, every
-  hedged answer's checksum equals the un-hedged answer, and a workload
-  captured under hedging replays diff-free against a clean, un-hedged
-  layout (winner-vs-loser identity).
+  fixed pool's.
 
 Usage::
 
@@ -38,16 +31,13 @@ Exit code 0 on success, 1 on any failed check.  Standard library only.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import threading
 import time
 
 from repro import Database, QueryService
-from repro.core.coordinator import ShardedDatabase
-from repro.core.replay import replay_records
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.qlog import QueryLog, result_checksum
+from repro.engine.qlog import result_checksum
 from repro.errors import QueryRejected
 from repro.workloads import generate_xmark
 
@@ -57,28 +47,15 @@ FLOOD_QUERIES = [
     "//regions//item/name/text()",
 ]
 
-#: view-answered with non-empty output — the hedged-scatter query
-VIEW_QUERY = "for $p in //people/person return <r>{ $p/name/text() }</r>"
-
 VIEWS = [
     ("v_person", "//people/person[id:s]{/name[id:s, val]}"),
     ("v_item", "//regions//item[id:s]{/name[id:s, val]}"),
 ]
 
 
-def build_database(shards: int = 0, **kwargs) -> Database:
-    if shards > 1:
-        db: Database = ShardedDatabase(
-            shards, metrics=MetricsRegistry(), **kwargs
-        )
-        corpus = [
-            generate_xmark(scale=1, seed=seed, name=f"xmark{seed}.xml")
-            for seed in range(3)
-        ]
-    else:
-        db = Database(metrics=MetricsRegistry())
-        corpus = [generate_xmark(scale=1, seed=0)]
-    db.add_documents(corpus)
+def build_database() -> Database:
+    db = Database(metrics=MetricsRegistry())
+    db.add_documents([generate_xmark(scale=1, seed=0)])
     for name, pattern in VIEWS:
         db.add_view(name, pattern)
     return db
@@ -88,11 +65,6 @@ def check(condition: bool, message: str, failures: list) -> None:
     print(("ok  " if condition else "FAIL") + f"  {message}")
     if not condition:
         failures.append(message)
-
-
-def counter_total(db, family: str) -> float:
-    series = db.metrics.snapshot().get(family, {}).get("series", [])
-    return sum(entry.get("value", 0.0) for entry in series)
 
 
 def percentile(samples: list, fraction: float) -> float:
@@ -289,114 +261,11 @@ def run_adaptive(failures: list) -> None:
     )
 
 
-# -- phase 3: hedge differential ----------------------------------------------
-
-
-class Straggler:
-    """The first attempt on shard 1 of every scatter stalls; a hedge
-    re-issue (same context, same shard) runs at full speed — the
-    tail-latency shape hedging exists to cut."""
-
-    def __init__(self, db, stall: float = 0.08):
-        self._original = db._shard_task
-        self.stall = stall
-        self._seen: set = set()
-        self._lock = threading.Lock()
-
-    def __call__(self, shard_index, resolution, decision, ctx):
-        if shard_index == 1:
-            key = (id(ctx), shard_index)
-            with self._lock:
-                first = key not in self._seen
-                self._seen.add(key)
-            if first:
-                time.sleep(self.stall)
-        return self._original(shard_index, resolution, decision, ctx)
-
-
-def run_hedge(qlog_path: str, failures: list) -> None:
-    print("== phase: hedge differential (4 shards, shard 1 straggles)")
-    rounds = 12
-
-    plain = build_database(4, fanout_workers=6)
-    plain.query(VIEW_QUERY)  # warm the plan path outside the measurement
-    plain._shard_task = Straggler(plain)
-    plain_latencies: list = []
-    plain_checksums: list = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        result = plain.query(VIEW_QUERY)
-        plain_latencies.append(time.perf_counter() - started)
-        plain_checksums.append(result_checksum(result))
-    plain.close()
-
-    for stale in (qlog_path, *(f"{qlog_path}.{n}" for n in range(1, 4))):
-        if os.path.exists(stale):
-            os.remove(stale)
-    qlog = QueryLog(qlog_path)
-    hedged = build_database(4, fanout_workers=6, hedge=True, hedge_delay=0.01)
-    hedged.query(VIEW_QUERY)
-    hedged._shard_task = Straggler(hedged)
-    hedged_latencies: list = []
-    hedged_checksums: list = []
-    with QueryService(hedged, cache_capacity=8, qlog=qlog) as svc:
-        for _ in range(rounds):
-            started = time.perf_counter()
-            result = svc.query(VIEW_QUERY, timeout=30)
-            hedged_latencies.append(time.perf_counter() - started)
-            hedged_checksums.append(result_checksum(result))
-        launched = counter_total(hedged, "hedge.launched")
-        wins = counter_total(hedged, "hedge.wins")
-    qlog.close()
-    hedged.close()
-
-    p99_plain = percentile(plain_latencies, 0.99)
-    p99_hedged = percentile(hedged_latencies, 0.99)
-    print(
-        f"--  straggler p99: {p99_plain * 1000:.1f}ms un-hedged vs "
-        f"{p99_hedged * 1000:.1f}ms hedged "
-        f"(launched={launched:g}, wins={wins:g})"
-    )
-    check(
-        launched >= 1 and wins >= 1,
-        "the hedge genuinely fired and won at least once",
-        failures,
-    )
-    check(
-        p99_plain >= 2.0 * p99_hedged,
-        f"hedging cut the straggler p99 >= 2x "
-        f"({p99_plain / p99_hedged:.1f}x)",
-        failures,
-    )
-    check(
-        set(hedged_checksums) == set(plain_checksums)
-        and len(set(hedged_checksums)) == 1,
-        "hedged and un-hedged answers share one identical checksum",
-        failures,
-    )
-
-    records = QueryLog.read_all(qlog_path)
-    clean = build_database(4)  # no hedge, no straggler
-    report = replay_records(clean, records)
-    print(f"--  {report.render()}")
-    check(
-        report.ok and report.matches == len(records) == rounds,
-        "the hedged capture replays diff-free against a clean layout "
-        f"({len(report.diffs)} diff(s))",
-        failures,
-    )
-    clean.close()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--phase", choices=("flood", "adaptive", "hedge", "all"),
+        "--phase", choices=("flood", "adaptive", "all"),
         default="all", help="which overload scenario to run (default all)",
-    )
-    parser.add_argument(
-        "--qlog", default="overload_hedge_workload.jsonl",
-        help="capture path for the hedge differential (CI uploads it)",
     )
     args = parser.parse_args(argv)
     failures: list = []
@@ -405,8 +274,6 @@ def main(argv=None) -> int:
         run_flood(failures)
     if args.phase in ("adaptive", "all"):
         run_adaptive(failures)
-    if args.phase in ("hedge", "all"):
-        run_hedge(args.qlog, failures)
 
     if failures:
         print(f"\n{len(failures)} check(s) failed", file=sys.stderr)

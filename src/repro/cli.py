@@ -247,21 +247,6 @@ def _admission_settings(args: argparse.Namespace) -> dict:
     }
 
 
-def _add_hedge_arguments(parser: argparse.ArgumentParser) -> None:
-    """Hedged-scatter knobs (only meaningful with --shards > 1)."""
-    parser.add_argument(
-        "--hedge", action="store_true",
-        help="with --shards: re-issue a straggler shard's subplan after "
-        "the hedge delay and take the first result (identical answers, "
-        "shorter tail); default honours $REPRO_HEDGE, else off",
-    )
-    parser.add_argument(
-        "--hedge-delay", type=float, default=None, metavar="SECONDS",
-        help="fixed hedge delay; default honours $REPRO_HEDGE_DELAY, "
-        "else derived from the recent per-shard latency p95",
-    )
-
-
 def _print_result(result) -> None:
     for item in result.xml:
         print(item)
@@ -432,31 +417,25 @@ def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="cluster mode: partition the documents across N store "
-        "partitions behind a scatter-gather coordinator (answers stay "
+        "partitions behind a scatter-gather coordinator that runs them "
+        "in sequence on the query's thread (answers stay "
         "bit-identical to the single store — same plan fingerprints, "
         "same result checksums); default honours $REPRO_SHARDS, else 1",
     )
 
 
 def _shard_database(
-    db: Database,
-    shards: int | None,
-    announce: bool = True,
-    hedge: bool | None = None,
-    hedge_delay: float | None = None,
+    db: Database, shards: int | None, announce: bool = True
 ) -> Database:
     """Re-house a loaded database behind a scatter-gather coordinator
-    when a shard count > 1 is requested (``--shards`` / $REPRO_SHARDS).
-    ``hedge``/``hedge_delay`` thread the hedged-scatter knobs through
-    (None honours $REPRO_HEDGE / $REPRO_HEDGE_DELAY)."""
+    when a shard count > 1 is requested (``--shards`` / $REPRO_SHARDS)."""
     count = resolve_shards(shards)
     if count <= 1:
         return db
-    sharded = db.shard(count, hedge=hedge, hedge_delay=hedge_delay)
+    sharded = db.shard(count)
     if announce:
         print(f"-- shards: {count} ({sharded.partitioner!r}, "
-              "scatter-gather coordinator"
-              + (", hedged scatter" if sharded.hedge else "") + ")")
+              "scatter-gather coordinator)")
     return sharded
 
 
@@ -578,7 +557,6 @@ def _serve_main(argv: list[str]) -> int:
     _add_profile_arguments(parser)
     _add_shards_argument(parser)
     _add_admission_arguments(parser)
-    _add_hedge_arguments(parser)
     args = parser.parse_args(argv)
 
     queries = _read_queries(args.queries)
@@ -595,11 +573,7 @@ def _serve_main(argv: list[str]) -> int:
     if args.chaos:
         db.fault_injector = FaultInjector(args.chaos, seed=args.chaos_seed)
         print(f"-- chaos: {db.fault_injector.render()} (seed {args.chaos_seed})")
-    db = _shard_database(
-        db, args.shards,
-        hedge=True if args.hedge else None,
-        hedge_delay=args.hedge_delay,
-    )
+    db = _shard_database(db, args.shards)
     slow_threshold = (
         args.slow_query_ms / 1000.0 if args.slow_query_ms is not None else None
     )
@@ -677,9 +651,6 @@ def _serve_main(argv: list[str]) -> int:
             if qlog is not None:
                 qlog.close()
                 print(f"-- query log: {qlog.written} record(s) -> {qlog.path}")
-            closer = getattr(db, "close", None)
-            if closer is not None:  # coordinator: stop the scatter pool
-                closer()
     if interrupted:
         return EXIT_INTERRUPT
     return EXIT_ERROR if failed else EXIT_OK
@@ -792,16 +763,11 @@ def _replay_main(argv: list[str]) -> int:
         "--json", action="store_true", help="emit the report as JSON"
     )
     _add_shards_argument(parser)
-    _add_hedge_arguments(parser)
     args = parser.parse_args(argv)
 
     records = QueryLog.read_all(args.qlog)
     db = _load_database(args.document, args.view, announce=False)
-    db = _shard_database(
-        db, args.shards, announce=not args.json,
-        hedge=True if args.hedge else None,
-        hedge_delay=args.hedge_delay,
-    )
+    db = _shard_database(db, args.shards, announce=not args.json)
     report = replay_records(db, records)
     if args.json:
         import json as _json

@@ -22,13 +22,15 @@ Architecture — *plan globally, execute locally, merge deterministically*:
   :class:`Database` (bulk-loaded via ``add_documents``, private metrics
   registry, its own breaker board) — the unit a future process-per-shard
   deployment would promote to a remote ``QueryService``;
-* execution scatters **per pattern, per document** on a bounded thread
-  pool: base-access patterns evaluate against each shard's documents;
+* execution scatters **per pattern, per document**, one shard after
+  another on the thread executing the query (the shards share one GIL:
+  a thread pool measured 0.77–1.09× at 2, 4 and 7 shards, so it bought
+  nothing): base-access patterns evaluate against each shard's documents;
   rewriting plans are decomposed by the plan splitter
   (:func:`repro.engine.shard.split_plan`) into a distributive subplan —
   run over per-document view segments on the shards — and a
   coordinator-side suffix (regrouping, duplicate elimination) applied to
-  the merged stream.  Each task returns ``(global document sequence,
+  the merged stream.  Each shard returns ``(global document sequence,
   tuples)`` runs, and the gather merges them respecting order
   descriptors — k-way heap merge when the relation is sorted,
   document-order concatenation otherwise — so the stitched
@@ -40,28 +42,22 @@ Architecture — *plan globally, execute locally, merge deterministically*:
   ``shard.fallback`` — degraded in efficiency, never in correctness.
 
 Partial results extend the degradation protocol of the breaker layer:
-when one shard's access modules are circuit-open, a shard task raises
-:class:`~repro.errors.AccessModuleUnavailable`, or a shard misses the
-scatter deadline, the coordinator drops that shard's runs, returns the
-survivors' rows with ``QueryResult.degraded`` set, and records a
-per-shard degradation event (``shard.degraded``).  Only when every shard
-holding documents fails does the query itself fail.
+when one shard's access modules are circuit-open (or a relation is
+missing from its partition), the shard raises
+:class:`~repro.errors.AccessModuleUnavailable`; the coordinator drops
+that shard's runs, returns the survivors' rows with
+``QueryResult.degraded`` set, and records a per-shard degradation event
+(``shard.degraded``).  Only when every shard holding documents fails
+does the query itself fail.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures import wait as futures_wait
 from typing import Iterable, Optional
 
 from ..algebra.operators import Scan
-from ..engine import faults
-from ..engine.admission import guard_exit, resolve_hedge, resolve_hedge_delay
 from ..engine.context import EXEC_CTX_KEY, ExecutionContext
 from ..engine.metrics import MetricsRegistry
 from ..engine.orderdesc import sort_key_for
@@ -108,24 +104,6 @@ def resolve_shards(value: "int | str | None") -> int:
     return count
 
 
-def _close_sharded_at_exit(db: "ShardedDatabase") -> None:
-    """Exit-guard hook (see :func:`~repro.engine.admission.guard_exit`):
-    unbound on purpose, so the guard never keeps the database alive."""
-    db.close()
-
-
-def _absorb(future: Future) -> None:
-    """Detach a losing hedge attempt: once it settles, retrieve its
-    exception (if any) so the failure of a task nobody is waiting on
-    never surfaces anywhere."""
-
-    def _drain(f: Future) -> None:
-        if not f.cancelled():
-            f.exception()
-
-    future.add_done_callback(_drain)
-
-
 class ShardedDatabase(Database):
     """A :class:`Database` whose documents live in N store partitions.
 
@@ -141,10 +119,6 @@ class ShardedDatabase(Database):
         partitioner: Optional[Partitioner] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: "object | None | bool" = True,
-        shard_timeout: Optional[float] = None,
-        fanout_workers: Optional[int] = None,
-        hedge: Optional[bool] = None,
-        hedge_delay: Optional[float] = None,
         profile: "bool | str | None" = None,
     ) -> None:
         super().__init__(metrics=metrics, tracer=tracer, profile=profile)
@@ -170,32 +144,7 @@ class ShardedDatabase(Database):
         #: relation name → {global document sequence → tuples}: the
         #: per-document view segments scattered rewriting plans read
         self._segments: dict[str, dict[int, list]] = {}
-        #: per-shard gather deadline in seconds (None = wait forever); a
-        #: shard missing it is dropped from the result (degraded partial)
-        self.shard_timeout = shard_timeout
-        #: hedged scatter (opt-in; ``$REPRO_HEDGE`` / ``--hedge``): when a
-        #: shard's primary task outlives the hedge delay, the same
-        #: idempotent subplan is re-issued and the first completion wins —
-        #: one straggler shard no longer pins every query to the scatter
-        #: deadline.  ``hedge_delay`` pins the delay; otherwise it is
-        #: derived from the recent per-shard latency p95.
-        self.hedge = resolve_hedge(hedge)
-        self.hedge_delay = resolve_hedge_delay(hedge_delay)
-        workers = fanout_workers or min(shard_count, (os.cpu_count() or 4))
-        if self.hedge and fanout_workers is None:
-            # a hedge re-issue must not queue behind the very straggler
-            # it is meant to outrun — keep headroom for one in flight
-            workers += 1
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-        #: recent shard-task latencies feeding the derived hedge delay
-        #: (deque appends are atomic — no lock on the hot path)
-        self._shard_latencies: deque[float] = deque(maxlen=128)
         self._register_shard_metrics()
-        # the scatter pool's threads are non-daemon: cancel queued tasks
-        # at interpreter exit so shutdown joins stay prompt
-        guard_exit(self, _close_sharded_at_exit)
 
     def _register_shard_metrics(self) -> None:
         self.metrics.counter(
@@ -211,11 +160,11 @@ class ShardedDatabase(Database):
         )
         self.metrics.counter(
             "shard.degraded",
-            "shards dropped from a scatter (breaker open / deadline missed)",
+            "shards dropped from a scatter (access module unavailable)",
         )
         self.metrics.counter(
             "shard.degraded.by_shard",
-            "scatter drops per shard (breaker open / deadline missed)",
+            "scatter drops per shard (access module unavailable)",
             ("shard",),
         )
         self.metrics.histogram(
@@ -223,22 +172,13 @@ class ShardedDatabase(Database):
         )
         self.metrics.gauge("shard.count", "store partitions behind this database")
         self.metrics.set_gauge("shard.count", float(self.shard_count))
-        self.metrics.counter(
-            "hedge.launched", "hedge subplans issued against straggler shards"
-        )
-        self.metrics.counter(
-            "hedge.wins", "scatters resolved by the hedge finishing first"
-        )
-        self.metrics.counter(
-            "hedge.primary_wins",
-            "scatters where the original shard task beat its hedge",
-        )
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the scatter pool (idempotent)."""
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        """A no-op: shards run on the query's own thread, so there is
+        nothing to release.  Kept so callers may hold a coordinator as a
+        context manager or close it like any other resource."""
 
     def __enter__(self) -> "ShardedDatabase":
         return self
@@ -319,13 +259,6 @@ class ShardedDatabase(Database):
                 prepared_unit, index, resolution, physical, ctx, events,
                 fingerprint=fingerprint,
             )
-        if ctx.profile:
-            # shard index → per-task {"cpu_ms", "wall_ms"} samples, filled
-            # by pool threads (thread CPU is per-thread, so shard work is
-            # invisible to the coordinator's attributed operator metrics —
-            # this side channel is how it gets accounted).  Reset per
-            # pattern: each merge span reports its own scatter only.
-            ctx.shard_profiles = {}
         with ctx.span(
             "shard.fanout", pattern=index, shards=self.shard_count
         ):
@@ -350,30 +283,8 @@ class ShardedDatabase(Database):
                             ctx,
                         )
                     )
-        with ctx.span("shard.merge", pattern=index, runs=len(runs)) as span:
+        with ctx.span("shard.merge", pattern=index, runs=len(runs)):
             ctx.bump("shard.merge", float(len(runs)))
-            profiles = getattr(ctx, "shard_profiles", None)
-            if profiles:
-                # aggregate the scatter's per-shard resource profile under
-                # the merge span: total shard CPU plus a per-shard
-                # breakdown, and a counter so results/registry see it too
-                total_cpu = sum(
-                    sample["cpu_ms"]
-                    for samples in profiles.values()
-                    for sample in samples
-                )
-                if span is not None:
-                    span.attributes["shard.cpu_ms"] = round(total_cpu, 3)
-                    span.attributes["shard.profile"] = {
-                        str(shard): {
-                            "tasks": len(samples),
-                            "cpu_ms": round(
-                                sum(s["cpu_ms"] for s in samples), 3
-                            ),
-                        }
-                        for shard, samples in sorted(profiles.items())
-                    }
-                ctx.bump("profiler.shard_cpu_ms", total_cpu)
             order = self._global_order(resolution, decision)
             if order is not None:
                 tuples = merge_sorted_runs(runs, sort_key_for(order))
@@ -435,143 +346,22 @@ class ShardedDatabase(Database):
         decision: ScatterPlan,
         ctx: ExecutionContext,
     ):
-        """Fan the pattern out across shards holding documents; gather
-        per-document runs under the shard deadline.  Returns
-        ``(runs, dropped)`` where ``dropped`` is a list of
-        ``(shard index, error)`` for shards serving degraded queries.
-        Transient faults and plan-execution errors propagate — the query
-        service owns retries, exactly as on the unsharded path."""
-        futures = {}
+        """Run the pattern on every shard holding documents, in shard
+        order, on the calling thread.  Returns ``(runs, dropped)`` where
+        ``dropped`` is a list of ``(shard index, error)`` for shards
+        serving degraded queries.  Transient faults and plan-execution
+        errors propagate — the query service owns retries, exactly as on
+        the unsharded path."""
+        runs: list = []
+        dropped: list = []
         for index, partition in enumerate(self._partitions):
             if not partition:
                 continue
-            futures[index] = self._pool.submit(
-                self._shard_task, index, resolution, decision, ctx
-            )
-        runs: list = []
-        dropped: list = []
-        deadline = (
-            time.monotonic() + self.shard_timeout
-            if self.shard_timeout is not None
-            else None
-        )
-        for index, future in futures.items():
-            remaining = (
-                None
-                if deadline is None
-                else max(deadline - time.monotonic(), 0.0)
-            )
             try:
-                shard_runs = self._await_shard(
-                    index, future, resolution, decision, ctx, remaining
-                )
-            except FutureTimeout:
-                future.cancel()
-                dropped.append(
-                    (
-                        index,
-                        AccessModuleUnavailable(
-                            f"shard {index} missed the "
-                            f"{self.shard_timeout:g}s scatter deadline"
-                        ),
-                    )
-                )
-                continue
+                runs.extend(self._shard_task(index, resolution, decision, ctx))
             except AccessModuleUnavailable as error:
                 dropped.append((index, error))
-                continue
-            runs.extend(shard_runs)
         return runs, dropped
-
-    # -- hedged scatter -------------------------------------------------------
-
-    def _hedge_delay_now(self) -> Optional[float]:
-        """The wait before a straggler shard's subplan is re-issued; None
-        disables hedging for this gather (feature off, or not enough
-        latency history yet to call anything a straggler)."""
-        if not self.hedge:
-            return None
-        if self.hedge_delay is not None:
-            return self.hedge_delay
-        samples = list(self._shard_latencies)
-        if len(samples) < 8:
-            return None
-        ordered = sorted(samples)
-        rank = math.ceil(0.95 * len(ordered))
-        p95 = ordered[min(len(ordered) - 1, max(0, rank - 1))]
-        # 2× the p95 with a 1ms floor: only genuine tail outliers hedge,
-        # and a microsecond-fast corpus never busy-loops re-issues
-        return max(0.001, 2.0 * p95)
-
-    def _await_shard(
-        self,
-        index: int,
-        primary: Future,
-        resolution: PatternResolution,
-        decision: ScatterPlan,
-        ctx: ExecutionContext,
-        remaining: Optional[float],
-    ) -> list:
-        """Gather one shard's runs, re-issuing the (idempotent,
-        deterministic) subplan after the hedge delay and taking whichever
-        task finishes first.  The loser is cancelled; both producing the
-        same runs is guaranteed by determinism, so hedging can change
-        *latency*, never answers.  Raises :class:`FutureTimeout` when the
-        scatter deadline (``remaining``) expires either way."""
-        delay = self._hedge_delay_now()
-        if delay is None or primary.done():
-            if remaining is None:
-                return primary.result()
-            return primary.result(timeout=remaining)
-        first_wait = delay if remaining is None else min(delay, remaining)
-        try:
-            return primary.result(timeout=first_wait)
-        except FutureTimeout:
-            if remaining is not None and first_wait >= remaining:
-                raise  # the deadline expired before the hedge could fire
-        hedge = self._pool.submit(
-            self._shard_task, index, resolution, decision, ctx
-        )
-        ctx.bump("hedge.launched")
-        ctx.event("hedge.fired", shard=index, delay=round(delay, 6))
-        race_deadline = (
-            None
-            if remaining is None
-            else time.monotonic() + (remaining - first_wait)
-        )
-        contenders: set[Future] = {primary, hedge}
-        errors: list[BaseException] = []
-        while contenders:
-            timeout = (
-                None
-                if race_deadline is None
-                else max(0.0, race_deadline - time.monotonic())
-            )
-            done, contenders = futures_wait(
-                contenders, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                hedge.cancel()
-                _absorb(hedge)
-                raise FutureTimeout()
-            for future in done:
-                try:
-                    runs = future.result()
-                except Exception as error:
-                    errors.append(error)
-                    continue
-                loser = hedge if future is primary else primary
-                loser.cancel()
-                _absorb(loser)
-                winner = "primary" if future is primary else "hedge"
-                ctx.bump(
-                    "hedge.primary_wins" if future is primary else "hedge.wins"
-                )
-                ctx.event("hedge.resolved", shard=index, winner=winner)
-                return runs
-        # both attempts failed: surface the first failure observed (both
-        # raced the same shard state, so they are typically identical)
-        raise errors[0]
 
     def _shard_task(
         self,
@@ -580,48 +370,46 @@ class ShardedDatabase(Database):
         decision: ScatterPlan,
         ctx: ExecutionContext,
     ) -> list:
-        """One shard's slice of a scattered pattern, run on a pool
-        thread: evaluate the distributive subplan per document, in its
-        own fault-injection scope (scopes are thread-local — the
-        coordinator's does not reach here), against the shard's breaker
-        board."""
+        """One shard's slice of a scattered pattern: evaluate the
+        distributive subplan per document against the shard's breaker
+        board.  It runs inside the coordinator's fault scope and its
+        attributed operator windows, so faults and CPU land on the
+        query like any other pattern's."""
         shard = self.shards[shard_index]
+        partition = self._partitions[shard_index]
         start = time.perf_counter()
-        cpu_start = time.thread_time_ns() if ctx.profile else 0
         try:
-            with faults.scope(ctx.fault_injector, ctx):
-                runs: list = []
-                rewriting = resolution.rewriting
-                if rewriting is None:
-                    for seq, doc in self._partitions[shard_index]:
-                        runs.append(
-                            (seq, evaluate_pattern(resolution.pattern, doc))
-                        )
-                    return runs
-                for name in rewriting.views:
-                    if not shard.breakers.allows(name):
-                        raise AccessModuleUnavailable(
-                            f"shard {shard_index}: access module {name!r} "
-                            "is circuit-open",
-                            xam=name,
-                        )
-                try:
-                    for seq, _doc in self._partitions[shard_index]:
-                        context = self._segment_context(seq, ctx)
-                        runs.append(
-                            (seq, decision.scatter_root.evaluate(context))
-                        )
-                except ReproError:
-                    raise
-                except KeyError as error:
+            rewriting = resolution.rewriting
+            if rewriting is None:
+                return [
+                    (seq, evaluate_pattern(resolution.pattern, doc))
+                    for seq, doc in partition
+                ]
+            for name in rewriting.views:
+                if not shard.breakers.allows(name):
                     raise AccessModuleUnavailable(
-                        f"shard {shard_index}: relation {error} missing "
-                        "from the partition",
-                        xam=rewriting.views[0] if rewriting.views else None,
-                    ) from error
-                for name in rewriting.views:
-                    shard.breakers.record_success(name)
-                return runs
+                        f"shard {shard_index}: access module {name!r} "
+                        "is circuit-open",
+                        xam=name,
+                    )
+            try:
+                runs = [
+                    (seq, decision.scatter_root.evaluate(
+                        self._segment_context(seq, ctx)
+                    ))
+                    for seq, _doc in partition
+                ]
+            except ReproError:
+                raise
+            except KeyError as error:
+                raise AccessModuleUnavailable(
+                    f"shard {shard_index}: relation {error} missing "
+                    "from the partition",
+                    xam=rewriting.views[0] if rewriting.views else None,
+                ) from error
+            for name in rewriting.views:
+                shard.breakers.record_success(name)
+            return runs
         except AccessModuleUnavailable as error:
             names = [error.xam] if error.xam else list(
                 resolution.rewriting.views if resolution.rewriting else ()
@@ -630,23 +418,11 @@ class ShardedDatabase(Database):
                 shard.breakers.record_failure(name, str(error))
             raise
         finally:
-            elapsed = time.perf_counter() - start
-            self._shard_latencies.append(elapsed)
             self.metrics.observe(
-                "shard.latency.seconds", elapsed, shard=str(shard_index)
+                "shard.latency.seconds",
+                time.perf_counter() - start,
+                shard=str(shard_index),
             )
-            if ctx.profile:
-                # per-thread CPU is valid here: the task ran wholly on
-                # this pool thread.  setdefault/append are GIL-atomic.
-                profiles = getattr(ctx, "shard_profiles", None)
-                if profiles is not None:
-                    profiles.setdefault(shard_index, []).append(
-                        {
-                            "cpu_ms": (time.thread_time_ns() - cpu_start)
-                            / 1e6,
-                            "wall_ms": elapsed * 1000,
-                        }
-                    )
 
     def _segment_context(self, seq: int, ctx: ExecutionContext) -> FaultCheckedContext:
         """The evaluation context of one document's slice of every view:

@@ -554,16 +554,6 @@ class QueryService:
             "(faulting module force-opened, query rerouted immediately)",
         )
         registry.counter(
-            "hedge.launched", "hedge subplans issued against straggler shards"
-        )
-        registry.counter(
-            "hedge.wins", "scatters resolved by the hedge finishing first"
-        )
-        registry.counter(
-            "hedge.primary_wins",
-            "scatters where the original shard task beat its hedge",
-        )
-        registry.counter(
             "profiler.samples", "stack samples aggregated by the sampler"
         )
         registry.counter(
@@ -572,10 +562,6 @@ class QueryService:
         )
         registry.counter(
             "profiler.queries", "attributed query profiles recorded"
-        )
-        registry.counter(
-            "profiler.shard_cpu_ms",
-            "shard-task CPU milliseconds attributed under merge spans",
         )
 
     def _register_admission_collector(self) -> None:

@@ -524,9 +524,8 @@ class Database:
         fingerprints stay byte-identical to this database's — replaying a
         workload recorded here against the sharded layout must diff
         clean, which is the physical-data-independence test the sharded
-        CI lane runs.  Keyword arguments (``partitioner``,
-        ``shard_timeout``, ``fanout_workers``) pass through to the
-        coordinator.
+        CI lane runs.  Keyword arguments (``partitioner``) pass through
+        to the coordinator.
         """
         from .coordinator import ShardedDatabase
 

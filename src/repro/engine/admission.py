@@ -41,8 +41,8 @@ Four primitives, composed by :class:`~repro.core.service.QueryService`:
   could tear a query log mid-write.
 
 Everything is standard library and engine-layer only (no core imports),
-and every knob resolves through an environment variable so ``serve`` and
-``replay`` deployments can be tuned without code changes.
+and every knob resolves through an environment variable so ``serve``
+deployments can be tuned without code changes.
 """
 
 from __future__ import annotations
@@ -66,14 +66,10 @@ __all__ = [
     "resolve_queue_capacity",
     "resolve_adaptive_limit",
     "resolve_retry_budget",
-    "resolve_hedge",
-    "resolve_hedge_delay",
     "QUEUE_CAPACITY_ENV_VAR",
     "ADAPTIVE_LIMIT_ENV_VAR",
     "RETRY_BUDGET_ENV_VAR",
     "RETRY_REFILL_ENV_VAR",
-    "HEDGE_ENV_VAR",
-    "HEDGE_DELAY_ENV_VAR",
     "PRIORITIES",
 ]
 
@@ -86,8 +82,6 @@ QUEUE_CAPACITY_ENV_VAR = "REPRO_QUEUE_CAPACITY"
 ADAPTIVE_LIMIT_ENV_VAR = "REPRO_ADAPTIVE_LIMIT"
 RETRY_BUDGET_ENV_VAR = "REPRO_RETRY_BUDGET"
 RETRY_REFILL_ENV_VAR = "REPRO_RETRY_REFILL"
-HEDGE_ENV_VAR = "REPRO_HEDGE"
-HEDGE_DELAY_ENV_VAR = "REPRO_HEDGE_DELAY"
 
 
 def resolve_queue_capacity(value: Optional[int], max_workers: int) -> int:
@@ -131,28 +125,6 @@ def resolve_retry_budget(
     if refill < 0:
         raise ValueError(f"retry budget refill must be >= 0, got {refill}")
     return float(capacity), float(refill)
-
-
-def resolve_hedge(value: Optional[bool]) -> bool:
-    """Whether hedged shard scatter is on (``None`` → ``$REPRO_HEDGE`` →
-    off — hedging re-issues work, so it is opt-in)."""
-    if value is not None:
-        return bool(value)
-    env = os.environ.get(HEDGE_ENV_VAR)
-    if env is None or env == "":
-        return False
-    return env.lower() not in ("0", "false", "no", "off")
-
-
-def resolve_hedge_delay(value: "float | None") -> Optional[float]:
-    """Explicit hedge delay in seconds (``None`` → ``$REPRO_HEDGE_DELAY``
-    → None, meaning latency-percentile-derived)."""
-    if value is None:
-        env = os.environ.get(HEDGE_DELAY_ENV_VAR)
-        value = float(env) if env else None
-    if value is not None and value < 0:
-        raise ValueError(f"hedge delay must be >= 0, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------

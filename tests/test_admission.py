@@ -12,8 +12,6 @@ from repro.engine.admission import (
     AdmissionController,
     TokenBucket,
     resolve_adaptive_limit,
-    resolve_hedge,
-    resolve_hedge_delay,
     resolve_queue_capacity,
     resolve_retry_budget,
 )
@@ -259,17 +257,3 @@ class TestEnvResolvers:
             resolve_retry_budget(0, None)
         with pytest.raises(ValueError):
             resolve_retry_budget(None, -1)
-
-    def test_hedge(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HEDGE", raising=False)
-        monkeypatch.delenv("REPRO_HEDGE_DELAY", raising=False)
-        assert resolve_hedge(None) is False  # opt-in
-        assert resolve_hedge(True) is True
-        monkeypatch.setenv("REPRO_HEDGE", "1")
-        assert resolve_hedge(None) is True
-        assert resolve_hedge_delay(None) is None
-        monkeypatch.setenv("REPRO_HEDGE_DELAY", "0.02")
-        assert resolve_hedge_delay(None) == pytest.approx(0.02)
-        assert resolve_hedge_delay(0.5) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            resolve_hedge_delay(-1.0)

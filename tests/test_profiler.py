@@ -256,9 +256,20 @@ class TestAttributedProfiling:
 # ---------------------------------------------------------------------------
 
 
-def _battery_db():
-    db = Database(metrics=MetricsRegistry(), profile=True)
-    db.add_document(generate_xmark(scale=1, seed=0))
+def _battery_db(shards=0):
+    """One scale-1 XMark document, or three spread over ``shards``
+    partitions, with the battery's two views."""
+    if shards:
+        db = ShardedDatabase(shards, metrics=MetricsRegistry(), profile=True)
+        db.add_documents(
+            [
+                generate_xmark(scale=1, seed=seed, name=f"x{seed}.xml")
+                for seed in range(3)
+            ]
+        )
+    else:
+        db = Database(metrics=MetricsRegistry(), profile=True)
+        db.add_document(generate_xmark(scale=1, seed=0))
     db.add_view("v_person", "/people/person[id:s]{/name[id:s, val]}")
     db.add_view("v_item", "/regions/item[id:s]{/name[id:s, val]}")
     return db
@@ -281,12 +292,21 @@ class _CallClock:
 
 
 class TestAcceptanceCriteria:
-    @pytest.mark.parametrize("laps", LAPS)
-    def test_attributed_cpu_covers_the_battery(self, laps, monkeypatch):
+    @pytest.mark.parametrize(
+        "laps, shards",
+        [
+            pytest.param(1, 0, id="batch"),
+            pytest.param(2, 0, id="iter"),
+            pytest.param(1, 2, id="sharded"),
+        ],
+    )
+    def test_attributed_cpu_covers_the_battery(self, laps, shards, monkeypatch):
         """Aggregate attributed CPU across the XMark battery covers at
         least 90% of the CPU burned executing it, both read from one
-        injected call-counting clock around ``laps`` warm passes."""
-        db = _battery_db()
+        injected call-counting clock around ``laps`` warm passes — on one
+        store, and on two shards, whose work runs inside the
+        coordinator's attributed windows."""
+        db = _battery_db(shards)
         prepared = [db.prepare(query) for query in XMARK_QUERIES.values()]
         for plan in prepared:
             db.execute_prepared(plan, physical=True, stats=True)
@@ -458,7 +478,7 @@ class TestProfilerRing:
 
 
 # ---------------------------------------------------------------------------
-# surfaces: qlog records, slow-query stamping, shard aggregation
+# surfaces: qlog records, slow-query stamping
 # ---------------------------------------------------------------------------
 
 
@@ -499,42 +519,6 @@ class TestSlowQueryStamping:
         log.consider("q", 0.01, "ok", None)
         entry = log.entries()[-1]
         assert entry.plan_fingerprint == "" and entry.top_cpu == ()
-
-
-class TestShardProfileAggregation:
-    def test_merge_span_aggregates_shard_cpu(self):
-        single = Database(metrics=MetricsRegistry(), profile=True)
-        for seed in range(3):
-            single.add_document(
-                generate_xmark(scale=1, seed=seed, name=f"x{seed}.xml")
-            )
-        single.add_view("v_person", "/people/person[id:s]{/name[id:s, val]}")
-        with single.shard(2) as sharded:
-            assert isinstance(sharded, ShardedDatabase)
-            assert sharded.profile is True
-            result = sharded.query(PERSON_QUERY, physical=True, stats=True)
-            assert result.counters.get("shard.fanout", 0) > 0
-            assert "profiler.shard_cpu_ms" in result.counters
-            trace = sharded.tracer.get(result.trace_id)
-            merge_spans = [
-                span for span in trace.spans()
-                if span.name == "shard.merge"
-                and "shard.cpu_ms" in span.attributes
-            ]
-            assert merge_spans
-            breakdown = merge_spans[0].attributes["shard.profile"]
-            assert sum(s["tasks"] for s in breakdown.values()) >= 2
-
-    def test_unprofiled_scatter_carries_no_side_channel(self):
-        single = Database(metrics=MetricsRegistry())
-        for seed in range(2):
-            single.add_document(
-                generate_xmark(scale=1, seed=seed, name=f"x{seed}.xml")
-            )
-        single.add_view("v_person", "/people/person[id:s]{/name[id:s, val]}")
-        with single.shard(2) as sharded:
-            result = sharded.query(PERSON_QUERY)
-            assert "profiler.shard_cpu_ms" not in result.counters
 
 
 # ---------------------------------------------------------------------------

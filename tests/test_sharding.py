@@ -9,6 +9,8 @@ results degradation protocol, and (via Hypothesis) *random*
 partitionings of the corpus.
 """
 
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from repro.core.coordinator import (
 )
 from repro.core.replay import replay_records
 from repro.core.rewrite import Regroup
+from repro.engine.faults import FaultInjector
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.qlog import QueryLog, result_checksum
 from repro.engine.shard import (
@@ -35,7 +38,7 @@ from repro.engine.shard import (
     merge_sorted_runs,
     split_plan,
 )
-from repro.errors import AccessModuleUnavailable
+from repro.errors import AccessModuleUnavailable, ReproError
 from repro.xmldata import load
 
 
@@ -314,38 +317,6 @@ class TestPartialDegradation:
             with pytest.raises(AccessModuleUnavailable):
                 sharded.query(self.VIEW_QUERY)
 
-    def test_missed_deadline_drops_the_slow_shard(self, monkeypatch):
-        import time as time_module
-
-        with build_db(3, shard_timeout=0.05) as sharded:
-            original = sharded._shard_task
-
-            def task(shard_index, *args, **kwargs):
-                if shard_index == 1:
-                    time_module.sleep(0.5)
-                return original(shard_index, *args, **kwargs)
-
-            monkeypatch.setattr(sharded, "_shard_task", task)
-            result = sharded.query(self.VIEW_QUERY)
-            assert result.degraded
-            assert any(
-                "deadline" in event for event in result.degradation_events
-            )
-
-    def test_zero_deadline_with_all_shards_slow_fails(self, monkeypatch):
-        import time as time_module
-
-        with build_db(2, shard_timeout=0.01) as sharded:
-            original = sharded._shard_task
-
-            def task(*args, **kwargs):
-                time_module.sleep(0.5)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(sharded, "_shard_task", task)
-            with pytest.raises(AccessModuleUnavailable, match="deadline"):
-                sharded.query(self.VIEW_QUERY)
-
     def test_health_reports_every_shard(self):
         with build_db(3) as sharded:
             sharded.shards[2].breakers.force_open("v_names")
@@ -360,64 +331,44 @@ class TestPartialDegradation:
             assert not shard.breakers.allows("v_names")
 
 
-# -- hedged scatter: winner-vs-loser identity ---------------------------------
+# -- shards run in sequence, on the query's own thread -----------------------
 
 
-class TestHedgedScatter:
-    def _counter(self, db, name):
-        snap = db.metrics.snapshot()
-        series = snap.get(name, {}).get("series", [])
-        return sum(entry["value"] for entry in series)
+class TestSequentialScatter:
+    def test_no_scatter_threads(self):
+        with build_db(4) as sharded:
+            sharded.query(BATTERY[2])
+            assert not [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-shard")
+            ]
 
-    def test_hedge_winner_matches_loser_identity(self, tmp_path, monkeypatch):
-        """Race a hedge against a stalled primary on every scatter, record
-        the winners, and replay the capture against a non-hedged layout:
-        whichever attempt won, fingerprints and checksums must be
-        identical — hedging may change latency, never answers."""
-        import threading
-        import time as time_module
+    def test_seeded_chaos_on_shards_is_reproducible(self):
+        """Shards draw from the query's fault injector one after another,
+        so a seeded chaos battery repeats exactly: the same answers, the
+        same typed errors and the same partial results on every run."""
 
-        path = str(tmp_path / "hedged.jsonl")
-        qlog = QueryLog(path)
-        with build_db(
-            4, fanout_workers=6, hedge=True, hedge_delay=0.01
-        ) as hedged:
-            original = hedged._shard_task
-            seen: set = set()
-            lock = threading.Lock()
-
-            def straggler(shard_index, resolution, decision, ctx):
-                # the first attempt on shard 1 of each scatter stalls;
-                # the hedge re-issue (same ctx, same shard) runs clean
-                stall = False
-                if shard_index == 1:
-                    key = (id(ctx), shard_index)
-                    with lock:
-                        if key not in seen:
-                            seen.add(key)
-                            stall = True
-                if stall:
-                    time_module.sleep(0.2)
-                return original(shard_index, resolution, decision, ctx)
-
-            monkeypatch.setattr(hedged, "_shard_task", straggler)
-            with QueryService(hedged, cache_capacity=8, qlog=qlog) as svc:
+        def run():
+            with build_db(4, tracer=None) as sharded:
+                sharded.fault_injector = FaultInjector(
+                    "relation.scan:transient:0.3", seed=7
+                )
+                outcomes = []
                 for query in BATTERY:
-                    svc.query(query, timeout=30)
-            assert self._counter(hedged, "hedge.launched") >= 1
-            assert self._counter(hedged, "hedge.wins") >= 1
-        qlog.close()
+                    try:
+                        result = sharded.query(query)
+                    except ReproError as error:
+                        outcomes.append(type(error).__name__)
+                    else:
+                        outcomes.append(
+                            (result_checksum(result), result.degradation_events)
+                        )
+                return outcomes, dict(sharded.fault_injector.injected)
 
-        records = QueryLog.read_all(path)
-        assert len(records) == len(BATTERY)
-        with build_db(4) as plain:  # same layout, no hedging
-            report = replay_records(plain, records)
-            assert report.ok and report.matches == len(records)
-
-    def test_hedge_disabled_by_default(self):
-        with build_db(2) as sharded:
-            assert sharded.hedge is False
-            assert sharded._hedge_delay_now() is None
+        first = run()
+        assert first[1], "the seeded spec never fired"
+        assert run() == first
 
 
 # -- capture / replay across layouts -----------------------------------------
