@@ -208,9 +208,8 @@ def _service_for(db: Database) -> QueryService:
 
 
 def _add_admission_arguments(parser: argparse.ArgumentParser) -> None:
-    """The overload-protection knobs, shared by ``serve`` and the shell
-    (env-var fallbacks: $REPRO_QUEUE_CAPACITY, $REPRO_ADAPTIVE_LIMIT,
-    $REPRO_RETRY_BUDGET, $REPRO_RETRY_REFILL)."""
+    """The overload-protection knob, shared by ``serve`` and the shell
+    (env-var fallback: $REPRO_QUEUE_CAPACITY)."""
     parser.add_argument(
         "--queue-capacity", type=int, default=None, metavar="N",
         help="bound the admission queue at N waiting queries; beyond it "
@@ -218,33 +217,6 @@ def _add_admission_arguments(parser: argparse.ArgumentParser) -> None:
         "retry-after hint) instead of timing out after consuming a slot; "
         "default honours $REPRO_QUEUE_CAPACITY, else max(64, 16*workers)",
     )
-    parser.add_argument(
-        "--no-adaptive-limit", action="store_true",
-        help="disable the AIMD concurrency limiter (fixed worker pool); "
-        "default honours $REPRO_ADAPTIVE_LIMIT, else enabled",
-    )
-    parser.add_argument(
-        "--retry-budget", type=float, default=None, metavar="TOKENS",
-        help="capacity of the service-wide retry token bucket (per-query "
-        "retries spend from it; empty bucket converts retries into an "
-        "immediate degraded fallback); default honours "
-        "$REPRO_RETRY_BUDGET, else 256",
-    )
-    parser.add_argument(
-        "--retry-budget-refill", type=float, default=None, metavar="PER_SEC",
-        help="retry-budget refill rate in tokens/second; default honours "
-        "$REPRO_RETRY_REFILL, else 64",
-    )
-
-
-def _admission_settings(args: argparse.Namespace) -> dict:
-    """Service constructor kwargs from parsed admission arguments."""
-    return {
-        "queue_capacity": args.queue_capacity,
-        "adaptive_limit": False if args.no_adaptive_limit else None,
-        "retry_budget": args.retry_budget,
-        "retry_budget_refill": args.retry_budget_refill,
-    }
 
 
 def _print_result(result) -> None:
@@ -588,7 +560,7 @@ def _serve_main(argv: list[str]) -> int:
         slow_query_threshold=slow_threshold,
         qlog=qlog,  # None → the service honours $REPRO_QLOG itself
         sample_hz=args.sample_hz,
-        **_admission_settings(args),
+        queue_capacity=args.queue_capacity,
     ) as service:
         observer = None
         if args.metrics_port is not None:
@@ -1068,7 +1040,7 @@ def main(argv: list[str] | None = None) -> int:
     # its constructor knobs now so the first query picks them up
     _SERVICE_SETTINGS[db] = {
         "max_workers": args.workers,
-        **_admission_settings(args),
+        "queue_capacity": args.queue_capacity,
     }
 
     if args.query:

@@ -50,13 +50,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..engine.admission import (
-    AdaptiveConcurrencyLimiter,
     AdmissionController,
-    TokenBucket,
     guard_exit,
-    resolve_adaptive_limit,
     resolve_queue_capacity,
-    resolve_retry_budget,
 )
 from ..engine.context import ExecutionContext
 from ..engine.metrics import MetricsRegistry, register_process_collector
@@ -110,7 +106,9 @@ class RetryPolicy:
     ``base_delay * multiplier**(retry-1)`` (capped at ``max_delay``)
     scaled by a random factor in ``[1, 1+jitter]`` between attempts.
     Retries never cross the query's deadline: if the next sleep would
-    overshoot it, the fault propagates instead.
+    overshoot it, the fault propagates instead.  A retrying query sleeps
+    inside its worker thread, so the fixed pool also caps how many
+    queries retry at once at ``max_workers``.
     """
 
     max_attempts: int = 3
@@ -304,18 +302,12 @@ class QueryService:
         sentinel_config: Optional[SentinelConfig] = None,
         auto_refresh_statistics: bool = True,
         queue_capacity: Optional[int] = None,
-        adaptive_limit: Optional[bool] = None,
-        min_workers: int = 1,
-        target_latency: Optional[float] = None,
-        retry_budget: Optional[float] = None,
-        retry_budget_refill: Optional[float] = None,
         background_share: float = 0.5,
         profiler: "Profiler | None | bool" = None,
         sample_hz: Optional[float] = None,
     ):
         self.db = db
         self.cache = PlanCache(cache_capacity)
-        self.max_workers = max_workers
         self.default_timeout = default_timeout
         self.retry_policy = retry_policy or RetryPolicy()
         self._retry_rng = random.Random(retry_seed)
@@ -324,32 +316,13 @@ class QueryService:
             max_workers=max_workers, thread_name_prefix="repro-query"
         )
         #: the overload-protection spine (shed-before-timeout invariant):
-        #: a bounded admission queue in front of the pool, an AIMD
-        #: concurrency limiter inside it, and a shared retry budget
-        #: bounding PR 3's per-query retries.  Every clock is
-        #: ``ExecutionContext.clock`` so admission deadlines, queue waits
-        #: and query deadlines are all on the same timeline.
-        self.limiter: Optional[AdaptiveConcurrencyLimiter] = (
-            AdaptiveConcurrencyLimiter(
-                max_limit=max_workers,
-                min_limit=max(1, min(min_workers, max_workers)),
-                target_latency=target_latency,
-                clock=ExecutionContext.clock,
-            )
-            if resolve_adaptive_limit(adaptive_limit)
-            else None
-        )
+        #: one bounded admission queue in front of the fixed pool.  Its
+        #: clock is ``ExecutionContext.clock``, so admission deadlines,
+        #: queue waits and query deadlines are all on the same timeline.
         self.admission = AdmissionController(
             queue_capacity=resolve_queue_capacity(queue_capacity, max_workers),
-            limiter=self.limiter,
             background_share=background_share,
             clock=ExecutionContext.clock,
-        )
-        budget_capacity, budget_refill = resolve_retry_budget(
-            retry_budget, retry_budget_refill
-        )
-        self.retry_budget = TokenBucket(
-            budget_capacity, budget_refill, clock=ExecutionContext.clock
         )
         self._mutate_lock = threading.RLock()
         self._sessions: dict[str, QuerySession] = {}
@@ -490,21 +463,6 @@ class QueryService:
                 f"faults.injected.{kind}", f"injected {kind} faults (chaos mode)"
             )
         registry.counter(
-            "shard.fanout", "pattern scatters fanned out across shards"
-        )
-        registry.counter(
-            "shard.merge", "per-document result runs merged back together"
-        )
-        registry.counter(
-            "shard.fallback",
-            "patterns whose plan was not shard-distributive "
-            "(gathered re-execution against the full store)",
-        )
-        registry.counter(
-            "shard.degraded",
-            "shards dropped from a scatter (breaker open / deadline missed)",
-        )
-        registry.counter(
             "latency.samples_dropped",
             "latency ring-buffer samples overwritten before readout",
         )
@@ -542,18 +500,6 @@ class QueryService:
             "measured wait between admission and worker pickup",
         )
         registry.counter(
-            "retry_budget.spent", "retry-budget tokens spent on backoff retries"
-        )
-        registry.counter(
-            "retry_budget.exhausted",
-            "retries denied because the shared budget was empty",
-        )
-        registry.counter(
-            "retry_budget.degraded_fallbacks",
-            "budget-exhausted retries converted to degraded fallback "
-            "(faulting module force-opened, query rerouted immediately)",
-        )
-        registry.counter(
             "profiler.samples", "stack samples aggregated by the sampler"
         )
         registry.counter(
@@ -572,16 +518,7 @@ class QueryService:
             "admission.queue_depth", "admitted queries waiting for a worker"
         )
         registry.gauge(
-            "admission.limit", "current adaptive concurrency limit"
-        )
-        registry.gauge(
-            "admission.inflight", "queries holding a concurrency slot"
-        )
-        registry.gauge(
             "admission.ready", "readiness (1 = ready, 0 = sustained shed)"
-        )
-        registry.gauge(
-            "retry_budget.tokens", "retry-budget tokens currently available"
         )
 
         self_ref = weakref.ref(self)
@@ -592,17 +529,7 @@ class QueryService:
                 reg.unregister_collector(collect)
                 return
             reg.set_gauge("admission.queue_depth", service.admission.depth)
-            limiter = service.limiter
-            reg.set_gauge(
-                "admission.limit",
-                limiter.limit if limiter is not None else service.max_workers,
-            )
-            reg.set_gauge(
-                "admission.inflight",
-                limiter.inflight if limiter is not None else 0,
-            )
             reg.set_gauge("admission.ready", 1.0 if service.ready() else 0.0)
-            reg.set_gauge("retry_budget.tokens", service.retry_budget.tokens)
             reg.counter("admission.admitted").set_total(
                 service.admission.admitted
             )
@@ -719,50 +646,17 @@ class QueryService:
         queued_at: float,
         priority: str,
     ) -> QueryResult:
-        wait = self.admission.started(queued_at)
-        self.metrics.observe("admission.queue_wait.seconds", wait)
+        queue_wait = self.admission.started(queued_at)
+        self.metrics.observe("admission.queue_wait.seconds", queue_wait)
         # shed-before-timeout also applies *after* admission: a deadline
-        # that expired while the query sat queued (or while waiting for a
-        # shrunken limiter) must not burn an execution slot
+        # that expired while the query sat queued must not burn an
+        # execution slot
         if deadline is not None and ExecutionContext.clock() >= deadline:
             self.admission.note_shed()
             raise self._shed(
                 query, "queued_deadline", priority,
                 self.admission.wait_estimate, self.admission.depth,
             )
-        if self.limiter is not None:
-            slot_timeout = (
-                None
-                if deadline is None
-                else max(0.0, deadline - ExecutionContext.clock())
-            )
-            if not self.limiter.acquire(timeout=slot_timeout):
-                self.admission.note_shed()
-                raise self._shed(
-                    query, "limiter_deadline", priority,
-                    self.admission.wait_estimate, self.admission.depth,
-                )
-        try:
-            return self._execute_admitted(
-                query, prefer_views, physical, stats, session, pending,
-                deadline, wait, priority,
-            )
-        finally:
-            if self.limiter is not None:
-                self.limiter.release()
-
-    def _execute_admitted(
-        self,
-        query: str,
-        prefer_views: bool,
-        physical: bool,
-        stats: bool,
-        session: Optional[QuerySession],
-        pending: _PendingQuery,
-        deadline: Optional[float],
-        queue_wait: float,
-        priority: str,
-    ) -> QueryResult:
         started = ExecutionContext.clock()
         outcome = "error"
         result: Optional[QueryResult] = None
@@ -800,11 +694,6 @@ class QueryService:
                 self.latency.record(elapsed, outcome=outcome)
                 if session is not None:
                     session.latency.record(elapsed, outcome=outcome)
-                if self.limiter is not None:
-                    # execution latency (post-queue) drives AIMD: queue
-                    # wait is the symptom the limiter exists to shrink,
-                    # not a signal it should chase
-                    self.limiter.observe(elapsed)
             if self.qlog is not None:
                 self.qlog.record(
                     build_record(
@@ -877,7 +766,6 @@ class QueryService:
             stats = True
         prepared, key = self._lookup(query, prefer_views, physical, ctx)
         retries = 0
-        forced_open: set[str] = set()
         while True:
             try:
                 result = self.db.execute_prepared(
@@ -903,30 +791,6 @@ class QueryService:
                 ):
                     ctx.bump("retry.exhausted")
                     raise
-                if not self.retry_budget.try_spend():
-                    # the service-wide budget is empty: a fault storm is
-                    # in progress and backoff-retrying would amplify it.
-                    # Convert to an immediate degraded fallback — force
-                    # the faulting module's breaker open so re-execution
-                    # reroutes onto another access path right now,
-                    # without sleeping.
-                    ctx.bump("retry_budget.exhausted")
-                    xam = getattr(fault, "xam", None)
-                    if xam and xam not in forced_open:
-                        forced_open.add(xam)
-                        self.db.breakers.force_open(xam, str(fault))
-                        ctx.bump("retry_budget.degraded_fallbacks")
-                        ctx.event(
-                            "retry_budget.degraded_fallback",
-                            xam=xam,
-                            fault=type(fault).__name__,
-                        )
-                        continue
-                    # no module to route around (or already forced):
-                    # nothing cheaper than failing remains
-                    ctx.bump("retry.exhausted")
-                    raise
-                ctx.bump("retry_budget.spent")
                 with ctx.span(
                     "retry", attempt=retries, fault=type(fault).__name__
                 ):
@@ -955,12 +819,11 @@ class QueryService:
         sets the deadline transient-fault retries must not cross.
 
         Admission control runs *here*, synchronously: a query the bounded
-        queue cannot hold, whose remaining deadline cannot cover the
-        observed queue wait, or whose ``priority`` class
-        (``"background"`` is shed first) is being shed under degradation,
-        raises :class:`~repro.errors.QueryRejected` before any work is
-        enqueued — shed-before-timeout, never a slot burned on a
-        guaranteed-late answer."""
+        queue cannot hold (``"background"`` gets the smaller share of it,
+        so it is shed first) or whose remaining deadline cannot cover the
+        observed queue wait raises :class:`~repro.errors.QueryRejected`
+        before any work is enqueued — shed-before-timeout, never a slot
+        burned on a guaranteed-late answer."""
         if self._closed:
             raise RuntimeError("query service is shut down")
         deadline = (

@@ -112,18 +112,18 @@ class NoUsableAccessPath(ReproError):
 class QueryRejected(ReproError):
     """The admission controller shed this query instead of running it.
 
-    Raised *before* any work happens: the queue is full, the query's
-    remaining deadline cannot cover the observed queue wait (running it
-    would only burn a worker slot to produce a timeout), or the adaptive
-    limiter is degraded and the query's priority class is shed first.
-    Distinct from :class:`~repro.core.service.QueryTimeout` — a rejected
-    query consumed no capacity and is immediately safe to retry elsewhere
-    or after :attr:`retry_after` seconds.
+    Raised *before* any work happens: the queue (or, for ``background``
+    work, its smaller share of it) is full, the query's remaining deadline
+    cannot cover the observed queue wait (running it would only burn a
+    worker slot to produce a timeout), or the deadline expired while the
+    query sat queued.  Distinct from
+    :class:`~repro.core.service.QueryTimeout` — a rejected query consumed
+    no capacity and is immediately safe to retry elsewhere or after
+    :attr:`retry_after` seconds.
 
     ``reason`` is a stable machine-readable tag (``queue_full``,
-    ``deadline``, ``background_shed``, ``queued_deadline``,
-    ``limiter_deadline``); ``priority`` names the admission class the
-    query was submitted under.
+    ``deadline``, ``queued_deadline``); ``priority`` names the admission
+    class the query was submitted under.
     """
 
     def __init__(

@@ -1,20 +1,13 @@
-"""Unit tests of the overload-protection primitives: the retry token
-bucket, the AIMD concurrency limiter, the admission controller's
-shed/deadline/readiness protocol, and the env-var knob resolvers.
+"""Unit tests of the overload-protection primitives: the admission
+controller's shed/deadline/readiness protocol and the queue-capacity
+env-var resolver.
 
-Every class takes an injectable clock, so refill, deadline and readiness
+The controller takes an injectable clock, so deadline and readiness
 arithmetic is tested deterministically — no sleeps, no wall time."""
 
 import pytest
 
-from repro.engine.admission import (
-    AdaptiveConcurrencyLimiter,
-    AdmissionController,
-    TokenBucket,
-    resolve_adaptive_limit,
-    resolve_queue_capacity,
-    resolve_retry_budget,
-)
+from repro.engine.admission import AdmissionController, resolve_queue_capacity
 
 
 class FakeClock:
@@ -26,107 +19,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-class TestTokenBucket:
-    def test_spends_down_to_zero_then_denies(self):
-        clock = FakeClock()
-        bucket = TokenBucket(3, refill_per_second=0, clock=clock)
-        assert [bucket.try_spend() for _ in range(4)] == [
-            True, True, True, False,
-        ]
-        assert bucket.spent == 3 and bucket.denied == 1
-
-    def test_refills_continuously_and_caps_at_capacity(self):
-        clock = FakeClock()
-        bucket = TokenBucket(10, refill_per_second=2, clock=clock)
-        for _ in range(10):
-            assert bucket.try_spend()
-        assert not bucket.try_spend()
-        clock.advance(1.0)  # 2 tokens back
-        assert bucket.tokens == pytest.approx(2.0)
-        assert bucket.try_spend() and bucket.try_spend()
-        assert not bucket.try_spend()
-        clock.advance(1000.0)  # refill never overshoots capacity
-        assert bucket.tokens == pytest.approx(10.0)
-
-    def test_render_and_validation(self):
-        clock = FakeClock()
-        bucket = TokenBucket(4, 1, clock=clock)
-        assert "tokens=4.0/4" in bucket.render()
-        with pytest.raises(ValueError):
-            TokenBucket(0, 1)
-
-
-class TestAdaptiveConcurrencyLimiter:
-    def make(self, **kwargs):
-        clock = FakeClock()
-        defaults = dict(
-            max_limit=8, window=4, target_latency=0.010, clock=clock
-        )
-        defaults.update(kwargs)
-        return AdaptiveConcurrencyLimiter(**defaults), clock
-
-    def test_degraded_window_shrinks_multiplicatively(self):
-        limiter, _ = self.make()
-        assert limiter.limit == 8 and not limiter.degraded
-        for _ in range(4):  # p99 = 50ms >> 2 * 10ms target
-            limiter.observe(0.050)
-        assert limiter.limit == 4 and limiter.degraded
-        assert limiter.decreases == 1
-        for _ in range(4):
-            limiter.observe(0.050)
-        assert limiter.limit == 2
-
-    def test_healthy_windows_regrow_additively(self):
-        limiter, _ = self.make()
-        for _ in range(8):
-            limiter.observe(0.050)
-        assert limiter.limit == 2
-        for _ in range(4):  # healthy window: p99 within 2x target
-            limiter.observe(0.005)
-        assert limiter.limit == 3
-        for _ in range(5 * 4):
-            limiter.observe(0.005)
-        assert limiter.limit == 8  # recovered, capped at max
-        assert not limiter.degraded
-
-    def test_never_leaves_min_max_bounds(self):
-        limiter, _ = self.make(min_limit=2)
-        for _ in range(100):
-            limiter.observe(1.0)
-        assert limiter.limit == 2
-
-    def test_learned_baseline_without_target(self):
-        limiter, _ = self.make(target_latency=None)
-        for _ in range(4):  # the best window seen becomes the baseline
-            limiter.observe(0.010)
-        assert limiter.limit == 8
-        for _ in range(4):  # 5x the learned baseline: degrade
-            limiter.observe(0.050)
-        assert limiter.limit == 4
-
-    def test_acquire_blocks_at_limit_and_times_out(self):
-        # the acquire timeout is measured on the limiter's clock, so this
-        # test needs the real monotonic clock, not the frozen fake
-        limiter = AdaptiveConcurrencyLimiter(
-            2, min_limit=1, window=4, target_latency=None
-        )
-        assert limiter.acquire() and limiter.acquire()
-        assert limiter.inflight == 2
-        assert not limiter.acquire(timeout=0.01)  # full: times out
-        limiter.release()
-        assert limiter.acquire(timeout=0.01)
-        for _ in range(2):
-            limiter.release()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveConcurrencyLimiter(0)
-        with pytest.raises(ValueError):
-            AdaptiveConcurrencyLimiter(2, min_limit=3)
-        with pytest.raises(ValueError):
-            AdaptiveConcurrencyLimiter(2, decrease_factor=1.5)
 
 
 class TestAdmissionController:
@@ -176,22 +68,6 @@ class TestAdmissionController:
         # interactive still has room up to the full capacity
         assert controller.try_admit("interactive").admitted
 
-    def test_background_shed_first_under_degraded_limiter(self):
-        clock = FakeClock()
-        limiter = AdaptiveConcurrencyLimiter(
-            4, window=2, target_latency=0.01, clock=clock
-        )
-        controller = AdmissionController(
-            queue_capacity=100, limiter=limiter, clock=clock
-        )
-        assert controller.try_admit("background").admitted
-        for _ in range(2):
-            limiter.observe(0.5)  # degrade
-        assert limiter.degraded
-        decision = controller.try_admit("background")
-        assert not decision.admitted and decision.reason == "background_shed"
-        assert controller.try_admit("interactive").admitted
-
     def test_cancelled_unwinds_depth(self):
         controller, _ = self.make()
         controller.try_admit()
@@ -237,23 +113,3 @@ class TestEnvResolvers:
         assert resolve_queue_capacity(None, 4) == 12
         with pytest.raises(ValueError):
             resolve_queue_capacity(0, 4)
-
-    def test_adaptive_limit(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ADAPTIVE_LIMIT", raising=False)
-        assert resolve_adaptive_limit(None) is True
-        assert resolve_adaptive_limit(False) is False
-        monkeypatch.setenv("REPRO_ADAPTIVE_LIMIT", "off")
-        assert resolve_adaptive_limit(None) is False
-        assert resolve_adaptive_limit(True) is True  # explicit wins
-
-    def test_retry_budget(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRY_BUDGET", raising=False)
-        monkeypatch.delenv("REPRO_RETRY_REFILL", raising=False)
-        assert resolve_retry_budget(None, None) == (256.0, 64.0)
-        monkeypatch.setenv("REPRO_RETRY_BUDGET", "8")
-        monkeypatch.setenv("REPRO_RETRY_REFILL", "0.5")
-        assert resolve_retry_budget(None, None) == (8.0, 0.5)
-        with pytest.raises(ValueError):
-            resolve_retry_budget(0, None)
-        with pytest.raises(ValueError):
-            resolve_retry_budget(None, -1)

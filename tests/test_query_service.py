@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import Database, QueryService
-from repro.core.service import QueryTimeout
+from repro.core.service import QueryTimeout, RetryPolicy
 from repro.core.uload import QueryCancelled
 from repro.errors import QueryRejected, TransientStorageFault
 from repro.workloads import generate_xmark
@@ -159,9 +159,9 @@ class TestTimeoutAndCancellation:
 
 class TestAdmissionControl:
     """Overload protection at the service boundary: bounded-queue sheds,
-    the queued-then-shed cancellation race, retry-budget exhaustion
-    converting to degraded fallback, and a cancellation landing while a
-    breaker is half-open (the probe must stay un-judged)."""
+    the queued-then-shed cancellation race, the retry bound, and a
+    cancellation landing while a breaker is half-open (the probe must
+    stay un-judged)."""
 
     def test_queue_full_sheds_with_typed_rejection(self, xmark_db):
         release = threading.Event()
@@ -218,32 +218,29 @@ class TestAdmissionControl:
             xmark_db.prepare = original
             svc.shutdown()
 
-    def test_retry_budget_exhaustion_degrades_immediately(self, xmark_db):
-        """With the service-wide retry budget empty, a transient fault is
-        not backoff-retried: the faulting module's breaker is forced open
-        and the query re-executes degraded, without sleeping."""
+    def test_retries_stop_at_max_attempts(self, xmark_db):
+        """The only bound on transient-fault retries is the policy's
+        ``max_attempts`` (and the deadline): a query that faults on every
+        execution runs exactly that many times, then raises; retrying
+        never touches the circuit breakers."""
         original = xmark_db.execute_prepared
         calls = {"count": 0}
 
-        def flaky(prepared, **kwargs):
+        def always_faulting(prepared, **kwargs):
             calls["count"] += 1
-            if calls["count"] == 1:
-                raise TransientStorageFault(
-                    "injected read fault", xam="v_person"
-                )
-            return original(prepared, **kwargs)
+            raise TransientStorageFault("injected read fault", xam="v_person")
 
-        xmark_db.execute_prepared = flaky
-        svc = QueryService(
-            xmark_db, max_workers=1, retry_budget=1, retry_budget_refill=0
-        )
+        xmark_db.execute_prepared = always_faulting
+        svc = QueryService(xmark_db, max_workers=1)
+        breakers_before = xmark_db.breakers.states()
+        exhausted_before = svc.metrics.counter_total("retry.exhausted")
         try:
-            assert svc.retry_budget.try_spend()  # drain the only token
-            result = svc.query(PERSON_QUERY, timeout=30)
-            assert calls["count"] == 2  # fault, then immediate re-run
-            assert result.counters["retry_budget.exhausted"] == 1.0
-            assert result.counters["retry_budget.degraded_fallbacks"] == 1.0
-            assert xmark_db.breakers.state("v_person") == "open"
+            with pytest.raises(TransientStorageFault):
+                svc.query(PERSON_QUERY, timeout=30)
+            assert calls["count"] == RetryPolicy().max_attempts
+            exhausted = svc.metrics.counter_total("retry.exhausted")
+            assert exhausted - exhausted_before == 1.0
+            assert xmark_db.breakers.states() == breakers_before
         finally:
             xmark_db.execute_prepared = original
             svc.shutdown()
@@ -280,23 +277,6 @@ class TestAdmissionControl:
         finally:
             xmark_db.prepare = original
             stop_set.set()
-            svc.shutdown()
-
-    def test_background_shed_before_interactive_when_degraded(self, xmark_db):
-        svc = QueryService(
-            xmark_db, max_workers=2, target_latency=0.001
-        )
-        try:
-            # feed the limiter a window of terrible latencies: degraded
-            for _ in range(svc.limiter.window):
-                svc.limiter.observe(1.0)
-            assert svc.limiter.degraded
-            with pytest.raises(QueryRejected) as rejection:
-                svc.query(PERSON_QUERY, priority="background", timeout=30)
-            assert rejection.value.reason == "background_shed"
-            interactive = svc.query(PERSON_QUERY, timeout=30)
-            assert interactive.values
-        finally:
             svc.shutdown()
 
 

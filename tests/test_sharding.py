@@ -434,6 +434,16 @@ class TestConfiguration:
             gauge = snap["shard.count"]["series"][0]["value"]
             assert gauge == 2.0
 
+    def test_unsharded_service_exports_no_shard_families(self):
+        """The coordinator alone owns the ``shard.*`` families: a service
+        over a plain database never registers them."""
+        db = Database(metrics=MetricsRegistry())
+        db.add_documents(corpus())
+        with QueryService(db, max_workers=1) as service:
+            service.query(BATTERY[0])
+            families = service.metrics.snapshot()
+        assert not [name for name in families if name.startswith("shard.")]
+
     def test_serve_cli_accepts_shards(self, tmp_path, capsys):
         from repro.cli import main
 
