@@ -10,7 +10,12 @@ replay loop is deterministic end to end:
    executions of every plan.  Each query is recorded under the default
    flags (the logical algebra) *and* with ``physical=True`` (the
    compiled batch plan), and every record of a query must carry the same
-   result checksum — the lane is *cross-mode*;
+   result checksum — the lane is *cross-mode*.  Between the
+   passes, views come and go through the service: ``v_tmp``, which no
+   battery query can use, and a twin of ``v_item``, which some can.  The
+   catalog ends as it began, so the cached plans must be revalidated
+   (``plan_cache.revalidated`` > 0 — the step cannot pass vacuously)
+   and replay exactly as a fresh preparation would;
 2. **replay** — a *fresh* database (same document generator, same seed,
    same views) re-runs the capture, each record under its recorded
    flags; any plan-fingerprint or result-checksum diff fails the job.
@@ -49,6 +54,13 @@ from repro.workloads import XMARK_QUERIES, generate_xmark
 #: the execution modes every query is recorded under: the logical
 #: algebra (default flags) and the compiled physical plan
 MODES = ({}, {"physical": True})
+
+#: views added and dropped between the record passes: one no battery query
+#: can use, and one S-equivalent to ``v_item`` that several can
+MUTATIONS = (
+    ("v_tmp", "//location[id:s, val]"),
+    ("v_item_twin", "//regions//item[id:s]{/name[id:s, val]}"),
+)
 
 
 def build_database() -> Database:
@@ -100,13 +112,24 @@ def main(argv=None) -> int:
     qlog = QueryLog(args.qlog)
     record_db = build_database()
     with QueryService(record_db, cache_capacity=64, qlog=qlog) as service:
-        for _ in range(args.rounds):
+        for round_number in range(args.rounds):
+            if round_number:
+                for name, text in MUTATIONS:
+                    service.add_view(name, text)
+                    service.drop_view(name)
             for query in XMARK_QUERIES.values():
                 for flags in MODES:
                     service.query(query, **flags)
         check(
             service.sentinel.plan_flips == 0,
             "no plan flips while recording against stable state",
+            failures,
+        )
+        revalidated = service.cache_stats().revalidated
+        check(
+            args.rounds < 2 or revalidated > 0,
+            f"cached plans outlived the view mutations ({revalidated} "
+            "revalidated)",
             failures,
         )
     qlog.close()

@@ -69,6 +69,8 @@ __all__ = [
     "Rewriting",
     "SearchStats",
     "rewrite_pattern",
+    "relevant_views",
+    "view_is_relevant",
     "DeepRename",
     "Regroup",
     "SatisfiesFormula",
@@ -356,6 +358,7 @@ def rewrite_pattern(
     max_results: Optional[int] = 10,
     max_union: int = 3,
     stats: Optional[SearchStats] = None,
+    relevant: Optional[list[CatalogEntry]] = None,
 ) -> list[Rewriting]:
     """All (up to ``max_results``; ``None`` = unbounded) non-redundant
     S-equivalent rewritings of the query pattern over the catalog's views,
@@ -374,7 +377,9 @@ def rewrite_pattern(
     with ``max_results=None``.)
 
     ``stats``, when given, is filled with what the search did and what it
-    capped (:class:`SearchStats`).
+    capped (:class:`SearchStats`).  ``relevant``, when given, is extended
+    with the catalog entries the search could use, in catalog order (see
+    :func:`view_is_relevant`): no other view can change the answer.
     """
     stats = stats if stats is not None else SearchStats()
     facts = PatternFacts(query, summary)
@@ -388,6 +393,9 @@ def rewrite_pattern(
         [(entry, _view_facts(entry, summary, stats)) for entry in catalog.views()],
     )
     candidates = _collect_candidates(search)
+    views = _relevant_views(search, candidates)
+    if relevant is not None:
+        relevant.extend(entry for entry, _view in views)
 
     rewritings: list[Rewriting] = []
     seen: set[tuple] = set()
@@ -404,7 +412,7 @@ def rewrite_pattern(
             rewritings.append(rewriting)
 
     # 1. single-view plans
-    entries = [entry for entry, _facts in search.views]
+    entries = [entry for entry, _facts in views]
     for entry in entries:
         for use in _single_view_uses(search, entry, candidates):
             consider([use], [])
@@ -418,7 +426,7 @@ def rewrite_pattern(
                 consider(uses, glues)
 
     # 3. union plans (each subset of views is tried once)
-    rewritings.extend(_union_plans(search, max_union))
+    rewritings.extend(_union_plans(search, views, max_union))
 
     rewritings.sort(key=lambda r: (r.plan.operator_count(), r.views))
     if max_results is None:
@@ -428,48 +436,101 @@ def rewrite_pattern(
 
 def _collect_candidates(search: _Search) -> dict[str, list[_Candidate]]:
     """Per query node, the view nodes that can serve it."""
-    query, summary = search.query, search.summary
-    ann_q = search.facts.annotations
-    out: dict[str, list[_Candidate]] = {name: [] for name in ann_q}
+    out: dict[str, list[_Candidate]] = {
+        name: [] for name in search.facts.annotations
+    }
     for entry, view in search.views:
-        ann_v = view.annotations
-        for q_node in query.nodes():
-            needs = set(q_node.stored_attrs())
-            if not needs:
-                continue
-            q_paths = ann_q[q_node.name]
-            for v_node in entry.pattern.nodes():
-                v_paths = ann_v[v_node.name]
-                shared = q_paths & v_paths
-                if shared:
-                    stored = set(v_node.stored_attrs())
-                    if needs <= stored and _id_kind_at_least(
-                        v_node.store_id, q_node.store_id
-                    ):
-                        out[q_node.name].append(
-                            _Candidate(entry, v_node.name, "direct")
-                        )
-                if v_node.store_content and needs <= {"V", "C"}:
-                    steps = _navigation_steps(v_paths, q_paths, summary)
-                    if steps is not None:
-                        out[q_node.name].append(
-                            _Candidate(entry, v_node.name, "nav", steps)
-                        )
-                if v_node.store_id == "p" and needs <= {"ID"}:
-                    # §5.2: navigational IDs derive the parent's ID
-                    parents = (
-                        summary.node_by_number(p).parent for p in v_paths
-                    )
-                    parent_paths = {
-                        parent.number
-                        for parent in parents
-                        if parent is not None and parent.parent is not None
-                    }
-                    if parent_paths & q_paths:
-                        out[q_node.name].append(
-                            _Candidate(entry, v_node.name, "parent")
-                        )
+        for q_name, candidate in _view_candidates(search.facts, entry, view):
+            out[q_name].append(candidate)
     return out
+
+
+def _view_candidates(query: PatternFacts, entry: CatalogEntry, view: PatternFacts):
+    """``(query node name, candidate)`` for every way a node of ``entry``
+    can serve a query node.  Only return nodes (the nodes storing
+    something) are ever served."""
+    summary = query.summary
+    ann_q, ann_v = query.annotations, view.annotations
+    for q_node in query.pattern.nodes():
+        needs = set(q_node.stored_attrs())
+        if not needs:
+            continue
+        q_paths = ann_q[q_node.name]
+        for v_node in entry.pattern.nodes():
+            v_paths = ann_v[v_node.name]
+            shared = q_paths & v_paths
+            if shared:
+                stored = set(v_node.stored_attrs())
+                if needs <= stored and _id_kind_at_least(
+                    v_node.store_id, q_node.store_id
+                ):
+                    yield q_node.name, _Candidate(entry, v_node.name, "direct")
+            if v_node.store_content and needs <= {"V", "C"}:
+                steps = _navigation_steps(v_paths, q_paths, summary)
+                if steps is not None:
+                    yield q_node.name, _Candidate(entry, v_node.name, "nav", steps)
+            if v_node.store_id == "p" and needs <= {"ID"}:
+                # §5.2: navigational IDs derive the parent's ID
+                parents = (summary.node_by_number(p).parent for p in v_paths)
+                parent_paths = {
+                    parent.number
+                    for parent in parents
+                    if parent is not None and parent.parent is not None
+                }
+                if parent_paths & q_paths:
+                    yield q_node.name, _Candidate(entry, v_node.name, "parent")
+
+
+def view_is_relevant(
+    query: PatternFacts, entry: CatalogEntry, view: PatternFacts
+) -> bool:
+    """Whether :func:`rewrite_pattern` could put ``entry`` into a rewriting
+    of ``query``.
+
+    Single-view and pair plans assign every query return node to a view
+    node, so they only use views with a candidate for some return node;
+    a union member is contained in the query, so it has the query's
+    arity and passes :func:`~repro.core.containment.may_be_contained`.
+    A view failing both tests changes no rewriting of the query: adding
+    or dropping it leaves the search's answer as it was."""
+    if query.placed is None:
+        return False  # unsatisfiable: no rewriting whatever the catalog
+    if any(True for _candidate in _view_candidates(query, entry, view)):
+        return True
+    same_arity = len(view.return_names) == len(query.return_names)
+    return same_arity and may_be_contained(view, [query])
+
+
+def relevant_views(query: PatternFacts, catalog: Catalog) -> list[CatalogEntry]:
+    """The catalog's views relevant to ``query`` (:func:`view_is_relevant`),
+    in catalog order — what ``rewrite_pattern(..., relevant=...)`` reports
+    for the same catalog and summary."""
+    stats = SearchStats()
+    return [
+        entry
+        for entry in catalog.views()
+        if view_is_relevant(query, entry, _view_facts(entry, query.summary, stats))
+    ]
+
+
+def _relevant_views(
+    search: _Search, candidates: dict[str, list[_Candidate]]
+) -> list[tuple[CatalogEntry, PatternFacts]]:
+    """The search's views narrowed to the relevant ones, in catalog order —
+    :func:`view_is_relevant` read off the candidates already collected.
+    A view serving nothing goes through :meth:`_Search.contained`, as
+    :func:`_union_plans` would send it, so the prefilter still counts it."""
+    served = {id(c.entry) for options in candidates.values() for c in options}
+    arity = len(search.query_returns)
+    relevant: list[tuple[CatalogEntry, PatternFacts]] = []
+    for entry, view in search.views:
+        if id(entry) in served:
+            relevant.append((entry, view))
+        elif len(view.return_names) == arity:
+            query = [search.facts]
+            if search.contained(view, query) or may_be_contained(view, query):
+                relevant.append((entry, view))
+    return relevant
 
 
 def _navigation_steps(
@@ -1119,13 +1180,18 @@ def _query_top_level_attrs(query: Pattern) -> list[str]:
 # Union rewritings (§5.3)
 # ---------------------------------------------------------------------------
 
-def _union_plans(search: _Search, max_union: int):
-    """Views one-way contained in the query that jointly cover it."""
+def _union_plans(
+    search: _Search,
+    views: list[tuple[CatalogEntry, PatternFacts]],
+    max_union: int,
+):
+    """Views (of ``views``) one-way contained in the query that jointly
+    cover it."""
     query, query_returns = search.query, search.query_returns
     arity = len(query_returns)
     usable: list[tuple[CatalogEntry, PatternFacts]] = [
         (entry, view)
-        for entry, view in search.views
+        for entry, view in views
         if len(view.return_names) == arity and search.contained(view, [search.facts])
     ]
     for size in range(2, min(max_union, len(usable)) + 1):

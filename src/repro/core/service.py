@@ -5,9 +5,10 @@ the serving layer the ROADMAP's north star asks for.  A
 :class:`QueryService` owns
 
 * a versioned :class:`~repro.engine.plan_cache.PlanCache` keyed on
-  ``(normalized query text, prefer_views, physical, catalog version)``,
-  so repeated queries skip the parse → translate → rewrite-search →
-  assemble (and, on physical paths, compile) pipeline entirely;
+  ``(normalized query text, prefer_views, physical)`` and stamped with
+  the catalog version, so repeated queries skip the parse → translate →
+  rewrite-search → assemble (and, on physical paths, compile) pipeline
+  entirely;
 * a bounded :class:`~concurrent.futures.ThreadPoolExecutor` giving
   inter-query parallelism with per-query timeouts and cooperative
   cancellation (a timed-out query is cancelled if still queued, and asked
@@ -18,17 +19,26 @@ the serving layer the ROADMAP's north star asks for.  A
 Consistency model — the cache-invalidation protocol:
 
 1. every mutation (register/drop a XAM, load a document, refresh
-   statistics) bumps ``Database.catalog_version``;
-2. plans are stamped with the version current when they were prepared;
-3. a lookup whose stamp mismatches drops the entry (counted as an
-   invalidation) and re-prepares — no mutation ever has to know *which*
-   queries it affects.
+   statistics) bumps ``Database.catalog_version``; the version is a
+   stamp on each entry, not part of its key;
+2. plans are stamped with the version they were last known valid at;
+3. a lookup whose stamp mismatches asks
+   :meth:`~repro.core.uload.Database.revalidate`, outside the cache lock,
+   whether the plan is still what preparation would build: no document
+   or statistics mutation since, no pin and no open breaker behind it,
+   and for every pattern the same relevant views — the catalog entries
+   its rewriting search could use.  If so the entry (and its compiled
+   artifact) is restamped and served (``plan_cache.revalidated``);
+   otherwise it is dropped (an invalidation) and re-prepared.  So a view
+   mutation re-plans exactly the queries it can affect.
 
 Mutations should go through the service's ``add_view`` / ``drop_view`` /
 ``add_document_xml`` / ``refresh_statistics`` wrappers: they serialize
-writers against each other and eagerly purge stale plans.  Readers are
-never blocked — already-running queries keep executing their (still
-S-equivalent) old plans against copy-on-write store snapshots.
+writers against each other.  A document or statistics mutation eagerly
+purges every stale plan; a view mutation purges only stale pins, leaving
+each plan to be checked at its next lookup.  Readers are never blocked —
+already-running queries keep executing their (still S-equivalent) old
+plans against copy-on-write store snapshots.
 
 Cache-hit/miss/invalidation events are recorded into each query's
 :class:`~repro.engine.context.ExecutionContext` counters, so they surface
@@ -417,6 +427,15 @@ class QueryService:
             "plan cache entries dropped on version-mismatch lookups",
         )
         registry.counter(
+            "plan_cache.revalidated",
+            "stale plan cache entries restamped: no view they could use "
+            "was added or dropped",
+        )
+        registry.counter(
+            "statistics.refresh_skipped",
+            "statistics refreshes with nothing to refresh (no version bump)",
+        )
+        registry.counter(
             "plan_pin.hit", "patterns whose access path a pinned plan applied"
         )
         registry.counter(
@@ -567,10 +586,22 @@ class QueryService:
         :meth:`cache_stats`."""
         key = (normalize_query(query), prefer_views, physical)
         version = self.db.catalog_version
-        prepared, outcome = self.cache.lookup(key, version)
-        ctx.bump("plan_cache.hit", 1.0 if outcome == "hit" else 0.0)
-        ctx.bump("plan_cache.miss", 1.0 if outcome != "hit" else 0.0)
+        prepared, outcome = self.cache.probe(key, version)
+        if outcome == "stale":
+            # outside the cache lock: the relevance check reads the catalog
+            valid = self.db.revalidate(prepared)
+            self.cache.settle(key, prepared, version, valid)
+            if valid:
+                outcome = "revalidated"
+                prepared.catalog_version = version
+                self.db.compiled_plans.restamp(prepared.fingerprint, version)
+            else:
+                prepared = None
+        hit = prepared is not None
+        ctx.bump("plan_cache.hit", 1.0 if hit else 0.0)
+        ctx.bump("plan_cache.miss", 0.0 if hit else 1.0)
         ctx.bump("plan_cache.invalidated", 1.0 if outcome == "stale" else 0.0)
+        ctx.bump("plan_cache.revalidated", 1.0 if outcome == "revalidated" else 0.0)
         ctx.event(f"cache.{outcome}")
         if prepared is None:
             prepared = self.db.prepare(query, prefer_views, context=ctx)
@@ -980,18 +1011,18 @@ class QueryService:
             entry.stop.set()
         return len(pending)
 
-    # -- mutations (serialized writers; eager invalidation) -----------------
+    # -- mutations (serialized writers) ---------------------------------------
 
     def add_view(self, name: str, pattern: "Pattern | str", kind: str = "view"):
         with self._mutate_lock:
             entry = self.db.add_view(name, pattern, kind)
-            self._purge_stale_plans()
+            self._purge_stale_pins()
             return entry
 
     def drop_view(self, name: str) -> None:
         with self._mutate_lock:
             self.db.drop_view(name)
-            self._purge_stale_plans()
+            self._purge_stale_pins()
 
     def add_document_xml(self, source: str, name: str = "doc.xml"):
         with self._mutate_lock:
@@ -1006,12 +1037,19 @@ class QueryService:
 
     def _purge_stale_plans(self) -> None:
         """Eagerly drop prepared plans, compiled batch artifacts *and*
-        pinned plans made stale by a mutation (the lazy version check
-        would catch them on the next lookup anyway)."""
+        pinned plans made stale by a document or statistics mutation —
+        no cached plan survives one (the lazy version check would catch
+        them on the next lookup anyway)."""
         version = self.db.catalog_version
         self.cache.purge_stale(version)
         self.db.compiled_plans.purge_stale(version)
-        self.db.plan_pins.purge_stale(version)
+        self._purge_stale_pins()
+
+    def _purge_stale_pins(self) -> None:
+        """Drop pinned plans stamped before the latest mutation.  After a
+        view mutation this is all that is purged: a cached plan is checked
+        lazily, at its next lookup, against the views it could use."""
+        self.db.plan_pins.purge_stale(self.db.catalog_version)
 
     # -- pinned plans --------------------------------------------------------
 

@@ -79,8 +79,9 @@ from ..xquery.extract import (
     extract,
 )
 from ..xquery.parser import parse_query
+from .containment import PatternFacts
 from .embedding import evaluate_pattern
-from .rewrite import Rewriting, SearchStats, rewrite_pattern
+from .rewrite import Rewriting, SearchStats, relevant_views, rewrite_pattern
 from .statistics import CatalogStatistics, rank_rewritings
 from .xam import Pattern
 from .xam_parser import parse_pattern
@@ -119,6 +120,13 @@ class PatternResolution:
     #: True when this access path came from a tournament-promoted pin
     #: instead of cost-model ranking
     pinned: bool = False
+    #: the catalog entries the rewriting search could use, in catalog
+    #: order (``()`` when no search ran; None when open circuit breakers
+    #: took modules out of the search) — what :meth:`Database.revalidate`
+    #: compares with the live catalog
+    dependencies: Optional[tuple[CatalogEntry, ...]] = ()
+    #: the pattern's containment facts, memoised by revalidation
+    facts: Optional[PatternFacts] = field(default=None, repr=False, compare=False)
 
     def __repr__(self) -> str:
         if self.rewriting is not None:
@@ -201,7 +209,10 @@ class PreparedQuery:
     Executing a prepared query re-reads the store, so results stay fresh
     for data already covered by :attr:`catalog_version`; any XAM /
     document / statistics mutation bumps the database's version and makes
-    this plan stale (the plan cache drops it on the next lookup).
+    this plan's stamp stale.  A stale plan is not necessarily a wrong one:
+    :meth:`Database.revalidate` keeps it (the cache restamps it) when no
+    document or statistics mutation happened since :attr:`mutations` and
+    no view its searches could use was added or dropped.
 
     Prepared queries are **not re-entrant**: resolutions and compiled
     plans carry per-execution mutable state, so :attr:`lock` serializes
@@ -224,6 +235,11 @@ class PreparedQuery:
     #: plan (a pin whose signatures no longer all match leaves this False
     #: — those patterns fell back to cost-model ranking)
     pinned: bool = False
+    #: the database's document/statistics mutation counter at preparation
+    mutations: int = 0
+    #: False when a pinned plan steered the preparation: pins are not a
+    #: function of the catalog, so such a plan is never revalidated
+    revalidatable: bool = True
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
@@ -387,6 +403,8 @@ class Database:
         #: document/statistics mutation counter (catalog mutations are
         #: counted by the catalog itself; see :attr:`catalog_version`)
         self._mutations = 0
+        #: how many of :attr:`documents` the last annotation pass covered
+        self._annotated = 0
         #: attributed resource profiling (per-operator CPU + peak traced
         #: memory): ``None`` defers to ``$REPRO_PROFILE``, off by
         #: default.  Mutable at runtime (the REPL's ``.profile``
@@ -447,22 +465,33 @@ class Database:
         for doc in docs:
             self.documents.append(doc)
             self.summary.add_document(doc)
-        self.summary.finalize()
-        for existing in self.documents:
-            annotate_edges(self.summary, existing)
-        self._mutations += 1
+        self._annotate()
         return docs
+
+    def _annotate(self) -> None:
+        """Finalize the summary, re-annotate edge statistics over every
+        document and bump the mutation counter."""
+        self.summary.finalize()
+        for doc in self.documents:
+            annotate_edges(self.summary, doc)
+        self._annotated = len(self.documents)
+        self._mutations += 1
 
     def refresh_statistics(self) -> None:
         """Recompute summary annotations over all documents, drop any
         pinned statistics overrides, and bump the catalog version:
         cardinality estimates feed rewriting choice, so cached plans
-        ranked under the old statistics must be re-prepared."""
+        ranked under the old statistics must be re-prepared.
+
+        With no override pinned and no document added since the last
+        annotation pass, the statistics already are what a refresh would
+        compute: nothing is bumped, and the no-op is counted as
+        ``statistics.refresh_skipped``."""
+        if not self.statistics_overrides and self._annotated == len(self.documents):
+            self.metrics.inc("statistics.refresh_skipped")
+            return
         self.statistics_overrides.clear()
-        self.summary.finalize()
-        for doc in self.documents:
-            annotate_edges(self.summary, doc)
-        self._mutations += 1
+        self._annotate()
 
     def override_statistic(self, key: str, value: Optional[float]) -> None:
         """Pin (or, with ``value=None``, unpin) one statistics answer.
@@ -660,7 +689,45 @@ class Database:
                 and pin_state["applied"] > 0
                 and pin_state["missed"] == 0
             ),
+            mutations=self._mutations,
+            revalidatable=pin is None,
         )
+
+    def revalidate(self, prepared: PreparedQuery) -> bool:
+        """Whether a plan whose stamp went stale is still what
+        :meth:`prepare` would build now.
+
+        True only when no document or statistics mutation happened since
+        it was prepared, no pin steered it, no open breaker narrowed its
+        searches or would narrow them now, and every pattern's relevant views
+        (:func:`~repro.core.rewrite.view_is_relevant`) in the live catalog
+        are the very entries its search used, in the same order — a view
+        dropped and re-added under the same name is a different entry.
+        The search reads nothing else of the catalog, so a view mutation
+        that passes this test leaves every search, ranking and compiled
+        plan as it was."""
+        if prepared.mutations != self._mutations or not prepared.revalidatable:
+            return False
+        if self.breakers.unavailable_names():
+            return False
+        if not prepared.prefer_views:
+            return True  # no search ever read the catalog
+        for unit in prepared.units:
+            for resolution in unit.resolutions:
+                dependencies = resolution.dependencies
+                if dependencies is None:
+                    return False
+                facts = resolution.facts
+                if facts is None or not facts.current_for(self.summary):
+                    facts = resolution.facts = PatternFacts(
+                        resolution.pattern, self.summary
+                    )
+                live = relevant_views(facts, self.catalog)
+                if len(live) != len(dependencies) or any(
+                    now is not then for now, then in zip(live, dependencies)
+                ):
+                    return False
+        return True
 
     def execute_prepared(
         self,
@@ -864,9 +931,10 @@ class Database:
         # the pattern's rewritings, enumerated at most once: the pin match
         # and the ranker read the same list
         rewritings: Optional[list[Rewriting]] = None
+        dependencies: Optional[tuple[CatalogEntry, ...]] = ()
         if pinned is not None:
             if pinned.access != "base":
-                rewritings = self._search_rewritings(pattern, ctx)
+                rewritings, dependencies = self._search_rewritings(pattern, ctx)
             resolution = self._resolve_pinned(
                 pattern, pinned, rewritings, ctx, estimate
             )
@@ -884,13 +952,22 @@ class Database:
             ctx.event("plan_pin.unmatched", pattern=pattern.to_text())
         if prefer_views and len(self.catalog.views()) > 0:
             if rewritings is None:
-                rewritings = self._search_rewritings(pattern, ctx)
+                rewritings, dependencies = self._search_rewritings(pattern, ctx)
             best = self._best_rewriting(rewritings, ctx)
             if best is not None:
                 return PatternResolution(
-                    pattern, "rewriting", best, estimated_cardinality=estimate
+                    pattern,
+                    "rewriting",
+                    best,
+                    estimated_cardinality=estimate,
+                    dependencies=dependencies,
                 )
-        return PatternResolution(pattern, "base", estimated_cardinality=estimate)
+        return PatternResolution(
+            pattern,
+            "base",
+            estimated_cardinality=estimate,
+            dependencies=dependencies,
+        )
 
     #: SearchStats field → the counter it is accumulated under
     _SEARCH_COUNTERS = {
@@ -906,22 +983,32 @@ class Database:
         pattern: Pattern,
         ctx: ExecutionContext,
         exclude: frozenset = frozenset(),
-    ) -> list[Rewriting]:
+    ) -> tuple[list[Rewriting], Optional[tuple[CatalogEntry, ...]]]:
         """Every S-equivalent rewriting of the pattern whose access modules
         are available, smallest plan first — under a ``rewrite-search``
-        span carrying what the search did and what it capped."""
+        span carrying what the search did and what it capped — and the
+        catalog entries the search could use (None when some module was
+        unavailable: the outcome then depends on breaker state too)."""
         with ctx.span("rewrite-search", pattern=pattern.to_text()) as search_span:
             stats = SearchStats()
+            relevant: list[CatalogEntry] = []
             # enumerate *fully* — truncating before ranking would hide
             # the cheapest candidate from the cost model
             rewritings = rewrite_pattern(
-                pattern, self.catalog, self.summary, max_results=None, stats=stats
+                pattern,
+                self.catalog,
+                self.summary,
+                max_results=None,
+                stats=stats,
+                relevant=relevant,
             )
+            dependencies: Optional[tuple[CatalogEntry, ...]] = tuple(relevant)
             # open-circuit modules are out of the race at planning
             # time; half-open ones stay in (the probe that may close
             # them)
             unavailable = exclude | self.breakers.unavailable_names()
             if unavailable:
+                dependencies = None
                 rewritings = [
                     r for r in rewritings if not unavailable & set(r.views)
                 ]
@@ -932,7 +1019,7 @@ class Database:
             for name, count in counts.items():
                 if count:
                     ctx.bump(self._SEARCH_COUNTERS[name], count)
-        return rewritings
+        return rewritings, dependencies
 
     def _best_rewriting(
         self, rewritings: list[Rewriting], ctx: ExecutionContext
@@ -1165,9 +1252,10 @@ class Database:
     ) -> Optional[Rewriting]:
         """Best S-equivalent rewriting avoiding the just-failed and any
         open-circuit access modules; None when no candidate survives."""
-        return self._best_rewriting(
-            self._search_rewritings(pattern, ctx, exclude=frozenset(failed)), ctx
+        rewritings, _dependencies = self._search_rewritings(
+            pattern, ctx, exclude=frozenset(failed)
         )
+        return self._best_rewriting(rewritings, ctx)
 
     def _base_pattern_tuples(
         self,

@@ -11,16 +11,24 @@ database state, so its output can be reused until that state changes.
 stamps each entry with the **catalog version** current when the plan was
 prepared.  Any XAM / document / statistics mutation bumps the version
 (see :attr:`repro.storage.catalog.Catalog.version` and
-``Database.catalog_version``), so a later lookup finds a version mismatch
-and drops the stale plan automatically — the cache never needs to know
-*what* changed, only *that* something did.  This is the invalidation
-protocol: versions only grow, entries carry the version they were built
-against, and equality is the sole staleness test.
+``Database.catalog_version``); versions only grow, entries carry the
+version they were last known valid at, and equality is the sole
+staleness test.  A stale stamp says only *that* something changed, not
+that the plan is wrong, so the cache offers two ways to settle one:
+
+* :meth:`PlanCache.lookup` (and :meth:`get`) drop it on the spot — an
+  invalidation and a miss;
+* :meth:`PlanCache.probe` hands it back uncounted, and the caller decides,
+  outside the cache lock, whether it is still valid and settles it with
+  :meth:`PlanCache.settle`: restamped (a hit, counted as ``revalidated``)
+  or dropped (an invalidation and a miss).  The query service probes and
+  asks ``Database.revalidate`` whether a view mutation touched the plan.
 
 All operations take a single internal lock; the cache is safe to share
 across the :class:`~repro.core.service.QueryService` worker threads.
-Counters (hits / misses / evictions / invalidations) are maintained under
-the same lock and exposed as an immutable :class:`CacheStats` snapshot.
+Counters (hits / misses / evictions / invalidations / revalidations) are
+maintained under the same lock and exposed as an immutable
+:class:`CacheStats` snapshot.
 """
 
 from __future__ import annotations
@@ -58,7 +66,8 @@ class CacheStats:
 
     ``invalidations`` counts entries dropped because the catalog version
     moved past them (on lookup or an explicit stale purge); ``evictions``
-    counts capacity-driven LRU drops only.
+    counts capacity-driven LRU drops only; ``revalidated`` counts stale
+    entries restamped instead of dropped (each is also a hit).
     """
 
     hits: int = 0
@@ -67,6 +76,7 @@ class CacheStats:
     invalidations: int = 0
     size: int = 0
     capacity: int = 0
+    revalidated: int = 0
 
     @property
     def lookups(self) -> int:
@@ -82,6 +92,7 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
+            "revalidated": self.revalidated,
             "size": self.size,
             "capacity": self.capacity,
             "hit_rate": self.hit_rate,
@@ -91,6 +102,7 @@ class CacheStats:
         return (
             f"hits={self.hits} misses={self.misses} "
             f"evictions={self.evictions} invalidations={self.invalidations} "
+            f"revalidated={self.revalidated} "
             f"size={self.size}/{self.capacity} hit_rate={self.hit_rate:.0%}"
         )
 
@@ -132,8 +144,9 @@ class CompiledPlanArtifact:
     :class:`CompiledSlot` per such plan, filled lazily as execution
     reaches it.  PR 5's fingerprint is the key: identical catalog state
     re-prepares to an identical fingerprint, so the closures are exactly
-    reusable; any catalog-version bump makes the enclosing cache entry
-    stale and the whole artifact is recompiled.
+    reusable; a catalog-version bump makes the enclosing cache entry
+    stale and the whole artifact is recompiled, unless the plan it was
+    compiled for is revalidated, which restamps the artifact too.
     """
 
     __slots__ = ("fingerprint", "version", "_slots", "_lock")
@@ -188,6 +201,7 @@ class PlanCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self._revalidated = 0
 
     # -- lookups ------------------------------------------------------------
 
@@ -201,19 +215,56 @@ class PlanCache:
         """Like :meth:`get`, but also reports the per-lookup outcome:
         ``"hit"``, ``"miss"``, or ``"stale"`` (version mismatch — counted
         as an invalidation and a miss)."""
+        value, outcome = self.probe(key, version)
+        if outcome == "stale":
+            self.settle(key, value, version, valid=False)
+            return None, "stale"
+        return value, outcome
+
+    def probe(self, key: Hashable, version: int = 0) -> tuple[Optional[Any], str]:
+        """Like :meth:`lookup`, except that a stale entry is returned
+        (outcome ``"stale"``), left in place and counted as nothing yet:
+        the caller settles it with :meth:`settle`."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
                 return None, "miss"
             if entry.version != version:
-                del self._entries[key]
-                self._invalidations += 1
-                self._misses += 1
-                return None, "stale"
+                return entry.value, "stale"
             self._entries.move_to_end(key)
             self._hits += 1
             return entry.value, "hit"
+
+    def settle(self, key: Hashable, value: Any, version: int, valid: bool) -> None:
+        """Settle a stale entry :meth:`probe` returned: a ``valid`` one is
+        restamped at ``version`` (a hit and a revalidation), an invalid
+        one dropped (an invalidation and a miss).  Either happens only
+        while the entry still holds ``value`` — a concurrent ``put`` wins."""
+        with self._lock:
+            if valid:
+                self._hits += 1
+                self._revalidated += 1
+            else:
+                self._invalidations += 1
+                self._misses += 1
+            entry = self._entries.get(key)
+            if entry is None or entry.value is not value:
+                return
+            if valid:
+                entry.version = version
+                self._entries.move_to_end(key)
+            else:
+                del self._entries[key]
+
+    def restamp(self, key: Hashable, version: int) -> None:
+        """Move the stamp of the entry under ``key``, if any, to
+        ``version``, counting nothing (a compiled artifact follows its
+        revalidated plan this way)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                entry.version = version
 
     def put(self, key: Hashable, value: Any, version: int = 0) -> None:
         with self._lock:
@@ -273,6 +324,9 @@ class PlanCache:
         registry.counter(
             f"{prefix}.invalidations", "version/staleness-driven drops"
         )
+        registry.counter(
+            f"{prefix}.revalidations", "stale entries restamped, not dropped"
+        )
         registry.gauge(f"{prefix}.size", "cached plans right now")
         registry.gauge(f"{prefix}.capacity", f"{prefix} capacity")
 
@@ -288,6 +342,7 @@ class PlanCache:
             reg.counter(f"{prefix}.misses").set_total(stats.misses)
             reg.counter(f"{prefix}.evictions").set_total(stats.evictions)
             reg.counter(f"{prefix}.invalidations").set_total(stats.invalidations)
+            reg.counter(f"{prefix}.revalidations").set_total(stats.revalidated)
             reg.set_gauge(f"{prefix}.size", stats.size)
             reg.set_gauge(f"{prefix}.capacity", stats.capacity)
 
@@ -302,6 +357,7 @@ class PlanCache:
                 invalidations=self._invalidations,
                 size=len(self._entries),
                 capacity=self.capacity,
+                revalidated=self._revalidated,
             )
 
     def keys(self) -> list[Hashable]:

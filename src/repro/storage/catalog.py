@@ -86,12 +86,18 @@ class Catalog:
             kind=kind,
             metadata=metadata,
         )
-        self._entries[name] = entry
+        # copy-on-write, as Store.add: a search iterating views() on
+        # another thread keeps a consistent dict while a writer registers
+        updated = dict(self._entries)
+        updated[name] = entry
+        self._entries = updated
         self.version += 1
         return entry
 
     def unregister(self, name: str) -> None:
-        del self._entries[name]
+        updated = dict(self._entries)
+        del updated[name]
+        self._entries = updated
         self.version += 1
 
     def __contains__(self, name: str) -> bool:

@@ -69,6 +69,48 @@ class TestVersioning:
         value, outcome = cache.lookup("q", version=7)
         assert value == "plan" and outcome == "hit"
 
+    def test_probe_hands_back_a_stale_entry_uncounted(self):
+        cache = PlanCache(capacity=4)
+        cache.put("q", "plan", version=1)
+        assert cache.probe("q", version=2) == ("plan", "stale")
+        assert "q" in cache
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.invalidations) == (0, 0, 0)
+
+    def test_settle_valid_restamps_as_a_hit(self):
+        cache = PlanCache(capacity=4)
+        cache.put("q", "plan", version=1)
+        value, _outcome = cache.probe("q", version=2)
+        cache.settle("q", value, 2, valid=True)
+        assert cache.lookup("q", version=2) == ("plan", "hit")
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.revalidated) == (2, 0, 1)
+
+    def test_settle_invalid_drops_as_a_miss(self):
+        cache = PlanCache(capacity=4)
+        cache.put("q", "plan", version=1)
+        value, _outcome = cache.probe("q", version=2)
+        cache.settle("q", value, 2, valid=False)
+        assert "q" not in cache
+        stats = cache.stats()
+        assert (stats.misses, stats.invalidations, stats.revalidated) == (1, 1, 0)
+
+    def test_settle_leaves_a_concurrent_put_alone(self):
+        cache = PlanCache(capacity=4)
+        cache.put("q", "old", version=1)
+        value, _outcome = cache.probe("q", version=2)
+        cache.put("q", "new", version=2)
+        cache.settle("q", value, 2, valid=False)
+        assert cache.lookup("q", version=2) == ("new", "hit")
+
+    def test_restamp_moves_the_stamp_uncounted(self):
+        cache = PlanCache(capacity=4)
+        cache.put("artifact", "closures", version=1)
+        cache.restamp("artifact", 3)
+        cache.restamp("absent", 3)
+        assert cache.lookup("artifact", version=3) == ("closures", "hit")
+        assert cache.stats().revalidated == 0
+
     def test_purge_stale_drops_only_old_versions(self):
         cache = PlanCache(capacity=8)
         cache.put("old1", 1, version=1)

@@ -25,6 +25,8 @@ PERSON_QUERY = "for $p in //people/person return $p/name/text()"
 AUCTION_QUERY = "//open_auctions/open_auction/initial/text()"
 ITEM_QUERY = "//regions//item/name/text()"
 CLOSED_QUERY = "//closed_auctions/closed_auction/price/text()"
+#: a view none of the queries above can use
+LOCATION_VIEW = "//location[id:s, val]"
 
 
 @pytest.fixture()
@@ -93,8 +95,9 @@ class TestInvalidation:
         service.add_view(
             "v_auction", "//open_auctions/open_auction[id:s]{/initial[id:s, val]}"
         )
-        assert service.cache_stats().invalidations >= 1
         result = service.query(AUCTION_QUERY)
+        # the stale plan is dropped at this lookup, not by the mutation
+        assert service.cache_stats().invalidations >= 1
         assert "v_auction" in result.used_views
         assert service.cache_stats().misses == 2  # re-prepared, not reused
 
@@ -115,6 +118,8 @@ class TestInvalidation:
         assert service.cache_stats().invalidations >= 1
 
     def test_refresh_statistics_invalidates(self, service):
+        # a refresh only has work to do while an override is pinned
+        service.db.override_statistic("v_person", 5.0)
         service.query(PERSON_QUERY)
         version = service.db.catalog_version
         service.refresh_statistics()
@@ -123,6 +128,108 @@ class TestInvalidation:
         stats = service.cache_stats()
         assert stats.misses == 2 and stats.invalidations >= 1
 
+    def test_refresh_with_nothing_to_refresh_is_a_noop(self, service):
+        service.query(PERSON_QUERY)
+        version = service.db.catalog_version
+        skipped = service.metrics.counter_value("statistics.refresh_skipped")
+        service.refresh_statistics()
+        assert service.db.catalog_version == version
+        now = service.metrics.counter_value("statistics.refresh_skipped")
+        assert now == skipped + 1
+        service.query(PERSON_QUERY)
+        stats = service.cache_stats()
+        assert (stats.hits, stats.invalidations) == (1, 0)
+
+    @staticmethod
+    def _count_prepares(db) -> dict:
+        original = db.prepare
+        calls = {"count": 0}
+
+        def counting_prepare(*args, **kwargs):
+            calls["count"] += 1
+            return original(*args, **kwargs)
+
+        db.prepare = counting_prepare
+        return calls
+
+    def test_irrelevant_view_revalidates(self, service):
+        calls = self._count_prepares(service.db)
+        total = service.metrics.counter_value("plan_cache.revalidated")
+        before = service.query(PERSON_QUERY)
+        service.add_view("v_location", LOCATION_VIEW)
+        after = service.query(PERSON_QUERY)
+        stats = service.cache_stats()
+        assert calls["count"] == 1  # no re-prepare
+        assert (stats.hits, stats.misses, stats.revalidated) == (1, 1, 1)
+        assert stats.invalidations == 0
+        assert after.counters["plan_cache.revalidated"] == 1.0
+        assert after.plan_fingerprint == before.plan_fingerprint
+        assert service.metrics.counter_value("plan_cache.revalidated") == total + 1
+        # restamped: the next lookup is a plain hit
+        service.query(PERSON_QUERY)
+        assert service.cache_stats().revalidated == 1
+
+    def test_relevant_view_reprepares_and_is_used(self, service):
+        calls = self._count_prepares(service.db)
+        assert service.query(AUCTION_QUERY).used_views == []
+        service.add_view(
+            "v_auction", "//open_auctions/open_auction[id:s]{/initial[id:s, val]}"
+        )
+        result = service.query(AUCTION_QUERY)
+        assert calls["count"] == 2
+        assert result.used_views == ["v_auction"]
+        assert service.cache_stats().revalidated == 0
+
+    def test_dropping_a_read_view_reprepares(self, service):
+        calls = self._count_prepares(service.db)
+        assert "v_person" in service.query(PERSON_QUERY).used_views
+        service.drop_view("v_person")
+        assert service.query(PERSON_QUERY).used_views == []
+        assert calls["count"] == 2
+        assert service.cache_stats().revalidated == 0
+
+    def test_readded_view_is_a_new_dependency(self, service):
+        service.query(PERSON_QUERY)
+        service.drop_view("v_person")
+        service.add_view("v_person", "//people/person[id:s]{/name[id:s, val]}")
+        service.query(PERSON_QUERY)
+        stats = service.cache_stats()
+        assert (stats.misses, stats.revalidated) == (2, 0)
+
+    def test_pinned_plan_is_never_revalidated(self, service):
+        from repro.engine.plan_cache import PinnedChoice, PinnedPlan
+        from repro.engine.qlog import rewriting_signature
+
+        db = service.db
+        rewriting = db.prepare(PERSON_QUERY).units[0].resolutions[0].rewriting
+        pin = PinnedPlan(
+            query=" ".join(PERSON_QUERY.split()),
+            catalog_version=db.catalog_version,
+            choices=(
+                PinnedChoice(0, 0, "rewriting", rewriting_signature(rewriting)),
+            ),
+        )
+        assert not db.revalidate(db.prepare(PERSON_QUERY, pin=pin))
+        service.pin_plan(pin)
+        assert service.query(PERSON_QUERY).pinned
+        service.add_view("v_location", LOCATION_VIEW)
+        assert not service.query(PERSON_QUERY).pinned  # the pin went stale
+        stats = service.cache_stats()
+        assert (stats.misses, stats.revalidated) == (2, 0)
+
+    def test_breaker_excluded_plan_is_never_revalidated(self, service):
+        db = service.db
+        for _ in range(3):
+            db.breakers.record_failure("v_item", "storage fault")
+        prepared = db.prepare(PERSON_QUERY)
+        assert prepared.units[0].resolutions[0].dependencies is None
+        assert not db.revalidate(prepared)
+        service.query(PERSON_QUERY)
+        service.add_view("v_location", LOCATION_VIEW)
+        service.query(PERSON_QUERY)
+        stats = service.cache_stats()
+        assert (stats.misses, stats.revalidated) == (2, 0)
+
     def test_lru_eviction_respects_capacity(self, xmark_db):
         with QueryService(xmark_db, cache_capacity=2, max_workers=2) as svc:
             for query in (PERSON_QUERY, AUCTION_QUERY, ITEM_QUERY, CLOSED_QUERY):
@@ -130,6 +237,88 @@ class TestInvalidation:
             stats = svc.cache_stats()
             assert stats.size == 2
             assert stats.evictions == 2
+
+
+class TestRevalidationOracle:
+    """The plan cache on and off answer alike under view mutations: after
+    every add or drop, each plan the service serves — revalidated or
+    re-prepared — has the fingerprint and the result checksum of a fresh
+    ``prepare``."""
+
+    @pytest.mark.parametrize("shards", [0, 2], ids=["single", "sharded"])
+    def test_served_plans_match_fresh_preparation(self, shards):
+        from repro.engine.qlog import result_checksum
+        from tests.rewrite_golden import CATALOG_14, VIEW_QUERIES
+
+        pool = CATALOG_14 + [("v_location", LOCATION_VIEW)]
+        rng = random.Random(7)
+        db = Database()
+        db.add_document(generate_xmark(scale=1, seed=0))
+        for name, text in rng.sample(pool, 8):
+            db.add_view(name, text)
+        if shards:
+            db = db.shard(shards)
+        with QueryService(db, max_workers=1) as svc:
+            for query in VIEW_QUERIES.values():
+                svc.query(query)
+            for _ in range(10):
+                name, text = rng.choice(pool)
+                if name in db.catalog:
+                    svc.drop_view(name)
+                else:
+                    svc.add_view(name, text)
+                for query in VIEW_QUERIES.values():
+                    served = svc.query(query)
+                    fresh = db.prepare(query)
+                    answer = db.execute_prepared(fresh)
+                    assert served.plan_fingerprint == fresh.fingerprint, query
+                    assert result_checksum(served) == result_checksum(answer), query
+            stats = svc.cache_stats()
+        # both kinds of settlement happened: the check is not vacuous
+        assert stats.revalidated > 0 and stats.invalidations > 0
+
+
+    def test_concurrent_view_mutations_keep_answers(self):
+        """Eight workers query while views come and go: every answer equals
+        the base store's, and every lookup is settled exactly once."""
+        from repro.engine.qlog import result_checksum
+        from tests.rewrite_golden import CATALOG_14, VIEW_QUERIES
+
+        db = Database()
+        db.add_document(generate_xmark(scale=1, seed=0))
+        for name, text in CATALOG_14:
+            db.add_view(name, text)
+        expected = {
+            query: result_checksum(db.query(query, prefer_views=False))
+            for query in VIEW_QUERIES.values()
+        }
+        # v_item_twin is S-equivalent to v_item: dropping it mid-flight
+        # fails running plans over to a sound rewriting.  (Dropping v_person
+        # would not do: v01 then takes v_names ⋈ v_emails, which answers
+        # wrongly on a single thread too — ROADMAP 1c.)
+        mutations = [("v_location", LOCATION_VIEW), ("v_item_twin", CATALOG_14[1][1])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(db, max_workers=8) as svc:
+                futures = []
+                for round_number in range(4):
+                    futures += [svc.submit(q, timeout=60) for q in expected]
+                    name, text = mutations[round_number % 2]
+                    if name in db.catalog:
+                        svc.drop_view(name)
+                    else:
+                        svc.add_view(name, text)
+                results = [
+                    (query, future.result(timeout=60))
+                    for query, future in zip(list(expected) * 4, futures)
+                ]
+                stats = svc.cache_stats()
+        finally:
+            sys.setswitchinterval(interval)
+        for query, result in results:
+            assert result_checksum(result) == expected[query], query
+        assert stats.hits + stats.misses == len(results)
 
 
 class TestTimeoutAndCancellation:

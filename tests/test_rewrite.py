@@ -554,3 +554,120 @@ class TestViewMemoLifetime:
         other = PathSummary.from_paths(["/site/people/person/name"])
         assert rewrite_pattern(query, catalog, other)
         assert catalog["names"].search_memo.summary is other
+
+
+# ---------------------------------------------------------------------------
+# Relevance: which views a search could use
+# ---------------------------------------------------------------------------
+
+class TestRelevance:
+    """A view the relevance predicate calls irrelevant to a pattern changes
+    none of its rewritings: the search over the catalog with and without
+    that view answers the same.  This is what lets a cached plan survive
+    the view's mutation."""
+
+    #: the view mutate_mix adds and drops
+    LOCATION = ("v_location", "//location[id:s, val]")
+    #: the three places a <name> occurs in XMark: with them, //name has
+    #: union rewritings
+    NAME_PARTS = [
+        ("v_item_name", "//item/name[id:s, val]"),
+        ("v_category_name", "//category/name[id:s, val]"),
+        ("v_person_name", "//person/name[id:s, val]"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def summary(self):
+        from repro.workloads import generate_xmark
+
+        return build_enhanced_summary(generate_xmark(scale=1, seed=0))
+
+    @staticmethod
+    def _search(pattern, pool, summary, relevant=None):
+        from repro.engine.qlog import rewriting_signature
+
+        catalog = Catalog()
+        for name, text in pool:
+            catalog.register(name, text)
+        found = rewrite_pattern(
+            pattern, catalog, summary, max_results=None, relevant=relevant
+        )
+        answer = [[r.kind, list(r.views), rewriting_signature(r)] for r in found]
+        return answer, catalog
+
+    def _irrelevant_views_change_nothing(self, pattern, pool, summary) -> set:
+        """Check every view of ``pool`` the predicate calls irrelevant;
+        returns the rewriting kinds those checks covered."""
+        from repro.core import rewrite
+        from repro.core.containment import PatternFacts
+        from repro.core.rewrite import relevant_views
+
+        reported: list = []
+        answer, catalog = self._search(pattern, pool, summary, reported)
+        # the search reports exactly what the predicate computes on its own
+        assert reported == relevant_views(PatternFacts(pattern, summary), catalog)
+        # ... and searching every view instead finds nothing more
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                rewrite, "_relevant_views", lambda search, candidates: search.views
+            )
+            assert self._search(pattern, pool, summary)[0] == answer
+        relevant = {entry.name for entry in reported}
+        covered: set = set()
+        for index, (name, _text) in enumerate(pool):
+            if name in relevant:
+                continue
+            without, _catalog = self._search(
+                pattern, pool[:index] + pool[index + 1 :], summary
+            )
+            assert without == answer, f"{name} changed {pattern.to_text()}"
+            covered.update(kind for kind, _views, _signature in answer)
+        return covered
+
+    def test_irrelevant_views_change_no_rewriting(self, summary):
+        from repro.workloads import generate_patterns
+        from tests.rewrite_golden import CATALOG_14, MAX_EMBEDDINGS, embedding_count
+
+        pool = CATALOG_14 + [self.LOCATION]
+        patterns = [
+            # a pair-plan case: open_auction IDs from one view, initial
+            # values from another
+            parse_pattern("//open_auctions/open_auction[id:s]{/initial[val]}"),
+            # v_descr serves the keywords only by navigating its content
+            parse_pattern("//description//keyword[val]"),
+        ]
+        for size, returns in ((3, 1), (4, 2)):
+            generated = generate_patterns(summary, size, returns, 8, seed=size)
+            affordable = [
+                pattern
+                for pattern in generated
+                if embedding_count(pattern, summary) <= MAX_EMBEDDINGS // 4
+            ]
+            patterns.extend(affordable[:3])
+        covered = set()
+        for pattern in patterns:
+            covered |= self._irrelevant_views_change_nothing(pattern, pool, summary)
+        assert "join" in covered and "single" in covered
+
+    def test_irrelevant_views_change_no_union(self, summary):
+        from tests.rewrite_golden import CATALOG_14
+
+        pool = CATALOG_14 + [self.LOCATION] + self.NAME_PARTS
+        pattern = parse_pattern("//name[id:s, val]")
+        assert "union" in self._irrelevant_views_change_nothing(pattern, pool, summary)
+
+    def test_union_member_that_serves_nothing_is_relevant(self):
+        """A view contained in the query can join a union without serving
+        any return node (here: an unsatisfiable one, contained in
+        everything) — the predicate's second half keeps it relevant."""
+        from repro.core.containment import PatternFacts
+        from repro.core.rewrite import view_is_relevant
+
+        doc = load("<a><b><c>1</c></b><d><c>2</c></d></a>")
+        summary = build_enhanced_summary(doc)
+        query = PatternFacts(parse_pattern("//a//c[id:s]"), summary)
+        catalog = Catalog()
+        empty = catalog.register("empty", "//e/c[id:s]")
+        other = catalog.register("other", "//b[id:s]")
+        assert view_is_relevant(query, empty, PatternFacts(empty.pattern, summary))
+        assert not view_is_relevant(query, other, PatternFacts(other.pattern, summary))

@@ -238,6 +238,9 @@ class TestPinLifecycle:
     )
     def test_pin_invalidated_by_mutations(self, xmark_doc, mutate):
         db = make_db(xmark_doc)
+        # an override no plan reads: without one pinned, a refresh has
+        # nothing to do and bumps no version
+        db.override_statistic("unread", 1.0)
         with QueryService(db) as service:
             service.pin_plan(self.pin_for(db))
             assert service.query(PERSON_QUERY).pinned
