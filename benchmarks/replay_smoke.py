@@ -8,9 +8,10 @@ replay loop is deterministic end to end:
    :class:`~repro.core.service.QueryService` with a file-backed query
    log, twice over, so the capture holds both cache-miss and cache-hit
    executions of every plan.  Each query is recorded under the default
-   flags (the logical algebra) *and* with ``physical=True`` (the
-   compiled batch plan), and every record of a query must carry the same
-   result checksum — the lane is *cross-mode*.  Between the
+   flags (the compiled batch plan) *and* with ``physical=False`` (the
+   logical algebra, the reference the compiled plans are tested
+   against), and every record of a query must carry the same result
+   checksum — the lane is *cross-mode*.  Between the
    passes, views come and go through the service: ``v_tmp``, which no
    battery query can use, and a twin of ``v_item``, which some can.  The
    catalog ends as it began, so the cached plans must be revalidated
@@ -51,9 +52,9 @@ from repro.engine.qlog import QueryLog
 from repro.workloads import XMARK_QUERIES, generate_xmark
 
 
-#: the execution modes every query is recorded under: the logical
-#: algebra (default flags) and the compiled physical plan
-MODES = ({}, {"physical": True})
+#: the execution modes every query is recorded under: the compiled
+#: physical plan (default flags) and the logical algebra reference
+MODES = ({}, {"physical": False})
 
 #: views added and dropped between the record passes: one no battery query
 #: can use, and one S-equivalent to ``v_item`` that several can

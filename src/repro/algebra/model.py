@@ -39,6 +39,15 @@ class NestedTuple:
         merged.update(kwargs)
         self._attrs = merged
 
+    @classmethod
+    def adopt(cls, attrs: dict[str, Any]) -> "NestedTuple":
+        """Wrap a freshly built dict without copying it — the per-row
+        fast path of operators that build each output dict themselves.
+        The caller hands the dict over and must not mutate it again."""
+        t = object.__new__(cls)
+        t._attrs = attrs
+        return t
+
     # -- access -----------------------------------------------------------
 
     @property
@@ -95,19 +104,20 @@ class NestedTuple:
     def with_attrs(self, **kwargs: Any) -> "NestedTuple":
         merged = dict(self._attrs)
         merged.update(kwargs)
-        return NestedTuple(merged)
+        return NestedTuple.adopt(merged)
 
     def project(self, names: Iterable[str]) -> "NestedTuple":
-        return NestedTuple({name: self._attrs.get(name, NULL) for name in names})
+        attrs = self._attrs
+        return NestedTuple.adopt({name: attrs.get(name, NULL) for name in names})
 
     def drop(self, names: Iterable[str]) -> "NestedTuple":
         dropped = set(names)
-        return NestedTuple(
+        return NestedTuple.adopt(
             {name: v for name, v in self._attrs.items() if name not in dropped}
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "NestedTuple":
-        return NestedTuple(
+        return NestedTuple.adopt(
             {mapping.get(name, name): v for name, v in self._attrs.items()}
         )
 
@@ -143,9 +153,8 @@ def concat(left: NestedTuple, right: NestedTuple) -> NestedTuple:
     Attribute names must not collide; operators qualify attribute names
     with their pattern-node or relation names to guarantee this.
     """
-    overlap = set(left.attrs) & set(right.attrs)
-    if overlap:
+    left_attrs, right_attrs = left.attrs, right.attrs
+    if not left_attrs.keys().isdisjoint(right_attrs):
+        overlap = set(left_attrs) & set(right_attrs)
         raise ValueError(f"attribute collision on concat: {sorted(overlap)}")
-    merged = dict(left.attrs)
-    merged.update(right.attrs)
-    return NestedTuple(merged)
+    return NestedTuple.adopt({**left_attrs, **right_attrs})

@@ -146,11 +146,14 @@ def replay_records(db: Database, records: Sequence[dict]) -> ReplayReport:
         query = record["query"]
         started = time.perf_counter()
         try:
+            # a flag the record does not carry replays at its default
             result = db.query(
                 query,
-                prefer_views=flags.get("prefer_views", True),
-                physical=flags.get("physical", False),
-                stats=flags.get("stats", False),
+                **{
+                    name: flags[name]
+                    for name in ("prefer_views", "physical", "stats")
+                    if name in flags
+                },
             )
         except Exception as exc:
             report.replayed += 1

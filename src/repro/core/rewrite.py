@@ -32,15 +32,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional
 
 from ..algebra.formulas import Formula
 from ..algebra.model import NestedTuple
 from ..algebra.operators import (
+    DeepRename,
     DerivedColumn,
     Navigate,
     Operator,
     Project,
+    Regroup,
     Scan,
     Select,
     StructuralJoin,
@@ -96,111 +98,6 @@ class SatisfiesFormula(Predicate):
 
     def __repr__(self) -> str:
         return f"{self.attr.path} ~ {self.formula!r}"
-
-
-class DeepRename(Operator):
-    """Recursive attribute renaming by pattern-node name.
-
-    ``mapping`` sends node names to node names; attributes ``old.X``
-    become ``new.X`` and collection attributes ``old`` become ``new``,
-    at every nesting level.
-    """
-
-    def __init__(self, child: Operator, mapping: dict[str, str]):
-        self.children = (child,)
-        self.mapping = dict(mapping)
-
-    def schema(self) -> list[str]:
-        return [self._rename(name) for name in self.children[0].schema()]
-
-    def _rename(self, name: str) -> str:
-        if "." in name:
-            prefix, _, suffix = name.rpartition(".")
-            if prefix in self.mapping:
-                return f"{self.mapping[prefix]}.{suffix}"
-            return name
-        return self.mapping.get(name, name)
-
-    def _rename_tuple(self, t: NestedTuple) -> NestedTuple:
-        attrs: dict[str, Any] = {}
-        for name, value in t.attrs.items():
-            new_name = self._rename(name)
-            if isinstance(value, list):
-                attrs[new_name] = [self._rename_tuple(member) for member in value]
-            else:
-                attrs[new_name] = value
-        return NestedTuple(attrs)
-
-    def evaluate(self, context=None) -> list[NestedTuple]:
-        return [self._rename_tuple(t) for t in self.children[0].evaluate(context)]
-
-    def label(self) -> str:
-        return f"ρ[{self.mapping}]"
-
-
-class Regroup(Operator):
-    """Re-nest flat view tuples into the query's nesting (the γ / nest-join
-    correspondence): group by the flat part (keys may include pre-nested
-    collection attributes), building one collection per entry of
-    ``collections``.  Outer-join padding (all-⊥ members) becomes an empty
-    collection — nest-outerjoin semantics.
-
-    Each collection entry is ``(name, member_attrs, identity_attrs)``.
-    With a single rebuilt collection, flat rows map one-to-one to members
-    and no deduplication happens (duplicate-*valued* members are
-    preserved, as nest joins do).  With several rebuilt collections the
-    flat input is their cross product; members then deduplicate by their
-    ``identity_attrs`` (which the planner extends with the serving view
-    IDs precisely so that equal-valued members stay distinguishable).
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        keys: Sequence[str],
-        collections: Sequence[tuple[str, Sequence[str], Sequence[str]]],
-    ):
-        self.children = (child,)
-        self.keys = list(keys)
-        self.collections = [
-            (name, list(attrs), list(identity))
-            for name, attrs, identity in collections
-        ]
-
-    def schema(self) -> list[str]:
-        return self.keys + [name for name, _attrs, _identity in self.collections]
-
-    def evaluate(self, context=None) -> list[NestedTuple]:
-        dedup = len(self.collections) > 1
-        groups: dict[tuple, dict[str, list[NestedTuple]]] = {}
-        seen: dict[tuple, dict[str, set]] = {}
-        heads: dict[tuple, NestedTuple] = {}
-        order: list[tuple] = []
-        for t in self.children[0].evaluate(context):
-            head = t.project(self.keys)
-            key = head.freeze()
-            if key not in groups:
-                groups[key] = {name: [] for name, _a, _i in self.collections}
-                seen[key] = {name: set() for name, _a, _i in self.collections}
-                heads[key] = head
-                order.append(key)
-            for name, attrs, identity in self.collections:
-                member = t.project(attrs)
-                if all(value is None for value in member.attrs.values()):
-                    continue  # outer-join padding
-                if dedup:
-                    marker = t.project(identity).freeze()
-                    if marker in seen[key][name]:
-                        continue
-                    seen[key][name].add(marker)
-                groups[key][name].append(member)
-        return [
-            heads[key].with_attrs(**groups[key]) for key in order
-        ]
-
-    def label(self) -> str:
-        built = ", ".join(name for name, _a, _i in self.collections)
-        return f"γⁿ[{', '.join(self.keys)} → {built}]"
 
 
 # ---------------------------------------------------------------------------

@@ -838,7 +838,7 @@ class QueryService:
         self,
         query: str,
         prefer_views: bool = True,
-        physical: bool = False,
+        physical: bool = True,
         stats: bool = False,
         session: Optional[QuerySession] = None,
         timeout: Optional[float] = None,
@@ -901,7 +901,7 @@ class QueryService:
         self,
         query: str,
         prefer_views: bool = True,
-        physical: bool = False,
+        physical: bool = True,
         stats: bool = False,
         session: Optional[QuerySession] = None,
         timeout: Optional[float] = None,

@@ -318,7 +318,7 @@ def _validation_runs(flags: dict) -> list[tuple[str, dict]]:
     """The executions every candidate must survive checksum-identical:
     the recorded flag combination, then a full physical run."""
     recorded = {
-        "physical": flags.get("physical", False),
+        "physical": flags.get("physical", True),
         "stats": flags.get("stats", False),
     }
     return [

@@ -193,7 +193,7 @@ class PreparedUnit:
     #: ``pattern:<index>:<pattern>``)
     index: int = 0
     #: pattern index → compiled physical plan of the chosen rewriting
-    #: (filled on first ``physical=True`` execution)
+    #: (filled on first compiled execution)
     compiled_patterns: dict[int, object] = field(default_factory=dict)
     #: compiled physical plan of the assembled unit (filled on first
     #: ``stats=True`` execution / explain)
@@ -732,7 +732,7 @@ class Database:
     def execute_prepared(
         self,
         prepared: PreparedQuery,
-        physical: bool = False,
+        physical: bool = True,
         stats: bool = False,
         context: Optional[ExecutionContext] = None,
         should_stop: Optional[Callable[[], bool]] = None,
@@ -773,15 +773,17 @@ class Database:
         self,
         query: str | Expr,
         prefer_views: bool = True,
-        physical: bool = False,
+        physical: bool = True,
         stats: bool = False,
         context: Optional[ExecutionContext] = None,
     ) -> QueryResult:
         """Parse, extract, rewrite, stitch and execute.
 
         ``prefer_views=False`` forces base-store evaluation (useful to
-        compare access paths).  ``physical=True`` runs pattern-access
-        plans through the physical engine compiler.  ``stats=True``
+        compare access paths).  Pattern-access (rewriting) plans run as
+        compiled batch closures; ``physical=False`` evaluates them with
+        the logical algebra instead — the reference the compiled plans
+        are tested against.  ``stats=True``
         additionally compiles the assembled unit plans through the
         physical engine and records per-operator metrics into
         ``result.metrics`` (one tree per unit).  ``context`` lets callers

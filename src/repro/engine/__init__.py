@@ -32,10 +32,12 @@ from .physical import (
     PLogicalFallback,
     PNestedLoopsJoin,
     PProject,
+    PRename,
     PScan,
     PSort,
     PStackTreeAnc,
     PStackTreeDesc,
+    PXMLize,
     PhysicalOperator,
     compile_plan,
 )
@@ -78,10 +80,12 @@ __all__ = [
     "PLogicalFallback",
     "PNestedLoopsJoin",
     "PProject",
+    "PRename",
     "PScan",
     "PSort",
     "PStackTreeAnc",
     "PStackTreeDesc",
+    "PXMLize",
     "PhysicalOperator",
     "compile_plan",
     "Store",

@@ -21,9 +21,14 @@ The thesis' §1.2.3 algorithms live on here as block passes:
   over pre-extracted sorted ID arrays — the same stack discipline,
   integer-indexed.
 
-``PLogicalFallback`` materializes its child blocks and evaluates a clone
-of its logical operator over them; the clone is local to the call, so a
-cached plan holds no data of the query that last ran it.
+Renames (folded into a ``PScan`` or left as a ``PRename``) build each
+tuple's new names once per distinct attribute-name tuple, through a memo
+the closure keeps; ``PHashGroupBy`` with collection specs is the
+rewriter's γⁿ (``Regroup``), and ``PXMLize`` renders templates.
+``PLogicalFallback`` — only the operators listed in
+:mod:`repro.engine.physical` reach it — materializes its child blocks and
+evaluates a clone of its logical operator over them; the clone is local
+to the call, so a cached plan holds no data of the query that last ran it.
 
 Metrics stay exact: each closure reads its operator's ``metrics`` node at
 call time and accumulates actual rows per block and inclusive wall time
@@ -38,7 +43,7 @@ import tracemalloc
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..algebra.model import NULL, NestedTuple, concat
-from ..algebra.operators import BaseTuples
+from ..algebra.operators import BaseTuples, rename_attribute, render_template
 from ..xmldata.ids import DeweyID, StructuralID
 from .context import EXEC_CTX_KEY
 from .orderdesc import sort_key_for
@@ -52,10 +57,12 @@ from .physical import (
     PLogicalFallback,
     PNestedLoopsJoin,
     PProject,
+    PRename,
     PScan,
     PSort,
     PStackTreeAnc,
     PStackTreeDesc,
+    PXMLize,
     PhysicalOperator,
 )
 
@@ -112,6 +119,8 @@ def _sid(t: NestedTuple, attr: str):
 def _pre(identifier) -> tuple:
     if isinstance(identifier, StructuralID):
         return (identifier.pre,)
+    if identifier is None:
+        return ()  # ⊥ sorts first, as sort_key_for puts it
     return identifier.path  # DeweyID: document order = path order
 
 
@@ -219,8 +228,39 @@ def _observed(op: PhysicalOperator, fn: BatchFn) -> BatchFn:
     return run
 
 
+def _renamer(mapping: dict, flat: bool) -> Callable[[NestedTuple], NestedTuple]:
+    """One tuple's :class:`~repro.algebra.operators.DeepRename`, with
+    the renamed names looked up once per distinct attribute-name tuple
+    (rows of one relation share theirs) instead of once per attribute.
+    ``flat`` inputs hold no collections, so no value is inspected."""
+    memo: dict = {}
+    adopt = NestedTuple.adopt
+
+    def names(keys: tuple) -> tuple:
+        renamed = memo[keys] = tuple(rename_attribute(mapping, key) for key in keys)
+        return renamed
+
+    if flat:
+        def rename(t: NestedTuple) -> NestedTuple:
+            attrs = t.attrs
+            keys = tuple(attrs)
+            return adopt(dict(zip(memo.get(keys) or names(keys), attrs.values())))
+    else:
+        def rename(t: NestedTuple) -> NestedTuple:
+            attrs = t.attrs
+            keys = tuple(attrs)
+            values = [
+                [rename(m) for m in v] if type(v) is list else v
+                for v in attrs.values()
+            ]
+            return adopt(dict(zip(memo.get(keys) or names(keys), values)))
+
+    return rename
+
+
 def _scan(op: PScan) -> BatchFn:
     name, missing_ok, order = op.name, op.missing_ok, op.output_order
+    rename = _renamer(op.renames, op.flat) if op.renames else None
 
     def fn(context):
         if context is None or name not in context:
@@ -228,8 +268,33 @@ def _scan(op: PScan) -> BatchFn:
                 return Block([], order)
             raise KeyError(f"base relation {name!r} missing from context")
         # context[name] fires the relation.scan fault point; the copy
-        # keeps store state unaliased
-        return Block(list(context[name]), order)
+        # (renamed when a rename is folded in) keeps store state unaliased
+        if rename is None:
+            return Block(list(context[name]), order)
+        return Block([rename(t) for t in context[name]], order)
+
+    return fn
+
+
+def _rename(op: PRename, child: BatchFn) -> BatchFn:
+    rename, order = _renamer(op.mapping, False), op.output_order
+
+    def fn(context):
+        return Block([rename(t) for t in child(context).tuples], order)
+
+    return fn
+
+
+def _xmlize(op: PXMLize, child: BatchFn) -> BatchFn:
+    template = op.template
+
+    def fn(context):
+        return Block(
+            [
+                NestedTuple.adopt({"xml": render_template(template, t)})
+                for t in child(context).tuples
+            ]
+        )
 
     return fn
 
@@ -253,21 +318,29 @@ def _filter(op: PFilter, child: BatchFn) -> BatchFn:
 
 
 def _project(op: PProject, child: BatchFn) -> BatchFn:
-    columns, renames, dedup = op.columns, op.renames, op.dedup
-    order = op.output_order
+    # projection and renaming build one dict: (input name, output name)
+    pairs = [(c, op.renames.get(c, c)) for c in op.columns]
+    dedup, order = op.dedup, op.output_order
+    adopt = NestedTuple.adopt
 
     def fn(context):
-        rows = child(context).tuples
-        if renames:
-            projected = [t.project(columns).rename(renames) for t in rows]
-        else:
-            projected = [t.project(columns) for t in rows]
+        projected = []
+        for t in child(context).tuples:
+            get = t.attrs.get
+            projected.append(adopt({out: get(name) for name, out in pairs}))
         if dedup:
+            # every row carries the same names in the same order, so equal
+            # value tuples mean equal rows (collections are frozen to hash)
             seen: set = set()
             kept = []
             for p in projected:
-                key = p.freeze()
-                if key not in seen:
+                key = tuple(p.attrs.values())
+                try:
+                    fresh = key not in seen
+                except TypeError:
+                    key = _frozen(key)
+                    fresh = key not in seen
+                if fresh:
                     seen.add(key)
                     kept.append(p)
             projected = kept
@@ -289,7 +362,90 @@ def _sort(op: PSort, child: BatchFn) -> BatchFn:
     return fn
 
 
+def _frozen(values: tuple) -> tuple:
+    """A value tuple as :meth:`NestedTuple.freeze` holds its values
+    (collections become tuples of frozen members), hence hashable."""
+    return tuple(
+        tuple(m.freeze() for m in v) if type(v) is list else v for v in values
+    )
+
+
+def _regroup(op: PHashGroupBy, child: BatchFn) -> BatchFn:
+    """γⁿ: the group key is the key values themselves, frozen only when
+    one of them is a collection (a list fails to hash)."""
+    keys, order = op.keys, op.output_order
+    collections = op.collections
+    names = [name for name, _a, _i in collections]
+    adopt = NestedTuple.adopt
+
+    def group(t: NestedTuple, attrs: dict, built: dict, heads: dict):
+        key = tuple([attrs.get(k) for k in keys])
+        try:
+            members = built.get(key)
+        except TypeError:
+            key = _frozen(key)
+            members = built.get(key)
+        if members is None:
+            heads[key] = t.project(keys)
+            members = built[key] = [[] for _ in collections]
+        return key, members
+
+    def emit(built: dict, heads: dict) -> Block:
+        return Block(
+            [
+                adopt({**heads[key].attrs, **dict(zip(names, members))})
+                for key, members in built.items()
+            ],
+            order,
+        )
+
+    if len(collections) == 1:
+        # flat rows map one-to-one to members: no deduplication
+        member_attrs = collections[0][1]
+        width = len(member_attrs)
+
+        def fn(context):
+            built: dict = {}
+            heads: dict = {}
+            for t in child(context).tuples:
+                attrs = t.attrs
+                _key, (members,) = group(t, attrs, built, heads)
+                values = [attrs.get(a) for a in member_attrs]
+                if values.count(None) != width:  # all-⊥: outer-join padding
+                    members.append(adopt(dict(zip(member_attrs, values))))
+            return emit(built, heads)
+
+        return fn
+
+    def fn(context):
+        # the flat input is the collections' cross product: members
+        # deduplicate by their identity attributes
+        built: dict = {}
+        heads: dict = {}
+        seen: dict = {}
+        for t in child(context).tuples:
+            attrs = t.attrs
+            key, members = group(t, attrs, built, heads)
+            markers = seen.get(key)
+            if markers is None:
+                markers = seen[key] = [set() for _ in collections]
+            for index, (_name, member_attrs, identity) in enumerate(collections):
+                values = [attrs.get(a) for a in member_attrs]
+                if values.count(None) == len(values):
+                    continue  # outer-join padding
+                marker = _frozen(tuple([attrs.get(a) for a in identity]))
+                if marker in markers[index]:
+                    continue
+                markers[index].add(marker)
+                members[index].append(adopt(dict(zip(member_attrs, values))))
+        return emit(built, heads)
+
+    return fn
+
+
 def _group_by(op: PHashGroupBy, child: BatchFn) -> BatchFn:
+    if op.collections:
+        return _regroup(op, child)
     keys, nest_as, order = op.keys, op.nest_as, op.output_order
 
     def fn(context):
@@ -387,13 +543,16 @@ def _stack_tree_desc(op: PStackTreeDesc, left: BatchFn, right: BatchFn) -> Batch
         a, n_anc = 0, len(anc_rows)
         for d in range(len(desc_rows)):
             desc_id = desc_ids[d]
+            if desc_id is None:
+                continue  # a ⊥ identifier matches nothing
             desc_pre = desc_pres[d]
             # Push every ancestor starting before this descendant.
             while a < n_anc and anc_pres[a] < desc_pre:
                 anc_id = anc_ids[a]
-                while stack and not _covers(stack[-1][0], anc_id):
-                    stack.pop()
-                stack.append((anc_id, anc_rows[a]))
+                if anc_id is not None:
+                    while stack and not _covers(stack[-1][0], anc_id):
+                        stack.pop()
+                    stack.append((anc_id, anc_rows[a]))
                 a += 1
             while stack and not _covers(stack[-1][0], desc_id):
                 stack.pop()
@@ -442,6 +601,12 @@ def _stack_tree_anc(op: PStackTreeAnc, left: BatchFn, right: BatchFn) -> BatchFn
             )
             if advance_anc:
                 anc_id = anc_ids[a]
+                if anc_id is None:
+                    # a ⊥ ancestor covers and matches nothing: it waits
+                    # for the next flush with no matches, first by pre
+                    pending.append([None, anc_rows[a], [], ()])
+                    a += 1
+                    continue
                 while stack and not _covers(stack[-1][0], anc_id):
                     pending.append(stack.pop())
                 if not stack:
@@ -450,6 +615,9 @@ def _stack_tree_anc(op: PStackTreeAnc, left: BatchFn, right: BatchFn) -> BatchFn
                 a += 1
             else:
                 desc_id = desc_ids[d]
+                if desc_id is None:
+                    d += 1
+                    continue
                 while stack and not _covers(stack[-1][0], desc_id):
                     pending.append(stack.pop())
                 if not stack:
@@ -557,6 +725,10 @@ def compile_batch(physical: PhysicalOperator) -> BatchFn:
             raw = _stack_tree_desc(op, *kids)
         elif isinstance(op, PStackTreeAnc):
             raw = _stack_tree_anc(op, *kids)
+        elif isinstance(op, PRename):
+            raw = _rename(op, *kids)
+        elif isinstance(op, PXMLize):
+            raw = _xmlize(op, *kids)
         elif isinstance(op, PConcat):
             raw = _concat(op, kids)
         elif isinstance(op, PDifference):

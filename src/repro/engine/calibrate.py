@@ -12,7 +12,8 @@ attributed profiling on (``cpu_ms`` per operator — see
    ``operators`` list (the ``depth`` field), and computes every
    operator's **exclusive** CPU (inclusive minus children);
 2. maps operator labels to **operator classes** (scan, filter,
-   hash-join, nested-loops, stacktree-desc/anc, sort, group-by, …) and
+   hash-join, nested-loops, stacktree-desc/anc, sort, group-by, rename,
+   xmlize, …) and
    prices each operator in the cost model's own unit system from the
    *estimated* cardinalities the planner saw (sort pays ``n·log₂n``,
    nested loops pay the pair product, hash joins pay build+probe, the
@@ -58,6 +59,8 @@ OPERATOR_CLASSES: tuple[tuple[str, str], ...] = (
     ("PStackTreeAnc", "stacktree-anc"),
     ("PSort", "sort"),
     ("PHashGroupBy", "group-by"),
+    ("PRename", "rename"),
+    ("PXMLize", "xmlize"),
     ("PLogicalFallback", "fallback"),
     ("BaseEval", "base-eval"),
 )

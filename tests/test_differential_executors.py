@@ -1,9 +1,9 @@
 """Differential harness: logical algebra vs compiled physical plan.
 
 Every workload query must produce identical observable output — result
-checksum *and* degradation flags — under the default flags (the logical
-algebra, ``physical=False``: the reference implementation) and as a
-compiled batch plan (``physical=True, stats=True``), including with
+checksum *and* degradation flags — under the logical algebra
+(``physical=False``: the reference implementation) and as a compiled
+batch plan (``physical=True, stats=True``), including with
 circuit breakers forced open.  Under armed chaos fault points each mode
 must either reproduce a fault-free, view-less oracle or fail with a typed
 :class:`~repro.errors.ReproError`.
@@ -39,7 +39,7 @@ CHAOS_SPECS = [
 
 #: the two execution modes under comparison: logical reference first
 MODES = (
-    ("logical", {}),
+    ("logical", {"physical": False}),
     ("physical", {"physical": True, "stats": True}),
 )
 

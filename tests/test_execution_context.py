@@ -5,7 +5,7 @@ import pytest
 
 from repro import Database
 from repro.algebra.model import NestedTuple
-from repro.algebra.operators import BaseTuples, Select, StructuralJoin, ValueJoin, XMLize
+from repro.algebra.operators import BaseTuples, Select, StructuralJoin, ValueJoin
 from repro.algebra.plans import annotate_cardinalities, cardinality_profile
 from repro.algebra.predicates import Attr, Compare, Const
 from repro.engine import (
@@ -197,10 +197,9 @@ class TestPlanMetrics:
 
 class TestLogicalFallbackMaterialization:
     def fallback_plan(self):
-        from repro.algebra.operators import TemplateAttr, TemplateElement
+        from repro.algebra.operators import DerivedColumn
 
-        template = TemplateElement("r", [TemplateAttr("x")])
-        return XMLize(rows("x", [1, 2, 3]), template)
+        return DerivedColumn(rows("x", [1, 2, 3]), "y", lambda t: -t["x"])
 
     def test_children_materialize_exactly_once_per_execution(self):
         ctx = ExecutionContext()

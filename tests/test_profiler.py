@@ -634,6 +634,19 @@ class TestCalibration:
         assert classify("BaseEval(root{...})") == "base-eval"
         assert classify("SomethingNew") == "other"
 
+    def test_rewriting_operators_are_priced(self):
+        """The closures a rewriting plan compiles to have classes of their
+        own instead of lumping into ``other``."""
+        from repro.algebra.operators import TemplateAttr, TemplateElement
+        from repro.engine.physical import PBase, PHashGroupBy, PRename, PXMLize
+
+        leaf = PBase([])
+        assert classify(PRename(leaf, {"e1": "n1"}).label()) == "rename"
+        template = TemplateElement("r", [TemplateAttr("x")])
+        assert classify(PXMLize(leaf, template).label()) == "xmlize"
+        regroup = PHashGroupBy(leaf, ["n1.ID"], collections=[("n2", ["n2.V"], ["n2.V"])])
+        assert classify(regroup.label()) == "group-by"
+
     def test_end_to_end_over_profiled_battery(self):
         """`repro calibrate` substance: recording the XMark battery with
         profiling on yields a coefficient for every exercised class."""

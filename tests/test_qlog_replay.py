@@ -22,9 +22,13 @@ from repro.engine.qlog import (
     iter_ok_records,
     result_checksum,
 )
-from repro.engine.sentinel import PlanRegressionSentinel, SentinelConfig
+from repro.engine.sentinel import (
+    MISESTIMATE_MIN_ROWS,
+    PlanRegressionSentinel,
+    SentinelConfig,
+)
 from repro.engine.tracing import Tracer
-from repro.workloads import generate_xmark
+from repro.workloads import XMARK_QUERIES, generate_xmark
 
 PERSON_QUERY = "for $p in //people/person return $p/name/text()"
 ITEM_QUERY = "//regions//item/name/text()"
@@ -104,8 +108,8 @@ class TestPlanFingerprint:
         assert before != after
 
     def test_fingerprint_stable_across_execution_modes(self, db):
-        plain = db.query(PERSON_QUERY)
-        stats = db.query(PERSON_QUERY, stats=True)
+        plain = db.query(PERSON_QUERY, physical=False)
+        stats = db.query(PERSON_QUERY, physical=False, stats=True)
         physical = db.query(PERSON_QUERY, physical=True)
         assert plain.plan_fingerprint == stats.plan_fingerprint
         assert plain.plan_fingerprint == physical.plan_fingerprint
@@ -305,6 +309,27 @@ class TestSentinel:
             assert db.statistics_overrides == {}
             healthy = svc.query("//item/name/text()")
             assert healthy.resolutions[0].estimated_cardinality < 100
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_small_row_gap_is_not_a_misestimate(self, seed):
+        """On the scale-16 document the planner estimates ``q14`` at
+        19.2 rows and it returns 0-1: a ratio above the factor, but a
+        ratio of two tiny counts is noise, not stale statistics.  A
+        poisoned estimate of the same pattern still is a finding."""
+        db = Database(metrics=MetricsRegistry())
+        db.add_document(generate_xmark(scale=16, seed=seed))
+        query = XMARK_QUERIES["q14"]
+        with QueryService(db, max_workers=1) as svc:
+            (resolution,) = svc.query(query).resolutions
+            est = resolution.estimated_cardinality
+            rows = resolution.actual_cardinality
+            assert rows <= 1
+            assert (est + 1) / (rows + 1) > svc.sentinel.config.misestimate_factor
+            assert est - rows < MISESTIMATE_MIN_ROWS
+            assert svc.sentinel.misestimates == 0
+            db.override_statistic(resolution.pattern.to_text(), 1e6)
+            svc.query(query)
+            assert svc.sentinel.misestimates == 1
 
     def test_finding_ring_is_bounded(self):
         sentinel = PlanRegressionSentinel(config=SentinelConfig(capacity=4))
