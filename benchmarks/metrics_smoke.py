@@ -84,7 +84,7 @@ def run_workload(
         for query in XMARK_QUERIES.values():
             if stats:
                 results.append(
-                    service.query(query, physical=True, stats=True)
+                    service.query(query, stats=True)
                 )
             else:
                 results.append(service.query(query))

@@ -8,10 +8,9 @@ replay loop is deterministic end to end:
    :class:`~repro.core.service.QueryService` with a file-backed query
    log, twice over, so the capture holds both cache-miss and cache-hit
    executions of every plan.  Each query is recorded under the default
-   flags (the compiled batch plan) *and* with ``physical=False`` (the
-   logical algebra, the reference the compiled plans are tested
-   against), and every record of a query must carry the same result
-   checksum — the lane is *cross-mode*.  Between the
+   flags (the bare compiled batch plan) *and* with ``stats=True`` (the
+   same plan run instrumented), and every record of a query must carry
+   the same result checksum — the lane is *cross-mode*.  Between the
    passes, views come and go through the service: ``v_tmp``, which no
    battery query can use, and a twin of ``v_item``, which some can.  The
    catalog ends as it began, so the cached plans must be revalidated
@@ -52,9 +51,9 @@ from repro.engine.qlog import QueryLog
 from repro.workloads import XMARK_QUERIES, generate_xmark
 
 
-#: the execution modes every query is recorded under: the compiled
-#: physical plan (default flags) and the logical algebra reference
-MODES = ({}, {"physical": False})
+#: the execution modes every query is recorded under: the bare compiled
+#: plan (default flags) and the same plan run instrumented
+MODES = ({}, {"stats": True})
 
 #: views added and dropped between the record passes: one no battery query
 #: can use, and one S-equivalent to ``v_item`` that several can
@@ -141,7 +140,7 @@ def main(argv=None) -> int:
         failures,
     )
 
-    # -- cross-mode: logical and physical records agree ---------------------
+    # -- cross-mode: plain and instrumented records agree -------------------
     records = QueryLog.read_all(args.qlog)
     checksums: dict = {}
     for record in records:
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
     split = sorted(query for query, seen in checksums.items() if len(seen) > 1)
     check(
         len(checksums) == len(XMARK_QUERIES) and not split,
-        "logical and physical records of every query share one checksum "
+        "plain and instrumented records of every query share one checksum "
         f"({len(split)} query(ies) split)",
         failures,
     )

@@ -42,7 +42,7 @@ def test_bench_instrumented_unprofiled(benchmark, plain_db):
     profiler off — what the other two lanes are measured against."""
     prepared = plain_db.prepare(QUERY)
     out = benchmark(
-        lambda: plain_db.execute_prepared(prepared, physical=True, stats=True)
+        lambda: plain_db.execute_prepared(prepared, stats=True)
     )
     assert out.tuples
 
@@ -54,7 +54,7 @@ def test_bench_profiled_attributed(benchmark, profiled_db):
     prepared = profiled_db.prepare(QUERY)
     out = benchmark(
         lambda: profiled_db.execute_prepared(
-            prepared, physical=True, stats=True
+            prepared, stats=True
         )
     )
     assert sum(metrics.total_cpu_ns() for metrics in out.metrics) > 0
@@ -69,7 +69,7 @@ def test_bench_profiled_memory_every_query(benchmark, profiled_db):
     try:
         out = benchmark(
             lambda: profiled_db.execute_prepared(
-                prepared, physical=True, stats=True
+                prepared, stats=True
             )
         )
     finally:

@@ -53,8 +53,8 @@ profiled operator rows.
 The ``optimize`` form runs the offline plan tournament
 (:mod:`repro.core.tournament`) over such a capture: every S-equivalent
 rewriting of each distinct query is enumerated without the online
-enumeration cap, checksum-validated against the recording and as a
-compiled physical plan (exit 1 on any divergence — that is a rewriting
+enumeration cap, checksum-validated against the recording, once plain
+and once instrumented (exit 1 on any divergence — that is a rewriting
 bug, not a tuning detail), benchmarked with trimmed-mean timed runs, and
 winners are promoted as pinned plans (``pins.json`` in the audit
 directory; ``serve --pins`` installs them).
@@ -755,8 +755,8 @@ def _optimize_main(argv: list[str]) -> int:
         prog="repro optimize",
         description="plan tournament over a recorded workload: enumerate "
         "every S-equivalent rewriting of each distinct query, validate "
-        "each candidate's result checksum against the recording and as "
-        "a compiled physical plan (any divergence is a rewriting bug and "
+        "each candidate's result checksum against the recording, plain "
+        "and instrumented (any divergence is a rewriting bug and "
         "fails the run), benchmark the survivors, and promote winners as "
         "pinned plans with a full per-query audit trail",
     )

@@ -243,7 +243,6 @@ class ShardedDatabase(Database):
         prepared_unit: PreparedUnit,
         index: int,
         resolution: PatternResolution,
-        physical: bool,
         ctx: ExecutionContext,
         events: Optional[list[str]] = None,
         fingerprint: Optional[str] = None,
@@ -256,7 +255,7 @@ class ShardedDatabase(Database):
             ctx.bump("shard.fallback")
             ctx.event("shard.fallback", pattern=index, reason=decision.reason)
             return super()._prepared_pattern_tuples(
-                prepared_unit, index, resolution, physical, ctx, events,
+                prepared_unit, index, resolution, ctx, events,
                 fingerprint=fingerprint,
             )
         with ctx.span(

@@ -132,7 +132,8 @@ def replay_records(db: Database, records: Sequence[dict]) -> ReplayReport:
     """Re-run every replayable record against ``db`` and diff.
 
     Replays go straight through :meth:`Database.query` with the flags the
-    record was captured under — deliberately *not* through a
+    record was captured under (a ``physical`` flag from older captures
+    is ignored: every plan runs compiled) — deliberately *not* through a
     :class:`~repro.core.service.QueryService`, so the replay process
     neither pollutes a live service's plan cache nor depends on its cache
     state: every fingerprint is re-derived from a fresh preparation.
@@ -151,7 +152,7 @@ def replay_records(db: Database, records: Sequence[dict]) -> ReplayReport:
                 query,
                 **{
                     name: flags[name]
-                    for name in ("prefer_views", "physical", "stats")
+                    for name in ("prefer_views", "stats")
                     if name in flags
                 },
             )

@@ -5,10 +5,9 @@ the serving layer the ROADMAP's north star asks for.  A
 :class:`QueryService` owns
 
 * a versioned :class:`~repro.engine.plan_cache.PlanCache` keyed on
-  ``(normalized query text, prefer_views, physical)`` and stamped with
-  the catalog version, so repeated queries skip the parse → translate →
-  rewrite-search → assemble (and, on physical paths, compile) pipeline
-  entirely;
+  ``(normalized query text, prefer_views)`` and stamped with the catalog
+  version, so repeated queries skip the parse → translate →
+  rewrite-search → assemble → compile pipeline entirely;
 * a bounded :class:`~concurrent.futures.ThreadPoolExecutor` giving
   inter-query parallelism with per-query timeouts and cooperative
   cancellation (a timed-out query is cancelled if still queued, and asked
@@ -84,6 +83,7 @@ from .uload import (
     PreparedQuery,
     QueryCancelled,
     QueryResult,
+    require_physical,
 )
 from .xam import Pattern
 
@@ -577,14 +577,13 @@ class QueryService:
         self,
         query: str,
         prefer_views: bool,
-        physical: bool,
         ctx: ExecutionContext,
     ) -> tuple[PreparedQuery, tuple]:
         """Cached prepared plan for the query (and its cache key),
         preparing on miss.  The hit/miss/invalidation outcome is recorded
         into ``ctx.counters`` (the per-query sink) — totals live in
         :meth:`cache_stats`."""
-        key = (normalize_query(query), prefer_views, physical)
+        key = (normalize_query(query), prefer_views)
         version = self.db.catalog_version
         prepared, outcome = self.cache.probe(key, version)
         if outcome == "stale":
@@ -669,7 +668,6 @@ class QueryService:
         self,
         query: str,
         prefer_views: bool,
-        physical: bool,
         stats: bool,
         session: Optional[QuerySession],
         pending: _PendingQuery,
@@ -700,7 +698,7 @@ class QueryService:
         )
         try:
             result = self._execute_with_retries(
-                query, prefer_views, physical, stats, pending, deadline, ctx
+                query, prefer_views, stats, pending, deadline, ctx
             )
             outcome = "ok"
             return result
@@ -733,11 +731,7 @@ class QueryService:
                         elapsed,
                         outcome or "cancelled",
                         error=error_type,
-                        flags={
-                            "prefer_views": prefer_views,
-                            "physical": physical,
-                            "stats": stats,
-                        },
+                        flags={"prefer_views": prefer_views, "stats": stats},
                         admission={
                             "outcome": "ok",
                             "priority": priority,
@@ -778,7 +772,6 @@ class QueryService:
         self,
         query: str,
         prefer_views: bool,
-        physical: bool,
         stats: bool,
         pending: _PendingQuery,
         deadline: Optional[float],
@@ -790,18 +783,16 @@ class QueryService:
         with the circuit breakers in view."""
         policy = self.retry_policy
         if self.db.profile:
-            # attributed profiling measures the physical engine's
-            # observation points — promote profiled queries to
-            # physical+stats so there is something to attribute
-            physical = True
+            # attributed profiling reads the instrumented unit plans —
+            # promote profiled queries to stats so there is something to
+            # attribute
             stats = True
-        prepared, key = self._lookup(query, prefer_views, physical, ctx)
+        prepared, key = self._lookup(query, prefer_views, ctx)
         retries = 0
         while True:
             try:
                 result = self.db.execute_prepared(
                     prepared,
-                    physical=physical,
                     stats=stats,
                     context=ctx,
                     should_stop=pending.should_stop,
@@ -838,7 +829,6 @@ class QueryService:
         self,
         query: str,
         prefer_views: bool = True,
-        physical: bool = True,
         stats: bool = False,
         session: Optional[QuerySession] = None,
         timeout: Optional[float] = None,
@@ -876,7 +866,7 @@ class QueryService:
         try:
             future = self._executor.submit(
                 self._execute,
-                query, prefer_views, physical, stats, session, pending,
+                query, prefer_views, stats, session, pending,
                 deadline, queued_at, priority,
             )
         except BaseException:
@@ -901,11 +891,12 @@ class QueryService:
         self,
         query: str,
         prefer_views: bool = True,
-        physical: bool = True,
         stats: bool = False,
         session: Optional[QuerySession] = None,
         timeout: Optional[float] = None,
         priority: str = "interactive",
+        *,
+        physical: bool = True,
     ) -> QueryResult:
         """Run one query through the pool and wait for its result.
 
@@ -914,13 +905,15 @@ class QueryService:
         queued, at its next unit boundary if running — and
         :class:`QueryTimeout` is raised.  Admission control may raise
         :class:`~repro.errors.QueryRejected` before anything runs.
+        ``physical`` accepts only True (see
+        :func:`~repro.core.uload.require_physical`).
         """
+        require_physical(physical)
         timeout = self.default_timeout if timeout is None else timeout
         started = ExecutionContext.clock()
         future = self.submit(
-            query, prefer_views=prefer_views, physical=physical,
-            stats=stats, session=session, timeout=timeout,
-            priority=priority,
+            query, prefer_views=prefer_views, stats=stats, session=session,
+            timeout=timeout, priority=priority,
         )
         try:
             return future.result(timeout)
@@ -976,7 +969,7 @@ class QueryService:
         plan, and the report's counters show the hit/miss outcome."""
         ctx = self.db.execution_context()
         try:
-            prepared, _ = self._lookup(query, prefer_views, physical=True, ctx=ctx)
+            prepared, _ = self._lookup(query, prefer_views, ctx)
             return self.db.explain_prepared(prepared, ctx)
         except BaseException:
             ctx.end_trace("error")

@@ -16,15 +16,15 @@ store — and runs a tournament over it:
    it; the cost model's own pick is always candidate 0.
 
 2. **Validate.**  Every candidate executes under the recorded flags *and*
-   as a compiled physical plan (``physical=True, stats=True``), and
-   every result checksum must equal the recorded one.  S-equivalence
-   says they must agree — a divergence is a rewriting/engine bug, never
-   a tie-breaking detail, so it is reported loudly and fails the run.  This makes the
-   tournament a standing differential-correctness harness over the whole
-   rewriting framework, independent of whether anything gets promoted.
+   instrumented (``stats=True``), and every result checksum must equal
+   the recorded one.  S-equivalence says they must agree — a divergence
+   is a rewriting/engine bug, never a tie-breaking detail, so it is
+   reported loudly and fails the run.  This makes the tournament a
+   standing differential-correctness harness over the whole rewriting
+   framework, independent of whether anything gets promoted.
 
 3. **Benchmark.**  Validated candidates run timed laps through the
-   physical engine (one warmup, then ``runs`` measured executions); the
+   compiled engine (one warmup, then ``runs`` measured executions); the
    score is the trimmed mean (min and max dropped once there are ≥ 3
    samples).
 
@@ -316,27 +316,25 @@ def _enumerate_candidates(
 
 def _validation_runs(flags: dict) -> list[tuple[str, dict]]:
     """The executions every candidate must survive checksum-identical:
-    the recorded flag combination, then a full physical run."""
-    recorded = {
-        "physical": flags.get("physical", True),
-        "stats": flags.get("stats", False),
-    }
-    return [
-        ("recorded", recorded),
-        ("physical", {"physical": True, "stats": True}),
-    ]
+    the recorded flags (a recorded ``physical`` flag is ignored), then an
+    instrumented run unless the recorded one already was."""
+    recorded = {"stats": flags.get("stats", False)}
+    runs = [("recorded", recorded)]
+    if not recorded["stats"]:
+        runs.append(("stats", {"stats": True}))
+    return runs
 
 
 def _benchmark_candidate(
     db: Database, prepared, runs: int
 ) -> list[float]:
-    """Timed laps through the physical engine: one unrecorded warmup,
+    """Timed laps through the compiled engine: one unrecorded warmup,
     then ``runs`` measured executions."""
-    db.execute_prepared(prepared, physical=True)  # warmup
+    db.execute_prepared(prepared)  # warmup
     laps = []
     for _ in range(max(1, runs)):
         started = time.perf_counter()
-        db.execute_prepared(prepared, physical=True)
+        db.execute_prepared(prepared)
         laps.append(time.perf_counter() - started)
     return laps
 

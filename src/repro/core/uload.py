@@ -179,11 +179,34 @@ class QueryResult:
                 names.extend(resolution.rewriting.views)
         return names
 
+    def collect(self, unit: ExtractionUnit, tuples: list[NestedTuple]) -> None:
+        """Append one unit's output tuples, and the XML fragments or the
+        scalar values they carry."""
+        self.tuples.extend(tuples)
+        if unit.template is not None:
+            self.xml.extend(t["xml"] for t in tuples)
+            return
+        for t in tuples:
+            for _pidx, path in unit.outputs:
+                for value in t.iter_path(path):
+                    if value is not None and not isinstance(value, list):
+                        self.values.append(value)
+
+
+def require_physical(physical: bool) -> None:
+    """Every plan runs compiled; ``physical`` survives on the public entry
+    points only so existing ``physical=True`` callers keep working."""
+    if not physical:
+        raise ValueError(
+            "physical=False is not supported: every plan runs as a "
+            "compiled batch plan"
+        )
+
 
 @dataclass
 class PreparedUnit:
     """One extraction unit of a prepared query: its resolved access paths,
-    the assembled logical plan, and lazily cached compiled artifacts."""
+    the assembled logical plan, and its compiled physical plans."""
 
     unit: ExtractionUnit
     resolutions: list[PatternResolution]
@@ -193,10 +216,10 @@ class PreparedUnit:
     #: ``pattern:<index>:<pattern>``)
     index: int = 0
     #: pattern index → compiled physical plan of the chosen rewriting
-    #: (filled on first compiled execution)
+    #: (filled at prepare time, when the plan is fingerprinted)
     compiled_patterns: dict[int, object] = field(default_factory=dict)
-    #: compiled physical plan of the assembled unit (filled on first
-    #: ``stats=True`` execution / explain)
+    #: compiled physical plan of the assembled unit (filled at prepare
+    #: time, when the plan is fingerprinted)
     compiled_plan: Optional[object] = None
 
 
@@ -670,10 +693,10 @@ class Database:
                     index=len(units),
                 )
             )
-        # Fingerprint the prepared plan: compiles each unit (and chosen
-        # rewriting) eagerly — the compiled artifacts are cached on the
-        # units, so later stats/physical executions reuse them — and
-        # hashes the physical shapes plus the chosen access paths.
+        # Fingerprint the prepared plan: compiles each unit and chosen
+        # rewriting — the compiled plans are stored on the units, which
+        # is what every execution runs — and hashes the physical shapes
+        # plus the chosen access paths.
         fingerprint, plan_shape = fingerprint_plan(
             units, ctx, self.store.scan_orders()
         )
@@ -732,10 +755,11 @@ class Database:
     def execute_prepared(
         self,
         prepared: PreparedQuery,
-        physical: bool = True,
         stats: bool = False,
         context: Optional[ExecutionContext] = None,
         should_stop: Optional[Callable[[], bool]] = None,
+        *,
+        physical: bool = True,
     ) -> QueryResult:
         """Execute a prepared query against the current store contents.
 
@@ -744,6 +768,7 @@ class Database:
         distinct plans run in parallel).  ``should_stop`` is polled at
         unit boundaries; returning True raises :class:`QueryCancelled`.
         """
+        require_physical(physical)
         ctx = context or self.execution_context()
         result = QueryResult()
         events: list[str] = []
@@ -757,8 +782,8 @@ class Database:
                         )
                     with ctx.span("unit", index=number):
                         self._run_prepared_unit(
-                            prepared_unit, result, physical, stats, ctx,
-                            events, fingerprint=prepared.fingerprint,
+                            prepared_unit, result, stats, ctx, events,
+                            fingerprint=prepared.fingerprint,
                         )
         result.degradation_events = events
         result.degraded = bool(events)
@@ -773,29 +798,27 @@ class Database:
         self,
         query: str | Expr,
         prefer_views: bool = True,
-        physical: bool = True,
         stats: bool = False,
         context: Optional[ExecutionContext] = None,
+        *,
+        physical: bool = True,
     ) -> QueryResult:
         """Parse, extract, rewrite, stitch and execute.
 
         ``prefer_views=False`` forces base-store evaluation (useful to
-        compare access paths).  Pattern-access (rewriting) plans run as
-        compiled batch closures; ``physical=False`` evaluates them with
-        the logical algebra instead — the reference the compiled plans
-        are tested against.  ``stats=True``
-        additionally compiles the assembled unit plans through the
-        physical engine and records per-operator metrics into
-        ``result.metrics`` (one tree per unit).  ``context`` lets callers
-        (the query service) thread one metrics sink through preparation
-        and execution.
+        compare access paths).  Every plan — each pattern's rewriting and
+        each unit's assembled plan — runs as compiled batch closures.
+        ``stats=True`` runs the unit plans instrumented and records
+        per-operator metrics into ``result.metrics`` (one tree per unit).
+        ``context`` lets callers (the query service) thread one metrics
+        sink through preparation and execution.  ``physical`` accepts
+        only True (see :func:`require_physical`).
         """
+        require_physical(physical)
         ctx = context or self.execution_context()
         try:
             prepared = self.prepare(query, prefer_views, context=ctx)
-            return self.execute_prepared(
-                prepared, physical=physical, stats=stats, context=ctx
-            )
+            return self.execute_prepared(prepared, stats=stats, context=ctx)
         except BaseException:
             ctx.end_trace("error")
             raise
@@ -837,30 +860,10 @@ class Database:
             with prepared.lock, faults.scope(ctx.fault_injector, ctx):
                 prepared.executions += 1
                 for prepared_unit in prepared.units:
-                    bindings = {}
-                    for index, resolution in enumerate(prepared_unit.resolutions):
-                        with ctx.span("pattern", index=index):
-                            tuples = self._prepared_pattern_tuples(
-                                prepared_unit, index, resolution,
-                                physical=True, ctx=ctx,
-                                fingerprint=prepared.fingerprint,
-                            )
-                        resolution.actual_cardinality = len(tuples)
-                        bindings[f"__pattern_{index}"] = tuples
-                    if prepared_unit.compiled_plan is None:
-                        prepared_unit.compiled_plan = ctx.compile(
-                            prepared_unit.logical, self.store.scan_orders()
-                        )
-                    slot = self._batch_slot(
-                        prepared.fingerprint,
-                        f"unit:{prepared_unit.index}",
-                        prepared_unit.compiled_plan,
-                        ctx,
+                    slot, metrics = self._run_prepared_unit(
+                        prepared_unit, QueryResult(), True, ctx,
+                        fingerprint=prepared.fingerprint,
                     )
-                    with slot.lock:
-                        _, metrics = ctx.run(
-                            slot.plan, bindings, batch_fn=slot.fn
-                        )
                     units.append(
                         ExplainUnit(
                             logical=prepared_unit.logical,
@@ -1073,14 +1076,12 @@ class Database:
         prepared_unit: PreparedUnit,
         index: int,
         resolution: PatternResolution,
-        physical: bool,
         ctx: ExecutionContext,
         events: Optional[list[str]] = None,
         fingerprint: Optional[str] = None,
     ) -> list[NestedTuple]:
         """Evaluate one resolved pattern against the current store,
-        reusing (and lazily filling) the unit's compiled rewriting plan
-        when the physical engine is requested.
+        reusing (and lazily filling) the unit's compiled rewriting plan.
 
         This is the degradation point of the availability corollary
         (thesis §1.2.4): when the chosen access module fails with
@@ -1102,11 +1103,10 @@ class Database:
             try:
                 if rewriting is original:
                     tuples = self._run_rewriting(
-                        prepared_unit, index, rewriting, physical, ctx,
-                        fingerprint=fingerprint,
+                        rewriting, ctx, prepared_unit, index, fingerprint
                     )
                 else:
-                    tuples = self._evaluate_rewriting(rewriting, ctx)
+                    tuples = self._run_rewriting(rewriting, ctx)
             except AccessModuleUnavailable as fault:
                 names = [fault.xam] if fault.xam else list(rewriting.views)
                 for name in names:
@@ -1168,47 +1168,44 @@ class Database:
 
     def _run_rewriting(
         self,
-        prepared_unit: PreparedUnit,
-        index: int,
         rewriting: Rewriting,
-        physical: bool,
         ctx: ExecutionContext,
+        prepared_unit: Optional[PreparedUnit] = None,
+        index: int = 0,
         fingerprint: Optional[str] = None,
     ) -> list[NestedTuple]:
-        """Run the originally chosen rewriting, reusing the unit's compiled
-        plan cache and the fingerprint-keyed compiled closure;
-        storage-level surprises are normalized to the typed hierarchy (a
+        """Run a rewriting's compiled plan.  The chosen rewriting (given
+        its ``prepared_unit``) reuses the unit's compiled plan and the
+        fingerprint-keyed closure; a degraded reroute (no unit) compiles
+        uncached, so it cannot poison the healthy plan's cached slot.
+        Storage-level surprises are normalized to the typed hierarchy (a
         vanished relation is an unavailable module, anything else is a
         plan-execution fault blamed on this rewriting)."""
         plan = rewriting.plan
         context = self.store.context()
         context[EXEC_CTX_KEY] = ctx
         try:
-            if physical:
-                compiled = prepared_unit.compiled_patterns.get(index)
-                if compiled is None:
-                    compiled = ctx.compile(plan, self.store.scan_orders())
-                    prepared_unit.compiled_patterns[index] = compiled
+            if prepared_unit is None:
+                slot = self._batch_slot(
+                    None, "reroute",
+                    ctx.compile(plan, self.store.scan_orders()), ctx,
+                )
+            else:
                 slot = self._batch_slot(
                     fingerprint,
                     f"pattern:{prepared_unit.index}:{index}",
-                    compiled,
+                    prepared_unit.compiled_patterns[index],
                     ctx,
                 )
+            with slot.lock:
                 if ctx.profile:
                     # most of a view-backed query's work happens here, not
                     # in the final unit stitch: run instrumented so the
                     # rewriting plan's CPU/memory is attributed (the trees
                     # land in ctx.metrics; _run_prepared_unit forwards
                     # them into the result)
-                    with slot.lock:
-                        tuples, _ = ctx.run(
-                            slot.plan, context, batch_fn=slot.fn
-                        )
-                    return tuples
-                with slot.lock:
-                    return slot.fn(context).tuples
-            return plan.evaluate(context)
+                    return ctx.run(slot.plan, context, batch_fn=slot.fn)[0]
+                return slot.fn(context).tuples
         except ReproError:
             raise
         except KeyError as error:
@@ -1221,28 +1218,6 @@ class Database:
                 f"{type(error).__name__} while evaluating rewriting "
                 f"{list(rewriting.views)}: {error}",
                 operator=plan.label() if hasattr(plan, "label") else None,
-                xam=rewriting.views[0] if rewriting.views else None,
-            ) from error
-
-    def _evaluate_rewriting(
-        self, rewriting: Rewriting, ctx: ExecutionContext
-    ) -> list[NestedTuple]:
-        """Run a fallback rewriting logically, without touching the
-        prepared unit's compiled-plan cache (the degraded path must not
-        poison the cached plan of the healthy one)."""
-        try:
-            return rewriting.plan.evaluate(self.store.context())
-        except ReproError:
-            raise
-        except KeyError as error:
-            raise AccessModuleUnavailable(
-                f"relation {error} missing from the store",
-                xam=rewriting.views[0] if rewriting.views else None,
-            ) from error
-        except Exception as error:
-            raise PlanExecutionError(
-                f"{type(error).__name__} while evaluating fallback rewriting "
-                f"{list(rewriting.views)}: {error}",
                 xam=rewriting.views[0] if rewriting.views else None,
             ) from error
 
@@ -1297,17 +1272,19 @@ class Database:
         self,
         prepared_unit: PreparedUnit,
         result: QueryResult,
-        physical: bool,
         stats: bool,
         ctx: ExecutionContext,
         events: Optional[list[str]] = None,
         fingerprint: Optional[str] = None,
-    ) -> None:
+    ) -> tuple[CompiledSlot, Optional[PlanMetrics]]:
+        """Answer one unit into ``result``: its patterns' tuples, then its
+        compiled assembled plan over them — instrumented under ``stats``
+        (returning the metrics tree), the bare batch closure otherwise."""
         cpu_started = time.thread_time_ns() if ctx.profile else 0
         unit = prepared_unit.unit
         resolutions = prepared_unit.resolutions
         result.resolutions.extend(resolutions)
-        bindings = {}
+        bindings = {EXEC_CTX_KEY: ctx}
         pattern_mark = len(ctx.metrics)
         metrics = None
         for index, resolution in enumerate(resolutions):
@@ -1315,7 +1292,7 @@ class Database:
                 "pattern", index=index, access=resolution.access_path
             ):
                 tuples = self._prepared_pattern_tuples(
-                    prepared_unit, index, resolution, physical, ctx, events,
+                    prepared_unit, index, resolution, ctx, events,
                     fingerprint=fingerprint,
                 )
             resolution.actual_cardinality = len(tuples)
@@ -1328,24 +1305,19 @@ class Database:
         plan = prepared_unit.logical
         result.plans.append(plan)
         try:
-            if stats:
-                if prepared_unit.compiled_plan is None:
-                    prepared_unit.compiled_plan = ctx.compile(
-                        plan, self.store.scan_orders()
-                    )
-                slot = self._batch_slot(
-                    fingerprint,
-                    f"unit:{prepared_unit.index}",
-                    prepared_unit.compiled_plan,
-                    ctx,
-                )
-                with slot.lock:
+            slot = self._batch_slot(
+                fingerprint,
+                f"unit:{prepared_unit.index}",
+                prepared_unit.compiled_plan,
+                ctx,
+            )
+            with slot.lock:
+                if stats:
                     tuples, metrics = ctx.run(
                         slot.plan, bindings, batch_fn=slot.fn
                     )
-                result.metrics.append(metrics)
-            else:
-                tuples = plan.evaluate(bindings)
+                else:
+                    tuples = slot.fn(bindings).tuples
         except ReproError:
             raise
         except Exception as error:
@@ -1353,21 +1325,16 @@ class Database:
                 f"{type(error).__name__} while executing {plan.label()}: {error}",
                 operator=plan.label(),
             ) from error
-        result.tuples.extend(tuples)
-        if unit.template is not None:
-            result.xml.extend(t["xml"] for t in tuples)
-        else:
-            for t in tuples:
-                for _pidx, path in unit.outputs:
-                    for value in t.iter_path(path):
-                        if value is not None and not isinstance(value, list):
-                            result.values.append(value)
+        if metrics is not None:
+            result.metrics.append(metrics)
+        result.collect(unit, tuples)
         if ctx.profile and metrics is not None:
             # CPU outside every operator window (spans, bindings, output
             # extraction) folds into the root, as run() folds its drive loop
             outside = time.thread_time_ns() - cpu_started
             outside -= sum(tree.total_cpu_ns() for tree in pattern_trees)
             metrics.root.cpu_ns = max(metrics.root.cpu_ns, outside)
+        return slot, metrics
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -83,8 +83,8 @@ def fingerprint_plan(units, ctx, scan_orders=None) -> tuple[str, str]:
     ``resolutions``, ``compiled_plan``, ``compiled_patterns``).  Units
     whose plans are not yet compiled are compiled here — and the compiled
     artifacts are stored back onto the unit, so fingerprinting at prepare
-    time *prepays* the compilation that ``stats=True`` / ``physical=True``
-    executions would otherwise do lazily.
+    time *prepays* the compilation that executions would otherwise do
+    lazily.
 
     The description (second element) is the human-readable text the hash
     is computed over — ``repro replay`` and the sentinel surface it when

@@ -51,6 +51,7 @@ from repro.engine.qlog import result_checksum
 from repro.workloads import XMARK_QUERIES, generate_xmark
 from repro.xmldata import id_of, load
 from repro.xquery import extract, parse_query
+from tests.reference import reference_execute, reference_query
 from tests.rewrite_golden import CATALOG_14, VIEW_QUERIES
 
 PERSON_QUERY = "for $p in //people/person return $p/name/text()"
@@ -285,8 +286,8 @@ class TestCompile:
 class TestExecutorEquivalence:
     @pytest.mark.parametrize("query", [PERSON_QUERY, ITEM_QUERY])
     def test_results_and_checksums_match(self, query):
-        physical = make_db().query(query, stats=True, physical=True)
-        logical = make_db().query(query, physical=False)
+        physical = make_db().query(query, stats=True)
+        logical = reference_query(make_db(), query)
         assert result_checksum(physical) == result_checksum(logical)
         assert [t.freeze() for t in physical.tuples] == [
             t.freeze() for t in logical.tuples
@@ -312,17 +313,25 @@ class TestExecutorEquivalence:
             assert tree.root.elapsed > 0.0
 
     def test_fingerprint_identical_across_executors(self):
-        """The execution mode never changes the plan: preparation is
-        mode-free, and both modes report the prepared fingerprint."""
+        """The execution path never changes the plan: preparation is
+        path-free, and the compiled runs (plain and instrumented) report
+        the prepared fingerprint, answering as the logical reference."""
         db = make_db()
         prepared = db.prepare(PERSON_QUERY)
         assert db.prepare(PERSON_QUERY).plan_shape == prepared.plan_shape
-        logical = db.execute_prepared(prepared, physical=False)
-        physical = db.execute_prepared(prepared, physical=True, stats=True)
+        logical = reference_execute(db, prepared)
+        plain = db.execute_prepared(prepared)
+        physical = db.execute_prepared(prepared, stats=True)
         assert (
             logical.plan_fingerprint
+            == plain.plan_fingerprint
             == physical.plan_fingerprint
             == prepared.fingerprint
+        )
+        assert (
+            result_checksum(logical)
+            == result_checksum(plain)
+            == result_checksum(physical)
         )
 
 
@@ -410,7 +419,7 @@ class TestFallbackMaterialization:
         db = derived_parent_db()
         ctx = db.execution_context()
         watched = weakref.ref(ctx)
-        db.query(CONSTRUCTOR_QUERY, physical=True, stats=True, context=ctx)
+        db.query(CONSTRUCTOR_QUERY, stats=True, context=ctx)
         assert len(db.compiled_plans) == 1
         del ctx
         gc.collect()

@@ -1,16 +1,16 @@
 """Differential harness: logical algebra vs compiled physical plan.
 
 Every workload query must produce identical observable output — result
-checksum *and* degradation flags — under the logical algebra
-(``physical=False``: the reference implementation) and as a compiled
-batch plan (``physical=True, stats=True``), including with
-circuit breakers forced open.  Under armed chaos fault points each mode
-must either reproduce a fault-free, view-less oracle or fail with a typed
+checksum *and* degradation flags — on the logical algebra
+(:mod:`tests.reference`, the reference implementation) and as a compiled
+batch plan (``stats=True``), including with circuit breakers forced
+open.  Under armed chaos fault points each side must either reproduce a
+fault-free, view-less oracle or fail with a typed
 :class:`~repro.errors.ReproError`.
 
-Each comparison runs two identically seeded databases (one per mode)
-rather than flipping one database: fault injectors and breaker boards are
-stateful, and the contract under test is that the execution mode is the
+Each comparison runs two identically seeded databases (one per side)
+rather than reusing one database: fault injectors and breaker boards are
+stateful, and the contract under test is that the execution path is the
 *only* difference between the runs."""
 
 import pytest
@@ -30,6 +30,7 @@ from repro.workloads import (
     generate_xmark,
     pattern_to_query,
 )
+from tests.reference import reference_query
 
 CHAOS_SPECS = [
     "relation.scan@v_person:corrupt",
@@ -37,10 +38,10 @@ CHAOS_SPECS = [
     "*:latency:0.2",
 ]
 
-#: the two execution modes under comparison: logical reference first
-MODES = (
-    ("logical", {"physical": False}),
-    ("physical", {"physical": True, "stats": True}),
+#: the two execution paths under comparison: logical reference first
+PATHS = (
+    reference_query,
+    lambda db, query: db.query(query, stats=True),
 )
 
 CHAOS_QUERIES = (
@@ -69,14 +70,14 @@ def make_dblp_db():
 
 def run_pair(make_db, query, configure=None):
     """The same query on two identically seeded databases differing only
-    in execution mode; returns the (logical, physical) outcomes."""
+    in execution path; returns the (logical, physical) outcomes."""
     results = []
-    for _name, flags in MODES:
+    for run in PATHS:
         db = make_db()
         if configure is not None:
             configure(db)
         try:
-            results.append(db.query(query, **flags))
+            results.append(run(db, query))
         except Exception as error:
             results.append(error)
     return results

@@ -378,6 +378,33 @@ class TestGracefulDegradation:
         assert any("v_person" in event for event in result.degradation_events)
         assert result.counters["degraded.reroutes"] >= 1.0
 
+    def test_reroute_compiles_uncached(self):
+        """A degraded reroute runs compiled, but outside the plan's
+        fingerprint-keyed artifact: the artifact gains no slot for it, and
+        the next healthy execution reuses the cached closures."""
+        db = make_xmark_db()
+        prepared = db.prepare(PERSON_QUERY)
+        healthy = db.execute_prepared(prepared)
+        artifact = db.compiled_plans.get(
+            prepared.fingerprint, db.catalog_version
+        )
+        slots = artifact.slots()
+        assert slots  # the healthy run filled the artifact
+        db.fault_injector = FaultInjector(
+            "relation.scan@v_person:corrupt", seed=CHAOS_SEED
+        )
+        degraded = db.execute_prepared(prepared)
+        assert degraded.degraded
+        assert degraded.counters["degraded.reroutes"] >= 1.0
+        assert answers(degraded) == answers(healthy)
+        assert artifact.slots() == slots
+        db.fault_injector = None
+        again = db.execute_prepared(prepared)
+        assert not again.degraded
+        assert again.counters.get("plan_compile.hit", 0) >= 1.0
+        assert "plan_compile.miss" not in again.counters
+        assert answers(again) == answers(healthy)
+
     def test_single_view_pattern_falls_back_to_base_store(self):
         db = make_xmark_db()
         oracle = answers(db.query(ITEM_QUERY))

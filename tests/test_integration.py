@@ -17,6 +17,7 @@ from repro.summary import build_enhanced_summary
 from repro.workloads import XMARK_QUERIES, generate_xmark
 from repro.xquery import collections_context, alg_path, parse_query
 from tests.conftest import run_plan
+from tests.reference import reference_query
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +52,8 @@ class TestXMarkEndToEnd:
         db.add_document(xmark_doc)
         db.add_view("item_names", "//item[id:s]{/o:name[id:s, val]}")
         query = "//item/name/text()"
-        physical = db.query(query, physical=True)
-        assert physical.values == db.query(query, physical=False).values
+        physical = db.query(query)
+        assert physical.values == reference_query(db, query).values
 
 
 class TestStorageModelAgreement:

@@ -175,7 +175,7 @@ class TestOperatorMetricsResources:
 
     def test_top_cpu_ranks_by_exclusive_cpu(self):
         db = make_db(profile=True)
-        result = db.query(PERSON_QUERY, physical=True, stats=True)
+        result = db.query(PERSON_QUERY, stats=True)
         tops = [m for metrics in result.metrics for m in metrics.top_cpu()]
         assert tops, "profiled run produced no CPU-ranked operators"
         assert all(m.self_cpu_ns > 0 for m in tops)
@@ -191,7 +191,7 @@ class TestAttributedProfiling:
     def test_profiled_run_fills_cpu_and_memory(self, laps):
         db = make_db(profile=True)
         db.profile_memory_stride = 1  # every profiled query samples memory
-        result = run_laps(db, ITEM_QUERY, laps, physical=True, stats=True)
+        result = run_laps(db, ITEM_QUERY, laps, stats=True)
         assert result.metrics
         roots = [metrics.root for metrics in result.metrics]
         assert sum(root.cpu_ns for root in roots) > 0
@@ -204,7 +204,7 @@ class TestAttributedProfiling:
     @pytest.mark.parametrize("laps", LAPS)
     def test_unprofiled_run_stays_at_zero(self, laps):
         result = run_laps(
-            make_db(), ITEM_QUERY, laps, physical=True, stats=True
+            make_db(), ITEM_QUERY, laps, stats=True
         )
         assert result.metrics
         for metrics in result.metrics:
@@ -216,10 +216,10 @@ class TestAttributedProfiling:
         # same plan must profile when asked and stay silent when not
         db = make_db(profile=True)
         prepared = db.prepare(ITEM_QUERY)
-        profiled = db.execute_prepared(prepared, physical=True, stats=True)
+        profiled = db.execute_prepared(prepared, stats=True)
         assert sum(m.total_cpu_ns() for m in profiled.metrics) > 0
         db.profile = False
-        plain = db.execute_prepared(prepared, physical=True, stats=True)
+        plain = db.execute_prepared(prepared, stats=True)
         assert sum(m.total_cpu_ns() for m in plain.metrics) == 0
 
     def test_explain_surfaces_resource_columns(self):
@@ -238,9 +238,7 @@ class TestAttributedProfiling:
         # cost must appear as a synthetic BaseEval tree, not vanish
         db = make_db(profile=True)
         result = db.query(
-            "//open_auctions/open_auction/reserve/text()",
-            physical=True,
-            stats=True,
+            "//open_auctions/open_auction/reserve/text()", stats=True
         )
         labels = [m.root.label for m in result.metrics]
         assert any(label.startswith("BaseEval(") for label in labels)
@@ -309,7 +307,7 @@ class TestAcceptanceCriteria:
         db = _battery_db(shards)
         prepared = [db.prepare(query) for query in XMARK_QUERIES.values()]
         for plan in prepared:
-            db.execute_prepared(plan, physical=True, stats=True)
+            db.execute_prepared(plan, stats=True)
         clock = _CallClock()
         monkeypatch.setattr(time, "thread_time_ns", clock.read)
         attributed = burned = 0
@@ -318,7 +316,7 @@ class TestAcceptanceCriteria:
         try:
             for plan in prepared * laps:
                 cpu_started = clock.read()
-                result = db.execute_prepared(plan, physical=True, stats=True)
+                result = db.execute_prepared(plan, stats=True)
                 burned += clock.read() - cpu_started
                 attributed += sum(m.total_cpu_ns() for m in result.metrics)
         finally:
@@ -468,7 +466,7 @@ class TestProfilerRing:
 
     def test_query_profile_flattens_depth(self):
         db = make_db(profile=True)
-        result = db.query(ITEM_QUERY, physical=True, stats=True)
+        result = db.query(ITEM_QUERY, stats=True)
         profile = QueryProfile.from_result(ITEM_QUERY, result, 0.2)
         assert profile.operators
         assert {op["depth"] for op in profile.operators} >= {0}
@@ -485,7 +483,7 @@ class TestProfilerRing:
 class TestQlogProfileFields:
     def test_profiled_record_carries_cpu_and_memory(self):
         db = make_db(profile=True)
-        result = db.query(ITEM_QUERY, physical=True, stats=True)
+        result = db.query(ITEM_QUERY, stats=True)
         record = build_record(ITEM_QUERY, result, 0.1, "ok")
         rows = record["operators"]
         assert rows and all("depth" in row for row in rows)
@@ -494,7 +492,7 @@ class TestQlogProfileFields:
 
     def test_unprofiled_record_omits_resource_fields(self):
         db = make_db()
-        result = db.query(ITEM_QUERY, physical=True, stats=True)
+        result = db.query(ITEM_QUERY, stats=True)
         record = build_record(ITEM_QUERY, result, 0.1, "ok")
         rows = record["operators"]
         assert rows and all("depth" in row for row in rows)
@@ -653,7 +651,7 @@ class TestCalibration:
         db = _battery_db()
         records = []
         for query in XMARK_QUERIES.values():
-            result = db.query(query, physical=True, stats=True)
+            result = db.query(query, stats=True)
             records.append(build_record(query, result, 0.0, "ok"))
         report = calibrate_records(records)
         assert report.profiled_records == len(records)

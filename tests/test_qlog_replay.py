@@ -29,6 +29,7 @@ from repro.engine.sentinel import (
 )
 from repro.engine.tracing import Tracer
 from repro.workloads import XMARK_QUERIES, generate_xmark
+from tests.reference import reference_query
 
 PERSON_QUERY = "for $p in //people/person return $p/name/text()"
 ITEM_QUERY = "//regions//item/name/text()"
@@ -108,11 +109,12 @@ class TestPlanFingerprint:
         assert before != after
 
     def test_fingerprint_stable_across_execution_modes(self, db):
-        plain = db.query(PERSON_QUERY, physical=False)
-        stats = db.query(PERSON_QUERY, physical=False, stats=True)
-        physical = db.query(PERSON_QUERY, physical=True)
+        plain = db.query(PERSON_QUERY)
+        stats = db.query(PERSON_QUERY, stats=True)
+        logical = reference_query(db, PERSON_QUERY)
         assert plain.plan_fingerprint == stats.plan_fingerprint
-        assert plain.plan_fingerprint == physical.plan_fingerprint
+        assert plain.plan_fingerprint == logical.plan_fingerprint
+        assert result_checksum(plain) == result_checksum(logical)
 
     def test_result_and_explain_expose_the_fingerprint(self, db):
         result = db.query(PERSON_QUERY)
@@ -531,6 +533,22 @@ class TestReplay:
             record["executor"] = "iter"
         report = replay_records(make_xmark_db(), records)
         assert report.ok and report.matches == 3
+
+    def test_legacy_physical_flag_replays_clean(self, tmp_path):
+        """Captures written when the logical path was selectable stamp a
+        ``physical`` flag; new records carry none, and replay ignores a
+        recorded one, true or false."""
+        records = load_records(self.record_workload(tmp_path))
+        legacy = []
+        for record in records:
+            assert set(record["flags"]) == {"prefer_views", "stats"}
+            for physical in (False, True):
+                copy = json.loads(json.dumps(record))
+                copy["flags"]["physical"] = physical
+                legacy.append(copy)
+        report = replay_records(make_xmark_db(), legacy)
+        assert report.ok, report.render()
+        assert report.replayed == report.matches == 6
 
     def test_dropped_view_shows_as_fingerprint_diff(self, tmp_path):
         path = self.record_workload(tmp_path)

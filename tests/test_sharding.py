@@ -230,10 +230,10 @@ class TestShardedEquality:
     def test_physical_and_stats_modes_match(self):
         single = build_db()
         with build_db(3) as sharded:
-            for physical, stats in ((True, False), (False, True)):
+            for stats in (False, True):
                 for query in BATTERY:
-                    r1 = single.query(query, physical=physical, stats=stats)
-                    r2 = sharded.query(query, physical=physical, stats=stats)
+                    r1 = single.query(query, stats=stats)
+                    r2 = sharded.query(query, stats=stats)
                     assert outputs(r1) == outputs(r2), query
 
     def test_view_answered_query_scatters_without_fallback(self):

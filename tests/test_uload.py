@@ -9,6 +9,7 @@ import pytest
 
 from repro import Database
 from tests.conftest import AUCTION_XML, BIB_XML
+from tests.reference import reference_query
 
 QUERY_BATTERY = [
     "//item/name/text()",
@@ -88,8 +89,8 @@ class TestIndependence:
 class TestPhysicalEngine:
     def test_physical_execution_matches_logical(self, db):
         db.add_view("names", "//item[id:s]{/o:name[id:s, val]}")
-        logical = db.query("//item/name/text()", physical=False)
-        physical = db.query("//item/name/text()", physical=True)
+        logical = reference_query(db, "//item/name/text()")
+        physical = db.query("//item/name/text()")
         assert logical.values == physical.values
         assert physical.used_views == ["names"]
 
