@@ -95,6 +95,9 @@ class SearchStats:
     #: canonical trees whose ψ enumeration hit MAX_PSI_ASSIGNMENTS or
     #: MAX_PSI_DISJUNCTS (the verdict may be a conservative False)
     psi_capped: int = 0
+    #: candidate plans a cost-ordered search left unvalidated, because a
+    #: cheaper bucket already held a rewriting
+    skipped: int = 0
 
 
 class PatternFacts:

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from ..algebra.formulas import Formula
 from ..algebra.model import NestedTuple
@@ -256,27 +257,42 @@ def rewrite_pattern(
     max_union: int = 3,
     stats: Optional[SearchStats] = None,
     relevant: Optional[list[CatalogEntry]] = None,
+    cost: Optional[Callable[[tuple[str, ...]], tuple]] = None,
+    exclude: frozenset = frozenset(),
 ) -> list[Rewriting]:
-    """All (up to ``max_results``; ``None`` = unbounded) non-redundant
-    S-equivalent rewritings of the query pattern over the catalog's views,
-    smallest plans first.
+    """Non-redundant S-equivalent rewritings of the query pattern over the
+    catalog's views, smallest plans first, at most ``max_results`` of them
+    (``None`` = unbounded).
 
     Covers single-view plans (with compensating selections and content
     navigation), two-view join plans (node-equality, structural, and
     derived-parent glue) and union plans of up to ``max_union`` members.
+    Views named in ``exclude`` take part in no candidate.
 
-    Enumeration always runs to completion; ``max_results`` truncates only
-    *after* the final sort.  (Truncating mid-enumeration would make the
-    returned set depend on catalog registration order: a cheaper rewriting
-    enumerated past the cutoff would be invisible to
-    :func:`~repro.core.statistics.rank_rewritings` — the ranking layer
-    must see the full candidate set, which is why the database prepares
-    with ``max_results=None``.)
+    Every candidate plan is enumerated first, unvalidated, and bucketed by
+    ``cost`` of the views it reads; buckets are validated in ascending
+    order and the search stops after the first one holding a rewriting.
+    ``cost`` is a prefix of the ranker's key
+    (:func:`~repro.core.statistics.views_cost`), so every rewriting of a
+    skipped bucket would have ranked behind the ones returned, and
+    :func:`~repro.core.statistics.rank_rewritings` picks from the returned
+    list what it would pick from the full enumeration.  Inside a bucket,
+    candidates are validated in enumeration order, one rewriting per
+    (kind, views).
+
+    Without ``cost`` all candidates share one bucket, so the enumeration
+    runs to completion and ``max_results`` truncates only *after* the final
+    sort.  (Truncating mid-enumeration would make the returned set depend
+    on catalog registration order: a cheaper rewriting enumerated past the
+    cutoff would be invisible to the ranker.)  The plan tournament, the
+    golden and pin matching rely on that full set.
 
     ``stats``, when given, is filled with what the search did and what it
-    capped (:class:`SearchStats`).  ``relevant``, when given, is extended
-    with the catalog entries the search could use, in catalog order (see
-    :func:`view_is_relevant`): no other view can change the answer.
+    capped or skipped (:class:`SearchStats`).  ``relevant``, when given, is
+    extended with the catalog entries the search could use, in catalog
+    order (see :func:`view_is_relevant`): no other view can change the
+    answer.  It comes from the full candidate pass, whatever ``cost`` and
+    ``exclude`` then leave out.
     """
     stats = stats if stats is not None else SearchStats()
     facts = PatternFacts(query, summary)
@@ -293,26 +309,65 @@ def rewrite_pattern(
     views = _relevant_views(search, candidates)
     if relevant is not None:
         relevant.extend(entry for entry, _view in views)
+    if exclude:
+        views = [(entry, view) for entry, view in views if entry.name not in exclude]
+
+    buckets: dict[tuple, list[_Plan]] = {}
+    prices: dict[tuple[str, ...], tuple] = {}
+    for plan in _candidate_plans(search, views, candidates, max_union):
+        price = prices.get(plan.views)
+        if price is None:
+            price = prices[plan.views] = cost(plan.views) if cost else ()
+        buckets.setdefault(price, []).append(plan)
 
     rewritings: list[Rewriting] = []
     seen: set[tuple] = set()
+    ordered = sorted(buckets)
+    for position, price in enumerate(ordered):
+        for plan in buckets[price]:
+            # one rewriting per (kind, views): a plan over views that
+            # already have one is not validated again
+            key = (plan.kind, plan.views)
+            if key in seen:
+                continue
+            rewriting = plan.validate()
+            if rewriting is not None:
+                seen.add(key)
+                rewritings.append(rewriting)
+        if rewritings:
+            stats.skipped += sum(len(buckets[p]) for p in ordered[position + 1 :])
+            break
 
-    def consider(uses: list[_Use], glues: list[GlueCondition]) -> None:
-        # one rewriting per (kind, views): a plan over views that already
-        # have one is not validated again
-        key = ("single" if len(uses) == 1 else "join", _views_of(uses))
-        if key in seen:
-            return
-        rewriting = _validate_uses(search, uses, glues)
-        if rewriting is not None:
-            seen.add(key)
-            rewritings.append(rewriting)
+    rewritings.sort(key=lambda r: (r.plan.operator_count(), r.views))
+    if max_results is None:
+        return rewritings
+    return rewritings[:max_results]
 
+
+@dataclass
+class _Plan:
+    """One candidate plan, not yet validated."""
+
+    kind: str  # 'single', 'join' or 'union'
+    views: tuple[str, ...]
+    #: the S-equivalence test: the rewriting, or None
+    validate: Callable[[], Optional[Rewriting]]
+
+
+def _candidate_plans(
+    search: _Search,
+    views: list[tuple[CatalogEntry, PatternFacts]],
+    candidates: dict[str, list[_Candidate]],
+    max_union: int,
+):
+    """Every candidate plan over ``views``, in enumeration order."""
     # 1. single-view plans
     entries = [entry for entry, _facts in views]
     for entry in entries:
         for use in _single_view_uses(search, entry, candidates):
-            consider([use], [])
+            yield _Plan(
+                "single", (entry.name,), partial(_validate_uses, search, [use], [])
+            )
 
     # 2. two-view join plans
     for i, left_entry in enumerate(entries):
@@ -320,15 +375,14 @@ def rewrite_pattern(
             for uses, glues in _pair_uses(
                 search, left_entry, right_entry, candidates
             ):
-                consider(uses, glues)
+                yield _Plan(
+                    "join",
+                    _views_of(uses),
+                    partial(_validate_uses, search, uses, glues),
+                )
 
     # 3. union plans (each subset of views is tried once)
-    rewritings.extend(_union_plans(search, views, max_union))
-
-    rewritings.sort(key=lambda r: (r.plan.operator_count(), r.views))
-    if max_results is None:
-        return rewritings
-    return rewritings[:max_results]
+    yield from _union_plans(search, views, max_union)
 
 
 def _collect_candidates(search: _Search) -> dict[str, list[_Candidate]]:
@@ -416,7 +470,7 @@ def _relevant_views(
     """The search's views narrowed to the relevant ones, in catalog order —
     :func:`view_is_relevant` read off the candidates already collected.
     A view serving nothing goes through :meth:`_Search.contained`, as
-    :func:`_union_plans` would send it, so the prefilter still counts it."""
+    :func:`_validate_union` would send it, so the prefilter still counts it."""
     served = {id(c.entry) for options in candidates.values() for c in options}
     arity = len(search.query_returns)
     relevant: list[tuple[CatalogEntry, PatternFacts]] = []
@@ -1082,30 +1136,42 @@ def _union_plans(
     views: list[tuple[CatalogEntry, PatternFacts]],
     max_union: int,
 ):
-    """Views (of ``views``) one-way contained in the query that jointly
-    cover it."""
-    query, query_returns = search.query, search.query_returns
-    arity = len(query_returns)
-    usable: list[tuple[CatalogEntry, PatternFacts]] = [
-        (entry, view)
-        for entry, view in views
-        if len(view.return_names) == arity and search.contained(view, [search.facts])
+    """Candidate unions: subsets of the ``views`` with the query's arity."""
+    arity = len(search.query_returns)
+    members = [
+        (entry, view) for entry, view in views if len(view.return_names) == arity
     ]
-    for size in range(2, min(max_union, len(usable)) + 1):
-        for subset in itertools.combinations(usable, size):
-            if search.contained(search.facts, [view for _entry, view in subset]):
-                parts = []
-                for entry, view in subset:
-                    columns = _view_columns(entry.pattern)
-                    part: Operator = Scan(entry.relation, columns)
-                    mapping = dict(zip(view.return_names, query_returns))
-                    part = DeepRename(part, mapping)
-                    parts.append(part)
-                plan: Operator = UnionOp(*parts)
-                plan = Project(plan, _query_top_level_attrs(query), dedup=True)
-                yield Rewriting(
-                    plan=plan,
-                    views=tuple(entry.name for entry, _view in subset),
-                    equivalent_patterns=tuple(entry.pattern for entry, _ in subset),
-                    kind="union",
-                )
+    for size in range(2, min(max_union, len(members)) + 1):
+        for subset in itertools.combinations(members, size):
+            yield _Plan(
+                "union",
+                tuple(entry.name for entry, _view in subset),
+                partial(_validate_union, search, subset),
+            )
+
+
+def _validate_union(
+    search: _Search, subset: tuple[tuple[CatalogEntry, PatternFacts], ...]
+) -> Optional[Rewriting]:
+    """The union plan when every member is one-way contained in the query
+    and the members jointly cover it."""
+    query, query_returns = search.query, search.query_returns
+    if not all(search.contained(view, [search.facts]) for _entry, view in subset):
+        return None
+    if not search.contained(search.facts, [view for _entry, view in subset]):
+        return None
+    parts = []
+    for entry, view in subset:
+        columns = _view_columns(entry.pattern)
+        part: Operator = Scan(entry.relation, columns)
+        mapping = dict(zip(view.return_names, query_returns))
+        part = DeepRename(part, mapping)
+        parts.append(part)
+    plan: Operator = UnionOp(*parts)
+    plan = Project(plan, _query_top_level_attrs(query), dedup=True)
+    return Rewriting(
+        plan=plan,
+        views=tuple(entry.name for entry, _view in subset),
+        equivalent_patterns=tuple(entry.pattern for entry, _ in subset),
+        kind="union",
+    )

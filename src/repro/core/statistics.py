@@ -39,6 +39,7 @@ __all__ = [
     "estimate_pattern_cardinality",
     "estimate_view_size",
     "rank_rewritings",
+    "views_cost",
     "DEFAULT_PREDICATE_SELECTIVITY",
 ]
 
@@ -202,6 +203,23 @@ class CatalogStatistics(StatisticsProvider):
         ).expected
 
 
+def views_cost(
+    views: Sequence[str], statistics: StatisticsProvider
+) -> tuple[int, float]:
+    """The part of :func:`rank_rewritings`' key known from a plan's views
+    alone: ``(unknown view count, known volume)``.  The rewriting search
+    validates candidates in this order (``rewrite_pattern(cost=...)``)."""
+    unknown = 0
+    volume = 0.0
+    for name in views:
+        size = statistics.relation_size(name)
+        if size is None:
+            unknown += 1
+        else:
+            volume += size
+    return unknown, volume
+
+
 def rank_rewritings(
     rewritings: Sequence[Rewriting],
     catalog: Catalog,
@@ -218,22 +236,17 @@ def rank_rewritings(
     full base scan — instead the cost key is
     ``(unknown view count, known volume, operator count)``: rewritings
     touching fewer statistics-less views win, known volume breaks the tie,
-    plan size breaks the rest.  ``statistics`` lets callers share one
+    plan size breaks the rest.  The first two fields are
+    :func:`views_cost`.  ``statistics`` lets callers share one
     :class:`~repro.engine.context.ExecutionContext` provider across
     ranking, compilation and EXPLAIN.
     """
     if statistics is None:
         statistics = CatalogStatistics(catalog, summary, store)
-
-    def cost(rewriting: Rewriting) -> tuple[int, float, int]:
-        unknown = 0
-        volume = 0.0
-        for name in rewriting.views:
-            size = statistics.relation_size(name)
-            if size is None:
-                unknown += 1
-            else:
-                volume += size
-        return (unknown, volume, rewriting.plan.operator_count())
-
-    return sorted(rewritings, key=cost)
+    return sorted(
+        rewritings,
+        key=lambda rewriting: (
+            *views_cost(rewriting.views, statistics),
+            rewriting.plan.operator_count(),
+        ),
+    )

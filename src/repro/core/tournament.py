@@ -9,11 +9,13 @@ paths — every rewriting the Chapter 5 search can produce, plus the base
 store — and runs a tournament over it:
 
 1. **Enumerate.**  Each pattern's options are the base store and every
-   rewriting (``max_results=None`` — no enumeration cap offline), each
-   named by its :func:`~repro.engine.qlog.rewriting_signature`.  A
-   whole-query candidate is one choice per pattern, expressed as the
-   exact :class:`~repro.engine.plan_cache.PinnedPlan` that would replay
-   it; the cost model's own pick is always candidate 0.
+   rewriting (``max_results=None`` — no enumeration cap offline and no
+   cheapest-first stop), each named by its
+   :func:`~repro.engine.qlog.rewriting_signature`.  A whole-query
+   candidate is one choice per pattern, expressed as the exact
+   :class:`~repro.engine.plan_cache.PinnedPlan` that would replay it; the
+   cost model's own pick always runs as candidate 0, marked ``default``
+   when the full enumeration holds it.
 
 2. **Validate.**  Every candidate executes under the recorded flags *and*
    instrumented (``stats=True``), and every result checksum must equal
@@ -87,7 +89,8 @@ class CandidateOutcome:
     choices: list[dict]
     #: plan fingerprint of the candidate preparation (identity)
     fingerprint: str = ""
-    #: True for the cost model's own pick (always candidate 0)
+    #: True for the cost model's own pick: candidate 0, when the
+    #: enumeration holds the served plan
     default: bool = False
     #: validation verdicts: run label → "ok" or the divergence detail
     verdicts: dict = field(default_factory=dict)
@@ -242,12 +245,13 @@ def _pattern_options(db: Database, pattern, prefer_views: bool) -> list[PinnedCh
     options = [PinnedChoice(unit=0, pattern=0, access="base")]
     if not prefer_views:
         return options
-    unavailable = db.breakers.unavailable_names()
     for rewriting in rewrite_pattern(
-        pattern, db.catalog, db.summary, max_results=None
+        pattern,
+        db.catalog,
+        db.summary,
+        max_results=None,
+        exclude=db.breakers.unavailable_names(),
     ):
-        if unavailable & set(rewriting.views):
-            continue
         options.append(
             PinnedChoice(
                 unit=0,
@@ -270,6 +274,21 @@ def _default_choice(resolution) -> PinnedChoice:
         access="rewriting",
         signature=rewriting_signature(resolution.rewriting),
         views=tuple(resolution.rewriting.views),
+    )
+
+
+def _is_default(choices: Sequence[PinnedChoice], prepared) -> bool:
+    """Whether ``choices`` name the cost model's own pick for every pattern
+    of ``prepared`` — false when the served plan is missing from the
+    enumeration."""
+    defaults = [
+        _default_choice(resolution)
+        for unit in prepared.units
+        for resolution in unit.resolutions
+    ]
+    return len(defaults) == len(choices) and all(
+        (choice.access, choice.signature) == (default.access, default.signature)
+        for choice, default in zip(choices, defaults)
     )
 
 
@@ -467,7 +486,7 @@ def run_tournament(
             candidate = CandidateOutcome(
                 index=index,
                 choices=[choice.as_dict() for choice in choices],
-                default=(index == 0),
+                default=(index == 0 and _is_default(choices, baseline)),
             )
             outcome.candidates.append(candidate)
             candidate_pin = PinnedPlan(

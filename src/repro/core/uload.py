@@ -31,6 +31,7 @@ import itertools
 import threading
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..algebra.model import NestedTuple
@@ -82,7 +83,7 @@ from ..xquery.parser import parse_query
 from .containment import PatternFacts
 from .embedding import evaluate_pattern
 from .rewrite import Rewriting, SearchStats, relevant_views, rewrite_pattern
-from .statistics import CatalogStatistics, rank_rewritings
+from .statistics import CatalogStatistics, rank_rewritings, views_cost
 from .xam import Pattern
 from .xam_parser import parse_pattern
 
@@ -939,7 +940,10 @@ class Database:
         dependencies: Optional[tuple[CatalogEntry, ...]] = ()
         if pinned is not None:
             if pinned.access != "base":
-                rewritings, dependencies = self._search_rewritings(pattern, ctx)
+                # pin matching reads the full enumeration
+                rewritings, dependencies = self._search_rewritings(
+                    pattern, ctx, cheapest=False
+                )
             resolution = self._resolve_pinned(
                 pattern, pinned, rewritings, ctx, estimate
             )
@@ -981,6 +985,7 @@ class Database:
         "memo_hits": "rewrite.memo_hits",
         "product_truncated": "rewrite.product_truncated",
         "psi_capped": "containment.psi_capped",
+        "skipped": "rewrite.validations_skipped",
     }
 
     def _search_rewritings(
@@ -988,17 +993,24 @@ class Database:
         pattern: Pattern,
         ctx: ExecutionContext,
         exclude: frozenset = frozenset(),
+        cheapest: bool = True,
     ) -> tuple[list[Rewriting], Optional[tuple[CatalogEntry, ...]]]:
-        """Every S-equivalent rewriting of the pattern whose access modules
+        """The S-equivalent rewritings of the pattern whose access modules
         are available, smallest plan first — under a ``rewrite-search``
-        span carrying what the search did and what it capped — and the
+        span carrying what the search did, capped and skipped — and the
         catalog entries the search could use (None when some module was
-        unavailable: the outcome then depends on breaker state too)."""
+        unavailable: the outcome then depends on breaker state too).
+
+        ``cheapest`` validates candidates in the ranker's cost order and
+        stops at the first cost holding a rewriting: the ranker's pick is
+        among those returned.  Without it every candidate is validated."""
         with ctx.span("rewrite-search", pattern=pattern.to_text()) as search_span:
             stats = SearchStats()
             relevant: list[CatalogEntry] = []
-            # enumerate *fully* — truncating before ranking would hide
-            # the cheapest candidate from the cost model
+            # open-circuit modules are out of the race at planning time
+            # (half-open ones stay in: the probe that may close them); they
+            # leave before validation, so a cheaper survivor is still found
+            unavailable = exclude | self.breakers.unavailable_names()
             rewritings = rewrite_pattern(
                 pattern,
                 self.catalog,
@@ -1006,17 +1018,12 @@ class Database:
                 max_results=None,
                 stats=stats,
                 relevant=relevant,
+                cost=partial(views_cost, statistics=ctx.statistics)
+                if cheapest
+                else None,
+                exclude=unavailable,
             )
-            dependencies: Optional[tuple[CatalogEntry, ...]] = tuple(relevant)
-            # open-circuit modules are out of the race at planning
-            # time; half-open ones stay in (the probe that may close
-            # them)
-            unavailable = exclude | self.breakers.unavailable_names()
-            if unavailable:
-                dependencies = None
-                rewritings = [
-                    r for r in rewritings if not unavailable & set(r.views)
-                ]
+            dependencies = None if unavailable else tuple(relevant)
             counts = asdict(stats)
             if search_span is not None:
                 search_span.attributes["candidates"] = len(rewritings)

@@ -378,6 +378,49 @@ class TestGracefulDegradation:
         assert any("v_person" in event for event in result.degradation_events)
         assert result.counters["degraded.reroutes"] >= 1.0
 
+    def test_reroute_takes_the_cheapest_survivor(self):
+        """The reroute search drops the failed view before validating, so
+        it finds the cheapest full-enumeration rewriting avoiding that
+        view — or none when no rewriting avoids it."""
+        from repro.core import rewrite_pattern
+        from repro.core.statistics import rank_rewritings
+        from repro.engine.qlog import rewriting_signature
+        from tests.rewrite_golden import CATALOG_14, VIEW_QUERIES
+
+        db = Database()
+        db.add_document(generate_xmark(scale=1, seed=0))
+        for name, text in CATALOG_14:
+            db.add_view(name, text)
+        ctx = db.execution_context()
+
+        def signature(rewriting):
+            return rewriting and (rewriting.views, rewriting_signature(rewriting))
+
+        checked = 0
+        for query in VIEW_QUERIES.values():
+            for unit in db.prepare(query).units:
+                for resolution in unit.resolutions:
+                    if resolution.rewriting is None:
+                        continue
+                    full = rewrite_pattern(
+                        resolution.pattern, db.catalog, db.summary, max_results=None
+                    )
+                    for view in resolution.rewriting.views:
+                        survivors = rank_rewritings(
+                            [r for r in full if view not in r.views],
+                            db.catalog,
+                            db.summary,
+                            statistics=ctx.statistics,
+                        )
+                        fallback = db._fallback_rewriting(
+                            resolution.pattern, {view}, ctx
+                        )
+                        assert signature(fallback) == signature(
+                            survivors[0] if survivors else None
+                        ), (query, view)
+                        checked += 1
+        assert checked >= 9
+
     def test_reroute_compiles_uncached(self):
         """A degraded reroute runs compiled, but outside the plan's
         fingerprint-keyed artifact: the artifact gains no slot for it, and

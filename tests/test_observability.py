@@ -359,14 +359,18 @@ class TestLifecycleTracing:
         (span,) = service.trace(result.trace_id).find("rewrite-search")
         for count in (
             "candidates", "containment_tests", "prefilter_rejected",
-            "memo_hits", "product_truncated", "psi_capped",
+            "memo_hits", "product_truncated", "psi_capped", "skipped",
         ):
             assert count in span.attributes, count
         assert span.attributes["containment_tests"] > 0
-        assert (
-            result.counters["rewrite.containment_tests"]
-            == span.attributes["containment_tests"]
-        )
+        # the cheapest-first search stopped at v_person's single-view plan
+        # and never validated the pricier plans reading v_item
+        assert span.attributes["skipped"] > 0
+        for count, counter in (
+            ("containment_tests", "rewrite.containment_tests"),
+            ("skipped", "rewrite.validations_skipped"),
+        ):
+            assert result.counters[counter] == span.attributes[count], count
         # nothing was capped, so nothing is counted as capped
         assert "rewrite.product_truncated" not in result.counters
         assert "containment.psi_capped" not in result.counters

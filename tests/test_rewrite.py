@@ -10,6 +10,7 @@ from repro.engine import Store
 from repro.storage import Catalog, materialize_view
 from repro.summary import PathSummary, build_enhanced_summary
 from repro.xmldata import load
+from tests.rewrite_golden import CATALOG_14
 
 
 AUCTION = (
@@ -349,6 +350,126 @@ class TestGolden:
         assert render({str(seed): answers(seed) for seed in SEEDS}) == (
             GOLDEN_PATH.read_text()
         )
+
+
+class TestCheapestFirst:
+    """``rewrite_pattern(cost=...)`` validates candidates cheapest first and
+    stops early, yet the ranker picks from it exactly what it picks from
+    the full enumeration — on the benchmark catalog, every catalog missing
+    one view, and statistics that are unknown or poisoned."""
+
+    #: views whose statistics are pinned far off, as in the optimize lane's
+    #: poisoned database
+    POISON = {"v_item": 1e9, "v_person": 1e9}
+
+    @pytest.fixture(scope="class")
+    def battery(self):
+        from repro.workloads import DBLP_QUERIES, XMARK_QUERIES, generate_xmark
+        from repro.xquery import extract, parse_query
+        from tests.rewrite_golden import VIEW_QUERIES
+
+        summary = build_enhanced_summary(generate_xmark(scale=2, seed=0))
+        queries = {**VIEW_QUERIES, **XMARK_QUERIES, **DBLP_QUERIES}
+        queries.pop("q07")  # in no bench battery
+        patterns = [
+            (qid, pattern)
+            for qid, text in queries.items()
+            for unit in extract(parse_query(text)).units
+            for pattern in unit.patterns
+        ]
+        return summary, patterns
+
+    @staticmethod
+    def _statistics(catalog, summary, unknown=(), overrides=None):
+        from repro.core.statistics import CatalogStatistics
+
+        class Statistics(CatalogStatistics):
+            def relation_size(self, name):
+                if name in unknown:
+                    return None
+                return super().relation_size(name)
+
+        return Statistics(catalog, summary, overrides=overrides)
+
+    def _picks(self, summary, patterns, pool, **statistics):
+        """Check every pattern; return ``{qid: picked views}``."""
+        from functools import partial
+
+        from repro.core.statistics import rank_rewritings, views_cost
+        from repro.engine.qlog import rewriting_signature
+
+        catalog = Catalog()
+        for name, text in pool:
+            catalog.register(name, text)
+        provider = self._statistics(catalog, summary, **statistics)
+        cost = partial(views_cost, statistics=provider)
+
+        def best(rewritings):
+            ranked = rank_rewritings(
+                rewritings, catalog, summary, statistics=provider
+            )
+            return [(r.views, rewriting_signature(r)) for r in ranked[:1]]
+
+        picks = {}
+        for qid, pattern in patterns:
+            full_relevant, cheap_relevant = [], []
+            full = rewrite_pattern(
+                pattern, catalog, summary, max_results=None, relevant=full_relevant
+            )
+            cheap = rewrite_pattern(
+                pattern,
+                catalog,
+                summary,
+                max_results=None,
+                relevant=cheap_relevant,
+                cost=cost,
+            )
+            assert best(cheap) == best(full), (qid, pattern.to_text())
+            assert cheap_relevant == full_relevant, qid
+            assert len(cheap) <= len(full)
+            for views, _signature in best(cheap):
+                picks[qid, pattern.to_text()] = views
+        return picks
+
+    def test_benchmark_catalog(self, battery):
+        summary, patterns = battery
+        assert len(self._picks(summary, patterns, CATALOG_14)) >= 10
+
+    @pytest.mark.parametrize("left_out", [name for name, _text in CATALOG_14])
+    def test_catalog_missing_one_view(self, battery, left_out):
+        from repro.core.containment import PatternFacts
+        from repro.core.rewrite import relevant_views
+
+        summary, patterns = battery
+        catalog = Catalog()
+        for name, text in CATALOG_14:
+            catalog.register(name, text)
+        # a view irrelevant to a pattern changes none of its rewritings
+        # (TestRelevance), so only the patterns it is relevant to can move
+        affected = [
+            (qid, pattern)
+            for qid, pattern in patterns
+            if any(
+                entry.name == left_out
+                for entry in relevant_views(PatternFacts(pattern, summary), catalog)
+            )
+        ]
+        pool = [(name, text) for name, text in CATALOG_14 if name != left_out]
+        self._picks(summary, affected, pool)
+
+    def test_unknown_statistics(self, battery):
+        summary, patterns = battery
+        unknown = ("v_keywords", "v_initial")
+        picks = self._picks(summary, patterns, CATALOG_14, unknown=unknown)
+        # some pick reads a view without statistics: the search reached a
+        # bucket with unknown > 0
+        assert any(set(views) & set(unknown) for views in picks.values())
+
+    def test_poisoned_statistics(self, battery):
+        summary, patterns = battery
+        honest = self._picks(summary, patterns, CATALOG_14)
+        poisoned = self._picks(summary, patterns, CATALOG_14, overrides=self.POISON)
+        assert honest != poisoned  # the poison moves some pick
 
 
 @pytest.fixture(scope="module")

@@ -224,6 +224,22 @@ class TestTournament:
         assert outcome.candidates[0].default
         assert outcome.candidate_space > 2  # the cap was real, and logged
 
+    def test_default_mark_needs_the_served_plan(
+        self, xmark_doc, tmp_path, monkeypatch
+    ):
+        """Candidate 0 always runs the served plan, but is marked default
+        only when its choices name that plan: an enumeration missing the
+        served plan shows instead of passing candidate 0 off as it."""
+        from repro.core import tournament
+
+        db = make_db(xmark_doc)
+        records = record_workload(db, [PERSON_QUERY], tmp_path)
+        monkeypatch.setattr(tournament, "rewrite_pattern", lambda *a, **k: [])
+        report = run_tournament(db, records, runs=1, pin=False)
+        outcome = report.queries[0]
+        assert [c.choices[0]["access"] for c in outcome.candidates] == ["base"]
+        assert not outcome.candidates[0].default
+
 
 class TestPinLifecycle:
     def pin_for(self, db, query=PERSON_QUERY):
