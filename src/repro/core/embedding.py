@@ -6,7 +6,8 @@ Two facilities live here:
   document: embeddings drive the construction of (possibly nested) result
   tuples, honoring every edge semantics (join / semijoin / outerjoin /
   nest / nest-outer), value formulas, and the stored-attribute
-  specifications (ID under the node's declared scheme, L, V, C).
+  specifications (ID under the node's declared scheme, L, V, C).  Each
+  call compiles the pattern into one closure per node and per edge.
   :mod:`repro.core.semantics` implements the *algebraic* semantics of
   §2.2.2 independently; the test-suite checks they agree, mirroring the
   thesis' equivalence claim.
@@ -21,11 +22,12 @@ Two facilities live here:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..algebra.model import NULL, NestedTuple
-from ..xmldata.ids import id_of
-from ..xmldata.node import ATTRIBUTE, ELEMENT, TEXT, Document, TagIndex, XMLNode
+from ..xmldata.ids import ID_GETTERS
+from ..xmldata.node import ATTRIBUTE, DOCUMENT, ELEMENT, TEXT, Document, TagIndex, XMLNode
 from .xam import CHILD, JOIN, NEST, NEST_OUTER, OUTER, SEMI, Pattern, PatternEdge, PatternNode
 
 __all__ = [
@@ -43,40 +45,25 @@ __all__ = [
 # Matching a pattern node against a concrete document node
 # ---------------------------------------------------------------------------
 
-def _kind_compatible(pattern_node: PatternNode, xml_node: XMLNode) -> bool:
-    if pattern_node.tag == "#document":
-        return xml_node.kind == "document"
-    if pattern_node.tag == "#text":
-        return xml_node.kind == TEXT
-    if pattern_node.is_attribute:
-        return xml_node.kind == ATTRIBUTE
-    if pattern_node.is_wildcard:
-        return xml_node.kind == ELEMENT
-    return xml_node.kind == ELEMENT
+def _kind_of(pattern_node: PatternNode) -> str:
+    """The node kind a pattern node admits: ``*`` and tags admit elements."""
+    tag = pattern_node.tag
+    if tag == "#document":
+        return DOCUMENT
+    if tag == "#text":
+        return TEXT
+    return ATTRIBUTE if pattern_node.is_attribute else ELEMENT
 
 
 def admits_xml_node(pattern_node: PatternNode, xml_node: XMLNode) -> bool:
     """Label, kind and value-formula admission of a concrete node."""
-    if not _kind_compatible(pattern_node, xml_node):
+    if xml_node.kind != _kind_of(pattern_node):
         return False
     if pattern_node.tag is not None and pattern_node.tag != xml_node.label:
         return False
     if not pattern_node.value_formula.is_true:
         return pattern_node.value_formula.evaluate(xml_node.value)
     return True
-
-
-def _axis_candidates(
-    xml_node: XMLNode, edge: PatternEdge, index: TagIndex
-) -> Sequence[XMLNode]:
-    """An edge's candidate images in document order: ``children`` for child
-    steps, a window of the document's tag index for descendant steps."""
-    if edge.axis == CHILD:
-        return xml_node.children
-    tag = edge.child.tag
-    if tag is None:  # ``*`` admits elements only
-        return [n for n in index.descendants(xml_node) if n.kind == ELEMENT]
-    return index.descendants(xml_node, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -96,92 +83,99 @@ def subtree_attribute_names(pattern_node: PatternNode) -> list[str]:
     return names
 
 
-def _node_attrs(pattern_node: PatternNode, xml_node: XMLNode) -> dict[str, Any]:
-    attrs: dict[str, Any] = {}
-    if pattern_node.store_id:
-        attrs[f"{pattern_node.name}.ID"] = id_of(xml_node, pattern_node.store_id)
-    if pattern_node.store_tag:
-        attrs[f"{pattern_node.name}.L"] = xml_node.label
-    if pattern_node.store_value:
-        attrs[f"{pattern_node.name}.V"] = xml_node.value
-    if pattern_node.store_content:
-        attrs[f"{pattern_node.name}.C"] = xml_node.content
-    return attrs
+#: A compiled pattern subtree maps a node to the attribute dicts of the
+#: tuples it produces there (``None``: no embedding).  Dicts are never
+#: mutated once built, so an edge may pass its child's rows through.
+Compiled = Callable[[XMLNode, TagIndex], Optional[list[dict]]]
+
+_GETTERS = {"L": attrgetter("label"), "V": attrgetter("value"), "C": attrgetter("content")}
 
 
-def _null_subtree_attrs(pattern_node: PatternNode) -> dict[str, Any]:
-    attrs: dict[str, Any] = {}
-    for name in subtree_attribute_names(pattern_node):
-        if "." in name:
-            attrs[name] = NULL
-        else:
-            attrs[name] = []
-    return attrs
+def _compile(pattern_node: PatternNode) -> Compiled:
+    """Specialise the subtree at ``pattern_node`` into a closure: its
+    admission, stored-attribute getters and edges are fixed once."""
+    kind, tag = _kind_of(pattern_node), pattern_node.tag
+    formula = pattern_node.value_formula
+    admit_value = None if formula.is_true else formula.evaluate
+    getters = [
+        (f"{pattern_node.name}.{attr}",
+         ID_GETTERS[pattern_node.store_id] if attr == "ID" else _GETTERS[attr])
+        for attr in pattern_node.stored_attrs()
+    ]
+    steps = [_compile_step(edge) for edge in pattern_node.edges]
+
+    def at(node: XMLNode, index: TagIndex) -> Optional[list[dict]]:
+        if node.kind != kind or (tag is not None and node.label != tag):
+            return None
+        if admit_value is not None and not admit_value(node.value):
+            return None
+        rows: Optional[list[dict]] = [{name: get(node) for name, get in getters}]
+        for step in steps:
+            rows = step(rows, node, index)
+            if rows is None:
+                return None
+        return rows
+
+    return at
 
 
-def _eval_at(
-    pattern_node: PatternNode, xml_node: XMLNode, index: TagIndex
-) -> Optional[list[NestedTuple]]:
-    """Tuples produced by matching the pattern subtree at ``xml_node``;
-    ``None`` when the subtree has no embedding here."""
-    if not admits_xml_node(pattern_node, xml_node):
-        return None
-    tuples = [NestedTuple(_node_attrs(pattern_node, xml_node))]
-    for edge in pattern_node.edges:
-        child_tuples: list[NestedTuple] = []
-        for candidate in _axis_candidates(xml_node, edge, index):
-            result = _eval_at(edge.child, candidate, index)
+def _compile_step(edge: PatternEdge):
+    """An edge as ``(rows, node, index) → rows``: its candidates run
+    through the child's closure and combine under the edge's semantics.
+    Child steps test the label inline, before any call."""
+    semantics, child = edge.semantics, _compile(edge.child)
+    tag, name, on_child = edge.child.tag, edge.child.name, edge.axis == CHILD
+
+    def candidates(node: XMLNode, index: TagIndex) -> Sequence[XMLNode]:
+        if on_child:
+            return node.children if tag is None else [c for c in node.children if c.label == tag]
+        if tag is None:  # ``*`` admits elements only
+            return [n for n in index.descendants(node) if n.kind == ELEMENT]
+        return index.descendants(node, tag)
+
+    padding = [
+        (n, "." not in n)
+        for n in (subtree_attribute_names(edge.child) if semantics == OUTER else ())
+    ]
+
+    def step(rows, node, index):
+        found: list[dict] = []
+        for candidate in candidates(node, index):
+            result = child(candidate, index)
             if result is not None:
-                child_tuples.extend(result)
-        tuples = _combine_edge(tuples, child_tuples, edge)
-        if tuples is None:
+                found.extend(result)
+        if semantics == SEMI:
+            return rows if found else None
+        if not found and semantics in (JOIN, NEST):
             return None
-    return tuples
+        if semantics in (NEST, NEST_OUTER):
+            nested = [NestedTuple.adopt(b) for b in found]
+            return [{**a, name: nested} for a in rows]
+        if not found:  # outer: fresh padding per tuple, so no ``[]`` is shared
+            return [{**a, **{n: [] if nest else NULL for n, nest in padding}} for a in rows]
+        if len(rows) == 1 and not rows[0]:
+            return found
+        return [{**a, **b} for a in rows for b in found]
 
-
-def _combine_edge(
-    tuples: list[NestedTuple],
-    child_tuples: list[NestedTuple],
-    edge: PatternEdge,
-) -> Optional[list[NestedTuple]]:
-    semantics = edge.semantics
-    if semantics == JOIN:
-        if not child_tuples:
-            return None
-        return [
-            NestedTuple({**a.attrs, **b.attrs}) for a in tuples for b in child_tuples
-        ]
-    if semantics == SEMI:
-        return tuples if child_tuples else None
-    if semantics == OUTER:
-        if child_tuples:
-            return [
-                NestedTuple({**a.attrs, **b.attrs})
-                for a in tuples
-                for b in child_tuples
-            ]
-        padding = _null_subtree_attrs(edge.child)
-        return [NestedTuple({**a.attrs, **padding}) for a in tuples]
-    if semantics == NEST:
-        if not child_tuples:
-            return None
-        return [a.with_attrs(**{edge.child.name: child_tuples}) for a in tuples]
-    if semantics == NEST_OUTER:
-        return [a.with_attrs(**{edge.child.name: child_tuples}) for a in tuples]
-    raise AssertionError(f"unhandled edge semantics {semantics!r}")
+    return step
 
 
 def evaluate_pattern(pattern: Pattern, doc: Document) -> list[NestedTuple]:
     """Evaluate a XAM over a document: Definition 4.1.1 extended with the
     decorated / optional / attribute / nested semantics of §4.1, producing
     duplicate-free tuples in document order.  ``doc`` must be labelled
-    (descendant steps read its tag index; ``ValueError`` otherwise)."""
-    result = _eval_at(pattern.root, doc.root, doc.index)
+    (descendant steps read its tag index; ``ValueError`` otherwise).
+
+    The pattern is compiled into closures on every call: compiling costs
+    microseconds against a document pass, so no cache is kept."""
+    index = doc.index
+    result = _compile(pattern.root)(doc.root, index)
     if result is None:
         return []
     out: list[NestedTuple] = []
     seen: set[tuple] = set()
-    for t in result:
+    for attrs in result:
+        t = NestedTuple.adopt(attrs)
         key = t.freeze()
         if key not in seen:
             seen.add(key)

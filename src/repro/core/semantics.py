@@ -20,7 +20,7 @@ from ..algebra.model import NULL, NestedTuple
 from ..algebra.operators import BaseTuples, Operator, StructuralJoin
 from ..xmldata.ids import STRUCTURAL, id_of
 from ..xmldata.node import ATTRIBUTE, ELEMENT, Document
-from .embedding import _kind_compatible  # shared kind/tag admission rules
+from .embedding import admits_xml_node  # shared kind/tag/value admission rules
 from .xam import CHILD, Pattern, PatternNode
 
 __all__ = [
@@ -68,13 +68,7 @@ def _node_collection(pattern_node: PatternNode, doc: Document) -> list[NestedTup
     """
     out = []
     for node in doc.nodes():
-        if not _kind_compatible(pattern_node, node):
-            continue
-        if pattern_node.tag is not None and pattern_node.tag != node.label:
-            continue
-        if not pattern_node.value_formula.is_true and not pattern_node.value_formula.evaluate(
-            node.value
-        ):
+        if not admits_xml_node(pattern_node, node):
             continue
         attrs: dict[str, Any] = {
             f"{pattern_node.name}{_HIDDEN_SUFFIX}": id_of(node, STRUCTURAL)

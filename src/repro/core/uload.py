@@ -1255,24 +1255,22 @@ class Database:
         profiling it contributes a synthetic one-node metrics tree — the
         dominant cost of view-less queries must not vanish from the
         profile."""
-        if ctx is None or not ctx.profile:
-            tuples: list[NestedTuple] = []
-            for doc in self.documents:
-                tuples.extend(evaluate_pattern(pattern, doc))
-            return tuples
-        node = OperatorMetrics(
-            label=f"BaseEval({pattern.to_text()})", estimated_rows=estimate
-        )
-        node.executions = 1
-        started = time.perf_counter()
-        cpu_started = time.thread_time_ns()
-        tuples = []
+        profiled = ctx is not None and ctx.profile
+        if profiled:
+            started = time.perf_counter()
+            cpu_started = time.thread_time_ns()
+        tuples: list[NestedTuple] = []
         for doc in self.documents:
             tuples.extend(evaluate_pattern(pattern, doc))
-        node.cpu_ns = time.thread_time_ns() - cpu_started
-        node.elapsed = time.perf_counter() - started
-        node.rows_out = len(tuples)
-        ctx.metrics.append(PlanMetrics(node))
+        if profiled:
+            node = OperatorMetrics(
+                label=f"BaseEval({pattern.to_text()})", estimated_rows=estimate
+            )
+            node.executions = 1
+            node.cpu_ns = time.thread_time_ns() - cpu_started
+            node.elapsed = time.perf_counter() - started
+            node.rows_out = len(tuples)
+            ctx.metrics.append(PlanMetrics(node))
         return tuples
 
     def _run_prepared_unit(

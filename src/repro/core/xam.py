@@ -141,10 +141,6 @@ class PatternNode:
     def is_attribute(self) -> bool:
         return self.tag is not None and self.tag.startswith("@")
 
-    @property
-    def matches_any_tag(self) -> bool:
-        return self.tag is None
-
     def stored_attrs(self) -> tuple[str, ...]:
         """The attribute labels of §4.1: ID, L (label/tag), V, C."""
         labels = []

@@ -20,7 +20,8 @@ operators can work on identifier values alone, never touching the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from operator import attrgetter
+from typing import Callable, Union
 
 from .node import Document, XMLNode
 
@@ -35,6 +36,7 @@ __all__ = [
     "NodeID",
     "label_document",
     "id_of",
+    "ID_GETTERS",
     "kind_supports",
     "strongest_common_kind",
     "is_ancestor_id",
@@ -192,18 +194,22 @@ def _require_labels(node: XMLNode) -> None:
         )
 
 
+#: Per scheme, the ID of a labelled node; simple IDs reuse the pre number
+#: (unique and deterministic), order IDs are exactly the pre number.
+ID_GETTERS: dict[str, Callable[[XMLNode], NodeID]] = {
+    SIMPLE: attrgetter("pre"),
+    ORDERED: attrgetter("pre"),
+    STRUCTURAL: lambda node: StructuralID(node.pre, node.post, node.depth),  # type: ignore[arg-type]
+    PARENT_DERIVING: lambda node: DeweyID(node.dewey),  # type: ignore[arg-type]
+}
+
+
 def id_of(node: XMLNode, kind: str = STRUCTURAL) -> NodeID:
     """Materialize the identifier of ``node`` under scheme ``kind``."""
     _require_labels(node)
-    if kind in (SIMPLE, ORDERED):
-        # Simple IDs must only be unique; reusing the pre number keeps them
-        # deterministic.  Order IDs are exactly the pre number.
-        return node.pre  # type: ignore[return-value]
-    if kind == STRUCTURAL:
-        return StructuralID(node.pre, node.post, node.depth)  # type: ignore[arg-type]
-    if kind == PARENT_DERIVING:
-        return DeweyID(node.dewey)  # type: ignore[arg-type]
-    raise ValueError(f"unknown ID kind {kind!r}")
+    if kind not in ID_GETTERS:
+        raise ValueError(f"unknown ID kind {kind!r}")
+    return ID_GETTERS[kind](node)
 
 
 def is_ancestor_id(id_a: NodeID, id_b: NodeID) -> bool:

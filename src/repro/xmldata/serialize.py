@@ -12,20 +12,16 @@ from .node import ATTRIBUTE, DOCUMENT, TEXT, XMLNode
 
 __all__ = ["serialize", "escape_text", "escape_attribute"]
 
-_TEXT_ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;")]
-_ATTR_ESCAPES = _TEXT_ESCAPES + [('"', "&quot;")]
-
 
 def escape_text(data: str) -> str:
-    for raw, escaped in _TEXT_ESCAPES:
-        data = data.replace(raw, escaped)
+    if "&" in data or "<" in data or ">" in data:
+        return data.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return data
 
 
 def escape_attribute(data: str) -> str:
-    for raw, escaped in _ATTR_ESCAPES:
-        data = data.replace(raw, escaped)
-    return data
+    data = escape_text(data)
+    return data.replace('"', "&quot;") if '"' in data else data
 
 
 def serialize(node: XMLNode) -> str:
@@ -43,29 +39,40 @@ def serialize(node: XMLNode) -> str:
     return "".join(parts)
 
 
+def _attribute(node: XMLNode) -> str:
+    return f'{node.label.lstrip("@")}="{escape_attribute(node.text or "")}"'
+
+
 def _serialize_into(node: XMLNode, parts: list[str]) -> None:
-    if node.kind == DOCUMENT:
+    kind = node.kind
+    if kind == TEXT:
+        parts.append(escape_text(node.text or ""))
+        return
+    if kind == ATTRIBUTE:
+        parts.append(_attribute(node))
+        return
+    if kind == DOCUMENT:
         for child in node.children:
             _serialize_into(child, parts)
         return
-    if node.kind == TEXT:
-        parts.append(escape_text(node.text or ""))
-        return
-    if node.kind == ATTRIBUTE:
-        parts.append(f'{node.label.lstrip("@")}="{escape_attribute(node.text or "")}"')
-        return
-
-    attributes = node.attribute_children()
-    others = [c for c in node.children if c.kind != ATTRIBUTE]
-    parts.append("<")
-    parts.append(node.label)
-    for attr in attributes:
-        parts.append(" ")
-        _serialize_into(attr, parts)
-    if not others:
-        parts.append("/>")
-        return
-    parts.append(">")
-    for child in others:
-        _serialize_into(child, parts)
-    parts.append(f"</{node.label}>")
+    # one pass over the children: attributes extend the begin tag, kept in
+    # a reserved slot so they come first wherever they sit; text inline
+    slot = len(parts)
+    parts.append("")
+    head = "<" + node.label
+    empty = True
+    for child in node.children:
+        kind = child.kind
+        if kind == ATTRIBUTE:
+            head += " " + _attribute(child)
+        elif kind == TEXT:
+            empty = False
+            parts.append(escape_text(child.text or ""))
+        else:
+            empty = False
+            _serialize_into(child, parts)
+    if empty:
+        parts[slot] = head + "/>"
+    else:
+        parts[slot] = head + ">"
+        parts.append(f"</{node.label}>")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
-from repro.algebra import NestedTuple
+from repro.algebra import NULL, NestedTuple
 from repro.core import (
     evaluate_algebraic,
     evaluate_pattern,
@@ -17,10 +17,12 @@ from repro.core import (
     tag_derived_collection,
     tuple_intersection,
 )
-from repro.core.embedding import _combine_edge, _node_attrs, admits_xml_node
+from repro.core.embedding import admits_xml_node
 from repro.core.semantics import binding_signature, build_semantics_plan
-from repro.core.xam import CHILD
+from repro.core.xam import CHILD, JOIN, NEST, NEST_OUTER, OUTER, SEMI
+from repro.workloads import DBLP_QUERIES, XMARK_QUERIES, generate_dblp, generate_xmark
 from repro.xmldata import load
+from repro.xmldata.ids import id_of
 
 from tests.test_properties_substrates import _random_document
 
@@ -209,19 +211,32 @@ def random_bib_patterns(draw):
 #: the labels of ``_random_document`` plus one no document carries
 _ELEMENT_STEPS = ["r", "t0", "t1", "t2", "absent", "*"]
 _LEAF_STEPS = ["@a", "#text"]
+#: value predicates over ``_random_document``'s text vocabulary: text
+#: ``x0``/``x1`` (element values concatenate them), ``@a`` values 0–2
+_VALUE_PREDICATES = ['val="x0"', 'val="x1"', 'val="x0x1"', "val=1", "val>=1"]
+
+
+@st.composite
+def random_specs(draw):
+    """A spec list: an ID under any scheme, stored label/value/content,
+    and a value predicate, each independently present or not."""
+    specs = [draw(st.sampled_from(["", "id", "id:o", "id:s", "id:p"]))]
+    specs += draw(st.lists(st.sampled_from(["tag", "val", "cont"]), max_size=2, unique=True))
+    specs.append(draw(st.sampled_from([""] * 3 + _VALUE_PREDICATES)))
+    specs = [spec for spec in specs if spec]
+    return f"[{', '.join(specs)}]" if specs else ""
 
 
 @st.composite
 def random_tree_patterns(draw):
     """Random XAMs over ``_random_document``'s vocabulary: ``*``,
-    attribute and text steps, an absent label, every edge semantics, and
-    chains deep enough to anchor steps at leaves and deep nodes."""
+    attribute and text steps, an absent label, every edge semantics and ID
+    scheme, value predicates, and chains deep enough to anchor steps at
+    leaves and deep nodes."""
 
     def node(height):
         label = draw(st.sampled_from(_ELEMENT_STEPS + _LEAF_STEPS))
-        text = label + draw(
-            st.sampled_from(["[id:s]", "[val]", "[tag]", "[id:s, val]", "[cont]", ""])
-        )
+        text = label + draw(random_specs())
         if height == 0 or label in _LEAF_STEPS:
             return text
         children = [
@@ -257,10 +272,52 @@ def agreement_cases(draw):
     return docs, draw(random_tree_patterns())
 
 
+def _node_attrs(pattern_node, xml_node):
+    attrs = {}
+    if pattern_node.store_id:
+        attrs[f"{pattern_node.name}.ID"] = id_of(xml_node, pattern_node.store_id)
+    if pattern_node.store_tag:
+        attrs[f"{pattern_node.name}.L"] = xml_node.label
+    if pattern_node.store_value:
+        attrs[f"{pattern_node.name}.V"] = xml_node.value
+    if pattern_node.store_content:
+        attrs[f"{pattern_node.name}.C"] = xml_node.content
+    return attrs
+
+
+def _padding(pattern_node):
+    """⊥ for every attribute an outer edge's missing subtree would store."""
+    padding = {f"{pattern_node.name}.{a}": NULL for a in pattern_node.stored_attrs()}
+    for edge in pattern_node.edges:
+        if edge.semantics in (NEST, NEST_OUTER):
+            padding[edge.child.name] = []
+        elif edge.semantics != SEMI:
+            padding.update(_padding(edge.child))
+    return padding
+
+
+def _combine_edge(tuples, child_tuples, edge):
+    """Parent tuples × the tuples found below them, under the edge's
+    semantics (§4.1); ``None`` when the edge blocks the embedding."""
+    semantics = edge.semantics
+    if semantics == SEMI:
+        return tuples if child_tuples else None
+    if semantics in (JOIN, NEST) and not child_tuples:
+        return None
+    if semantics in (NEST, NEST_OUTER):
+        return [a.with_attrs(**{edge.child.name: child_tuples}) for a in tuples]
+    assert semantics in (JOIN, OUTER), semantics
+    if not child_tuples:
+        return [NestedTuple({**a.attrs, **_padding(edge.child)}) for a in tuples]
+    return [NestedTuple({**a.attrs, **b.attrs}) for a in tuples for b in child_tuples]
+
+
 def _walk_reference(pattern, doc):
-    """The reference for ``evaluate_pattern``'s ordered output: the same
-    tuple construction, with every ``//`` step walking the anchor's whole
-    subtree instead of reading the tag index."""
+    """The reference for ``evaluate_pattern``'s ordered output: the tuple
+    construction of §4.1 written out node by node, sharing no code with
+    the compiled evaluator beyond admission and ``id_of``'s getters, with
+    every ``//`` step walking the anchor's whole subtree instead of
+    reading the tag index."""
 
     def at(pattern_node, xml_node):
         if not admits_xml_node(pattern_node, xml_node):
@@ -306,3 +363,48 @@ def test_property_semantics_agree(case):
         segments = sharded._segments["v"]
         joined = [t.freeze() for seq in sorted(segments) for t in segments[seq]]
         assert joined == reference
+
+
+@pytest.fixture(scope="module")
+def battery_store():
+    """XMark scale 1 and DBLP scale 2 as one two-document store, and every
+    pattern the XMark (q07 aside) and DBLP batteries evaluate on its base
+    store, by pattern text."""
+    db = Database()
+    db.add_documents([generate_xmark(scale=1, seed=0), generate_dblp(scale=2, seed=0)])
+    queries = {**XMARK_QUERIES, **DBLP_QUERIES}
+    queries.pop("q07")  # a three-way cartesian product, in no battery
+    patterns = {}
+    for text in queries.values():
+        for unit in db.prepare(text, prefer_views=False).units:
+            for resolution in unit.resolutions:
+                assert resolution.access_path == "base"
+                patterns.setdefault(resolution.pattern.to_text(), resolution.pattern)
+    return db, patterns
+
+
+def test_battery_patterns_cover_the_workload(battery_store):
+    _db, patterns = battery_store
+    texts = " ".join(patterns)
+    assert len(patterns) == 30
+    assert "[val=TODS]" in texts and "@income[val~" in texts and "cont]" in texts
+    used = {
+        edge.semantics
+        for pattern in patterns.values()
+        for node in pattern.nodes()
+        for edge in node.edges
+    }
+    assert used == {JOIN, SEMI, NEST, NEST_OUTER}
+
+
+def test_battery_patterns_agree(battery_store):
+    """The compiled evaluator on the real battery: ordered equality with
+    the walk reference, set equality with the algebraic semantics."""
+    db, patterns = battery_store
+    for text, pattern in patterns.items():
+        for doc in db.documents:
+            indexed = [t.freeze() for t in evaluate_pattern(pattern, doc)]
+            assert indexed == _walk_reference(pattern, doc), text
+            algebraic = [t.freeze() for t in evaluate_algebraic(pattern, doc)]
+            assert len(algebraic) == len(indexed), text
+            assert set(algebraic) == set(indexed), text
