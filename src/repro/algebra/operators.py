@@ -257,30 +257,31 @@ def _reduce_collection(
 
 class Project(Operator):
     """π — duplicate-preserving by default, duplicate-eliminating (π⁰)
-    with ``dedup=True``.  ``renames`` maps old → new attribute names."""
+    with ``dedup=True``.  ``sources`` maps an output column to the input
+    attribute it reads (by default, the one of the same name); several
+    columns may read one attribute."""
 
     def __init__(
         self,
         child: Operator,
         columns: Sequence[str],
         dedup: bool = False,
-        renames: Optional[Mapping[str, str]] = None,
+        sources: Optional[Mapping[str, str]] = None,
     ):
         self.children = (child,)
         self.columns = list(columns)
         self.dedup = dedup
-        self.renames = dict(renames) if renames else {}
+        self.sources = dict(sources) if sources else {}
 
     def schema(self) -> list[str]:
-        return [self.renames.get(c, c) for c in self.columns]
+        return list(self.columns)
 
     def evaluate(self, context: Optional[Context] = None) -> list[NestedTuple]:
         out = []
         seen = set()
+        pairs = [(c, self.sources.get(c, c)) for c in self.columns]
         for t in self.children[0].evaluate(context):
-            projected = t.project(self.columns)
-            if self.renames:
-                projected = projected.rename(self.renames)
+            projected = NestedTuple.adopt({c: t.get(source) for c, source in pairs})
             if self.dedup:
                 key = projected.freeze()
                 if key in seen:
@@ -297,7 +298,8 @@ class Project(Operator):
 
     def label(self) -> str:
         mark = "π⁰" if self.dedup else "π"
-        return f"{mark}[{', '.join(self.columns)}]"
+        read = [(self.sources.get(c, c), c) for c in self.columns]
+        return f"{mark}[{', '.join(c if s == c else f'{s}→{c}' for s, c in read)}]"
 
 
 class Product(Operator):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from ..algebra.formulas import Formula
@@ -115,7 +115,7 @@ class _Candidate:
     nav_steps: tuple = ()  # for 'nav': ((axis, label), ...)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Use:
     """One occurrence of a view in a plan."""
 
@@ -123,14 +123,76 @@ class _Use:
     entry: CatalogEntry
     pattern: Pattern  # per-use renamed copy of the view pattern
     #: q node name → renamed view node name (direct services)
-    direct: dict[str, str] = field(default_factory=dict)
+    direct: dict[str, str]
     #: q node name → (renamed content node, steps, q attr, out node name)
-    navs: dict[str, tuple[str, tuple, str, str]] = field(default_factory=dict)
-    #: q node name → (renamed child node whose parent ID is derived, out name)
-    derived: dict[str, tuple[str, str]] = field(default_factory=dict)
+    navs: dict[str, tuple[str, tuple, str, str]]
+    #: q node name → (renamed child node whose parent ID is derived, name
+    #: of the parent node in the adapted pattern)
+    derived: dict[str, tuple[str, str]]
+    #: q node name → where the plan reads it
+    outputs: dict[str, "_Output"]
 
-    def serves(self) -> set[str]:
-        return set(self.direct) | set(self.navs) | set(self.derived)
+
+@dataclass(frozen=True)
+class _Output:
+    """Where a plan reads one query return node from."""
+
+    use: int
+    #: the serving node, named as in the use's adapted pattern: a view
+    #: node, a navigation's target or a derived parent
+    node: str
+    #: the node's attributes in the plan's tuples (``node.attr``)
+    attrs: tuple[str, ...]
+    #: the serving view node sits inside a view collection
+    nested: bool
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """One candidate plan, decided once: the S-equivalence test and the
+    plan builder read the same decisions.  ``joins`` is a join tree in
+    lowering order: the first glue's left use seeds it, and each glue
+    joins a use in the tree (left) to a new one (right).  ``outputs`` has
+    one entry per query return node; entries may share a view node."""
+
+    query: Pattern
+    uses: tuple[_Use, ...]
+    joins: tuple[GlueCondition, ...]
+    outputs: dict[str, _Output]
+
+    def __post_init__(self):
+        tree = {self.joins[0].left_use if self.joins else 0}
+        for glue in self.joins:
+            assert glue.left_use != glue.right_use, glue
+            assert glue.left_use in tree and glue.right_use not in tree, glue
+            tree.add(glue.right_use)
+        assert tree == set(range(len(self.uses)))
+        returns = [node.name for node in self.query.return_nodes()]
+        assert sorted(self.outputs) == sorted(returns), (self.outputs, returns)
+
+    @property
+    def views(self) -> tuple[str, ...]:
+        return tuple(use.entry.name for use in self.uses)
+
+    @property
+    def multi_served(self) -> bool:
+        """Whether some view node serves several query nodes."""
+        served = {(output.use, output.node) for output in self.outputs.values()}
+        return len(served) < len(self.outputs)
+
+    @property
+    def lowerable(self) -> bool:
+        """A view node serving several query nodes is copied into flat
+        columns, so no output may then sit in a collection or come from a
+        navigation (no battery reaches such a candidate)."""
+        return not self.multi_served or not (
+            any(output.nested for output in self.outputs.values())
+            or any(use.navs for use in self.uses)
+        )
+
+    @cached_property
+    def regroup(self):
+        return _regroup_spec(self)
 
 
 @dataclass
@@ -142,9 +204,6 @@ class Rewriting:
     #: the union of patterns the plan is equivalent to (inspection aid)
     equivalent_patterns: tuple[Pattern, ...]
     kind: str  # 'single', 'join', 'union'
-
-    def operator_count(self) -> int:
-        return self.plan.operator_count()
 
     def __repr__(self) -> str:
         return f"<Rewriting {self.kind} views={list(self.views)}>"
@@ -364,22 +423,15 @@ def _candidate_plans(
     # 1. single-view plans
     entries = [entry for entry, _facts in views]
     for entry in entries:
-        for use in _single_view_uses(search, entry, candidates):
-            yield _Plan(
-                "single", (entry.name,), partial(_validate_uses, search, [use], [])
-            )
+        for skeleton in _single_view_uses(search, entry, candidates):
+            yield _Plan("single", skeleton.views, partial(_validate, search, skeleton))
 
     # 2. two-view join plans
     for i, left_entry in enumerate(entries):
         for right_entry in entries[i:]:
-            for uses, glues in _pair_uses(
-                search, left_entry, right_entry, candidates
-            ):
-                yield _Plan(
-                    "join",
-                    _views_of(uses),
-                    partial(_validate_uses, search, uses, glues),
-                )
+            for skeleton in _pair_uses(search, left_entry, right_entry, candidates):
+                validate = partial(_validate, search, skeleton)
+                yield _Plan("join", skeleton.views, validate)
 
     # 3. union plans (each subset of views is tried once)
     yield from _union_plans(search, views, max_union)
@@ -526,8 +578,8 @@ def _single_view_uses(
     entry: CatalogEntry,
     candidates: dict[str, list[_Candidate]],
 ):
-    """Assignments of every query return node to one node of ``entry``."""
-    returns = search.query_returns
+    """Skeletons assigning every query return node to one node of ``entry``."""
+    returns, query = search.query_returns, search.query
     per_node: list[list[_Candidate]] = []
     for name in returns:
         options = [c for c in candidates[name] if c.entry is entry]
@@ -535,35 +587,40 @@ def _single_view_uses(
             return
         per_node.append(options)
     for combo in _product(per_node, search.stats):
-        yield _build_use(0, entry, dict(zip(returns, combo)), search.query)
+        use = _build_use(0, entry, dict(zip(returns, combo)), query)
+        yield _Skeleton(query, (use,), (), use.outputs)
 
 
 def _build_use(
     index: int, entry: CatalogEntry, assignment: dict[str, _Candidate], query: Pattern
 ) -> _Use:
     prefix = f"u{index}:"
-    use = _Use(index, entry, _rename_pattern(entry.pattern, prefix))
-    nav_counter = 0
-    derived_counter = 0
+    pattern = _rename_pattern(entry.pattern, prefix)
+    use = _Use(index, entry, pattern, {}, {}, {}, {})
     for q_name, candidate in assignment.items():
+        view_name = f"{prefix}{candidate.view_node}"
+        view_node = pattern.node_by_name(view_name)
         if candidate.mode == "direct":
-            use.direct[q_name] = f"{prefix}{candidate.view_node}"
+            use.direct[q_name] = node = view_name
+            attrs = tuple(view_node.stored_attrs())
         elif candidate.mode == "parent":
-            derived_counter += 1
-            use.derived[q_name] = (
-                f"{prefix}{candidate.view_node}",
-                f"{prefix}par{derived_counter}",
+            # the parent is the view's own node below a child edge, and a
+            # node the plan adds (see _adapted_pattern) below a descendant one
+            edge = view_node.parent_edge
+            assert edge is not None
+            node = (
+                edge.parent.name
+                if edge.axis == CHILD
+                else f"{prefix}par{len(use.derived) + 1}"
             )
+            use.derived[q_name] = (view_name, node)
+            attrs = ("ID",)
         else:
-            nav_counter += 1
-            attr = "V" if query.node_by_name(q_name).store_value else "C"
-            out_name = f"{prefix}nav{nav_counter}"
-            use.navs[q_name] = (
-                f"{prefix}{candidate.view_node}",
-                candidate.nav_steps,
-                attr,
-                out_name,
-            )
+            attrs = ("V" if query.node_by_name(q_name).store_value else "C",)
+            node = f"{prefix}nav{len(use.navs) + 1}"
+            use.navs[q_name] = (view_name, candidate.nav_steps, attrs[0], node)
+        nested = _nest_collection_of(view_node) is not None
+        use.outputs[q_name] = _Output(index, node, attrs, nested)
     return use
 
 
@@ -583,7 +640,7 @@ def _pair_uses(
     right_entry: CatalogEntry,
     candidates: dict[str, list[_Candidate]],
 ):
-    """Two-view assignments + glue conditions."""
+    """Skeletons of two-view assignments joined by one glue."""
     query, returns = search.query, search.query_returns
     per_node: list[list[tuple[int, _Candidate]]] = []
     for name in returns:
@@ -608,7 +665,8 @@ def _pair_uses(
         glue = _find_glue(query, left_use, right_use, candidates)
         if glue is None:
             continue
-        yield [left_use, right_use], [glue]
+        outputs = {**left_use.outputs, **right_use.outputs}
+        yield _Skeleton(query, (left_use, right_use), (glue,), outputs)
 
 
 def _find_glue(
@@ -727,11 +785,12 @@ def _query_relation(
 # Plan construction + validation
 # ---------------------------------------------------------------------------
 
-def _validate_uses(
-    search: _Search, uses: list[_Use], glues: list[GlueCondition]
-) -> Optional[Rewriting]:
+def _validate(search: _Search, skeleton: _Skeleton) -> Optional[Rewriting]:
+    """The skeleton's rewriting when its plan is S-equivalent to the query."""
     query, query_returns, summary = search.query, search.query_returns, search.summary
-    regroup = _regroup_spec(query, uses)
+    if not skeleton.lowerable:
+        return None
+    regroup = skeleton.regroup
     if regroup is _INFEASIBLE:
         return None
     validation_query = search.validation_query(
@@ -739,10 +798,10 @@ def _validate_uses(
         if regroup
         else frozenset()
     )
-    adapted = [_adapted_pattern(query, use) for use in uses]
+    adapted = [_adapted_pattern(query, use) for use in skeleton.uses]
     if any(pattern is None for pattern in adapted):
         return None
-    union = merged_patterns(adapted, glues, summary)  # type: ignore[arg-type]
+    union = merged_patterns(adapted, skeleton.joins, summary)  # type: ignore[arg-type]
     if not union:
         return None
 
@@ -752,24 +811,19 @@ def _validate_uses(
     for merged, aliases in union:
         validation = merged.copy()
         for node in validation.nodes():
-            node.store_id = None
-            node.store_tag = False
-            node.store_value = False
-            node.store_content = False
+            node.store_id, node.store_tag = None, False
+            node.store_value = node.store_content = False
         order = []
-        try:
-            for q_name in query_returns:
-                serving = _serving_node_name(q_name, uses)
-                merged_name = aliases[serving]
-                target = validation.node_by_name(merged_name)
-                q_node = query.node_by_name(q_name)
-                target.store_id = q_node.store_id
-                target.store_tag = q_node.store_tag
-                target.store_value = q_node.store_value
-                target.store_content = q_node.store_content
-                order.append(merged_name)
-        except KeyError:
-            return None
+        for q_name in query_returns:
+            merged_name = aliases.get(skeleton.outputs[q_name].node)
+            if merged_name is None:
+                return None
+            target = validation.node_by_name(merged_name)
+            q_node = query.node_by_name(q_name)
+            target.store_id, target.store_tag = q_node.store_id, q_node.store_tag
+            target.store_value = q_node.store_value
+            target.store_content = q_node.store_content
+            order.append(merged_name)
         members.append(PatternFacts(validation, summary, order))
 
     for member in members:
@@ -778,17 +832,12 @@ def _validate_uses(
     if not search.contained(validation_query, members):
         return None
 
-    plan = _build_plan(query, query_returns, uses, glues, regroup)
     return Rewriting(
-        plan=plan,
-        views=_views_of(uses),
+        plan=_build_plan(skeleton),
+        views=skeleton.views,
         equivalent_patterns=tuple(member.pattern for member in members),
-        kind="single" if len(uses) == 1 else "join",
+        kind="single" if len(skeleton.uses) == 1 else "join",
     )
-
-
-def _views_of(uses: list[_Use]) -> tuple[str, ...]:
-    return tuple(use.entry.name for use in uses)
 
 
 _INFEASIBLE = object()
@@ -808,7 +857,7 @@ def _unnest_pattern(pattern: Pattern, names: frozenset) -> Pattern:
     return clone
 
 
-def _regroup_spec(query: Pattern, uses: list[_Use]):
+def _regroup_spec(skeleton: _Skeleton):
     """Decide whether flat view tuples must be re-nested to match the
     query's nesting, and how.
 
@@ -818,6 +867,7 @@ def _regroup_spec(query: Pattern, uses: list[_Use]):
     already served nested by the views (a nested view node or a nested
     Navigate) pass through untouched and act as grouping keys.
     """
+    query, outputs = skeleton.query, skeleton.outputs
     nested_returns = [
         node
         for node in query.return_nodes()
@@ -830,13 +880,10 @@ def _regroup_spec(query: Pattern, uses: list[_Use]):
     for node in nested_returns:
         collection = _nest_collection_of(node)
         assert collection is not None
-        try:
-            if _served_nested(node.name, uses):
-                passthrough.add(collection.name)
-            else:
-                rebuild[collection.name] = collection
-        except KeyError:
-            return _INFEASIBLE
+        if outputs[node.name].nested:
+            passthrough.add(collection.name)
+        else:
+            rebuild[collection.name] = collection
     if passthrough & set(rebuild):
         return _INFEASIBLE  # one collection served in mixed shapes
     if not rebuild:
@@ -866,9 +913,12 @@ def _regroup_spec(query: Pattern, uses: list[_Use]):
         ]
         if not member_attrs:
             return _INFEASIBLE
+        # the flat plan tuples carry an ID for every node served by an
+        # ID-storing view node, even where the query stores none
         identity_attrs = list(member_attrs)
         for node in collection_node.iter_subtree():
-            if _serving_stores_id(node.name, uses):
+            output = outputs.get(node.name)
+            if output is not None and "ID" in output.attrs:
                 id_attr = f"{node.name}.ID"
                 if id_attr not in identity_attrs:
                     identity_attrs.append(id_attr)
@@ -893,34 +943,6 @@ def _regroup_spec(query: Pattern, uses: list[_Use]):
     return keys, collection_specs
 
 
-def _serving_stores_id(q_name: str, uses: list[_Use]) -> bool:
-    """Whether the flat plan tuples will carry an ID for this query node
-    (the serving view node stores one — DeepRename exposes it under the
-    query node's name even when the query itself does not store it)."""
-    for use in uses:
-        if q_name in use.direct:
-            return use.pattern.node_by_name(use.direct[q_name]).store_id is not None
-    return False
-
-
-def _served_nested(q_name: str, uses: list[_Use]) -> bool:
-    """Whether the serving view attribute for this query node already
-    lives inside a collection (nested view node or nested navigation)."""
-    for use in uses:
-        if q_name in use.direct:
-            node = use.pattern.node_by_name(use.direct[q_name])
-            attr = node.stored_attrs()[0] if node.stored_attrs() else "ID"
-            return "/" in _attr_path(use.pattern, use.direct[q_name], attr)
-        if q_name in use.navs:
-            content_node, _steps, _attr, _out = use.navs[q_name]
-            return "/" in _attr_path(use.pattern, content_node, "C")
-        if q_name in use.derived:
-            child_name, _out = use.derived[q_name]
-            return "/" in _attr_path(use.pattern, child_name, "ID")
-    raise KeyError(q_name)
-
-
-
 def _nest_collection_of(node: PatternNode) -> Optional[PatternNode]:
     """The outermost nest-edge target above (or at) the node."""
     found = None
@@ -930,17 +952,6 @@ def _nest_collection_of(node: PatternNode) -> Optional[PatternNode]:
             found = walk
         walk = walk.parent_edge.parent
     return found
-
-
-def _serving_node_name(q_name: str, uses: list[_Use]) -> str:
-    for use in uses:
-        if q_name in use.direct:
-            return use.direct[q_name]
-        if q_name in use.navs:
-            return use.navs[q_name][3]
-        if q_name in use.derived:
-            return use.derived[q_name][1]
-    raise KeyError(q_name)
 
 
 def _adapted_pattern(query: Pattern, use: _Use) -> Optional[Pattern]:
@@ -974,7 +985,7 @@ def _adapted_pattern(query: Pattern, use: _Use) -> Optional[Pattern]:
             anchor.store_content = True
         if not q_node.value_formula.is_true:
             anchor.value_formula = q_node.value_formula
-    for q_name, (child_name, out_name) in use.derived.items():
+    for child_name, parent_name in use.derived.values():
         child = pattern.node_by_name(child_name)
         edge = child.parent_edge
         assert edge is not None
@@ -984,72 +995,22 @@ def _adapted_pattern(query: Pattern, use: _Use) -> Optional[Pattern]:
                 return None  # the parent is ⊤; no derivable document node
         else:
             # insert an explicit parent node: anc —//— * —/— child
-            parent = PatternNode(tag=None)
+            parent = PatternNode(tag=None, name=parent_name)
             grand = edge.parent
             grand.edges.remove(edge)
             grand.add_child(parent, DESCENDANT, edge.semantics)
             parent.add_child(child, CHILD, JOIN)
         parent.store_id = "p"
-        if not parent.name:
-            parent.name = out_name
-        else:
-            use.derived[q_name] = (child_name, parent.name)
     return pattern.finalize()
 
 
-def _build_plan(
-    query: Pattern,
-    query_returns: list[str],
-    uses: list[_Use],
-    glues: list[GlueCondition],
-    regroup=None,
-) -> Operator:
-    plans: list[Operator] = []
-    for use in uses:
-        columns = _view_columns(use.entry.pattern)
-        plan: Operator = Scan(use.entry.relation, columns)
-        prefix = f"u{use.index}:"
-        plan = DeepRename(plan, _prefix_map(use.entry.pattern, prefix))
-        # compensating selections
-        for q_name, view_name in use.direct.items():
-            q_node = query.node_by_name(q_name)
-            view_node = use.pattern.node_by_name(view_name)
-            if (
-                not q_node.value_formula.is_true
-                and not view_node.value_formula.implies(q_node.value_formula)
-            ):
-                plan = Select(
-                    plan,
-                    SatisfiesFormula(
-                        Attr(_attr_path(use.pattern, view_name, "V")),
-                        q_node.value_formula,
-                    ),
-                )
-        # derived parent IDs (§5.2)
-        for q_name, (child_name, out_name) in use.derived.items():
-            child_attr = _attr_path(use.pattern, child_name, "ID")
-            plan = DerivedColumn(
-                plan,
-                f"{out_name}.ID",
-                _parent_of(child_attr),
-                description=f"parent({child_attr})",
-            )
-        # navigations
-        for q_name, (content_node, steps, attr, out_name) in use.navs.items():
-            q_node = query.node_by_name(q_name)
-            q_edge = q_node.parent_edge
-            plan = Navigate(
-                plan,
-                _attr_path(use.pattern, content_node, "C"),
-                list(steps),
-                out=out_name,
-                keep_unmatched=q_edge is not None and q_edge.optional,
-                nest_out=q_edge is not None and q_edge.nested,
-            )
-        plans.append(plan)
-
-    combined = plans[0]
-    for glue in glues:
+def _build_plan(skeleton: _Skeleton) -> Operator:
+    """Lower the skeleton: one scan chain per use, one join per tree edge
+    and one output column per contract entry."""
+    query, uses = skeleton.query, skeleton.uses
+    plans = [_use_plan(query, use) for use in uses]
+    combined = plans[skeleton.joins[0].left_use if skeleton.joins else 0]
+    for glue in skeleton.joins:
         left_attr = _attr_path(uses[glue.left_use].pattern, glue.left_node, "ID")
         right_attr = _attr_path(uses[glue.right_use].pattern, glue.right_node, "ID")
         right_plan = plans[glue.right_use]
@@ -1082,21 +1043,65 @@ def _build_plan(
                 Compare(Attr(left_attr, 0), "=", Attr(derived_attr, 1)),
             )
 
-    # rename view attrs to query-node attrs, then trim to the query schema
-    mapping: dict[str, str] = {}
-    for use in uses:
-        for q_name, view_name in use.direct.items():
-            mapping[view_name] = q_name
-        for q_name, (_c, _s, _a, out_name) in use.navs.items():
-            mapping[out_name] = q_name
-        for q_name, (_child, out_name) in use.derived.items():
-            mapping[out_name] = q_name
-    renamed: Operator = DeepRename(combined, mapping)
-    if regroup:
-        keys, collection_specs = regroup
+    # rename view attrs to query-node attrs: a view node serving several
+    # query nodes is copied into one flat column per query node
+    outputs = skeleton.outputs
+    if skeleton.multi_served:
+        sources = {
+            f"{q_name}.{attr}": f"{output.node}.{attr}"
+            for q_name, output in outputs.items()
+            for attr in output.attrs
+        }
+        renamed: Operator = Project(combined, list(sources), sources=sources)
+    else:
+        renamed = DeepRename(
+            combined, {output.node: q_name for q_name, output in outputs.items()}
+        )
+    if skeleton.regroup:
+        keys, collection_specs = skeleton.regroup
         return Regroup(renamed, keys, collection_specs)
-    top_level = _query_top_level_attrs(query)
-    return Project(renamed, top_level, dedup=True)
+    return Project(renamed, _top_level_attrs(query), dedup=True)
+
+
+def _use_plan(query: Pattern, use: _Use) -> Operator:
+    """The scan of one use, with its compensations: selections, derived
+    parent IDs (§5.2) and navigations."""
+    view = use.entry.pattern
+    plan: Operator = Scan(use.entry.relation, _top_level_attrs(view))
+    plan = DeepRename(plan, {n.name: f"u{use.index}:{n.name}" for n in view.nodes()})
+    for q_name, view_name in use.direct.items():
+        q_node = query.node_by_name(q_name)
+        view_node = use.pattern.node_by_name(view_name)
+        if (
+            not q_node.value_formula.is_true
+            and not view_node.value_formula.implies(q_node.value_formula)
+        ):
+            plan = Select(
+                plan,
+                SatisfiesFormula(
+                    Attr(_attr_path(use.pattern, view_name, "V")),
+                    q_node.value_formula,
+                ),
+            )
+    for child_name, parent_name in use.derived.values():
+        child_attr = _attr_path(use.pattern, child_name, "ID")
+        plan = DerivedColumn(
+            plan,
+            f"{parent_name}.ID",
+            _parent_of(child_attr),
+            description=f"parent({child_attr})",
+        )
+    for q_name, (content_node, steps, _attr, out_name) in use.navs.items():
+        q_edge = query.node_by_name(q_name).parent_edge
+        plan = Navigate(
+            plan,
+            _attr_path(use.pattern, content_node, "C"),
+            list(steps),
+            out=out_name,
+            keep_unmatched=q_edge is not None and q_edge.optional,
+            nest_out=q_edge is not None and q_edge.nested,
+        )
+    return plan
 
 
 def _parent_of(attr_path: str):
@@ -1109,20 +1114,11 @@ def _parent_of(attr_path: str):
     return derive
 
 
-def _view_columns(pattern: Pattern) -> list[str]:
+def _top_level_attrs(pattern: Pattern) -> list[str]:
+    """The attributes of the pattern's output tuples (a view's stored
+    columns, a query's result schema)."""
     columns: list[str] = []
     for edge in pattern.root.edges:
-        columns.extend(subtree_attribute_names(edge.child))
-    return columns
-
-
-def _prefix_map(pattern: Pattern, prefix: str) -> dict[str, str]:
-    return {node.name: f"{prefix}{node.name}" for node in pattern.nodes()}
-
-
-def _query_top_level_attrs(query: Pattern) -> list[str]:
-    columns: list[str] = []
-    for edge in query.root.edges:
         columns.extend(subtree_attribute_names(edge.child))
     return columns
 
@@ -1162,13 +1158,12 @@ def _validate_union(
         return None
     parts = []
     for entry, view in subset:
-        columns = _view_columns(entry.pattern)
-        part: Operator = Scan(entry.relation, columns)
+        part: Operator = Scan(entry.relation, _top_level_attrs(entry.pattern))
         mapping = dict(zip(view.return_names, query_returns))
         part = DeepRename(part, mapping)
         parts.append(part)
     plan: Operator = UnionOp(*parts)
-    plan = Project(plan, _query_top_level_attrs(query), dedup=True)
+    plan = Project(plan, _top_level_attrs(query), dedup=True)
     return Rewriting(
         plan=plan,
         views=tuple(entry.name for entry, _view in subset),

@@ -319,7 +319,7 @@ def _filter(op: PFilter, child: BatchFn) -> BatchFn:
 
 def _project(op: PProject, child: BatchFn) -> BatchFn:
     # projection and renaming build one dict: (input name, output name)
-    pairs = [(c, op.renames.get(c, c)) for c in op.columns]
+    pairs = [(op.sources.get(c, c), c) for c in op.columns]
     dedup, order = op.dedup, op.output_order
     adopt = NestedTuple.adopt
 

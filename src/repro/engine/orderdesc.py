@@ -46,23 +46,23 @@ def satisfies(current: Optional[str], required: Optional[str]) -> bool:
 def project_order(
     order: Optional[str],
     columns: Sequence[str],
-    renames: Optional[Mapping[str, str]] = None,
+    sources: Optional[Mapping[str, str]] = None,
 ) -> Optional[str]:
     """The order descriptor surviving a projection.
 
-    A projection keeps input order; the descriptor survives iff the
-    ordering attribute's top-level column is among the projected columns
-    (translated through ``renames``).  Order-preserving operators used to
-    drop descriptors wholesale, forcing the compiler to insert redundant
-    ``Sort``s below structural joins.
+    A projection keeps input order; the descriptor survives iff some
+    projected column reads the ordering attribute's top-level column
+    (``sources`` maps a column to the input it reads).  Order-preserving
+    operators used to drop descriptors wholesale, forcing the compiler to
+    insert redundant ``Sort``s below structural joins.
     """
     if order is None:
         return None
     head, sep, rest = order.partition("/")
-    if head not in columns:
-        return None
-    if renames and head in renames:
-        # renaming the column renames the first path step; the nested
-        # remainder (if any) is untouched by Project's top-level renames
-        head = renames[head]
-    return head + sep + rest
+    sources = sources or {}
+    for column in columns:
+        if sources.get(column, column) == head:
+            # the column names the first path step; the nested remainder
+            # (if any) is untouched by Project's top-level renames
+            return column + sep + rest
+    return None

@@ -188,15 +188,15 @@ class PProject(PhysicalOperator):
         child: PhysicalOperator,
         columns: Sequence[str],
         dedup: bool = False,
-        renames: Optional[Mapping[str, str]] = None,
+        sources: Optional[Mapping[str, str]] = None,
     ):
         self.children = (child,)
         self.columns = list(columns)
         self.dedup = dedup
-        self.renames = dict(renames) if renames else {}
+        self.sources = dict(sources) if sources else {}
         # projection streams in input order: the descriptor survives when
         # its attribute does (dedup keeps first occurrences, also in order)
-        self.output_order = project_order(child.output_order, self.columns, self.renames)
+        self.output_order = project_order(child.output_order, self.columns, self.sources)
 
 
 class PConcat(PhysicalOperator):
@@ -597,18 +597,16 @@ def compile_plan(
             return None
         if not _flat(scan.columns) or not _flat(op.columns):
             return None
-        source = {rename_attribute(mapping, c): c for c in scan.columns}
-        if len(source) != len(scan.columns) or any(
-            c not in source for c in op.columns
+        stored = {rename_attribute(mapping, c): c for c in scan.columns}
+        reads = {c: op.sources.get(c, c) for c in op.columns}
+        if len(stored) != len(scan.columns) or any(
+            read not in stored for read in reads.values()
         ):
             return None
         leaf = PScan(scan.name, scan_orders.get(scan.name), scan.missing_ok)
         leaf.estimated_rows = ctx.estimate(scan)
         return PProject(
-            leaf,
-            [source[c] for c in op.columns],
-            op.dedup,
-            {source[c]: op.renames.get(c, c) for c in op.columns},
+            leaf, op.columns, op.dedup, {c: stored[read] for c, read in reads.items()}
         )
 
     def lower_raw(op: Operator) -> PhysicalOperator:
@@ -629,7 +627,7 @@ def compile_plan(
             if folded is not None:
                 return folded
             return PProject(
-                lower(op.children[0]), op.columns, op.dedup, op.renames
+                lower(op.children[0]), op.columns, op.dedup, op.sources
             )
         if isinstance(op, Union):
             return PConcat(*(lower(c) for c in op.children))

@@ -83,9 +83,9 @@ def _collection_scan(test: str, alias: str) -> Operator:
         name = "R_*"
     else:
         name = f"R_{test}"
-    renames = {column: f"{alias}.{column}" for column in _COLLECTION_COLUMNS}
+    sources = {f"{alias}.{column}": column for column in _COLLECTION_COLUMNS}
     scan = Scan(name, _COLLECTION_COLUMNS, missing_ok=True)
-    return Project(scan, _COLLECTION_COLUMNS, renames=renames)
+    return Project(scan, list(sources), sources=sources)
 
 
 def _root_only(test: str, alias: str) -> Operator:

@@ -98,9 +98,14 @@ class TestSelectProject:
         assert len(plan.evaluate({})) == 1
 
     def test_project_rename(self):
-        plan = Project(rows({"x": 1}), ["x"], renames={"x": "z"})
+        plan = Project(rows({"x": 1}), ["z"], sources={"z": "x"})
         assert plan.schema() == ["z"]
         assert plan.evaluate({})[0]["z"] == 1
+
+    def test_project_copies_one_attribute_into_several_columns(self):
+        plan = Project(rows({"x": 1, "y": 2}), ["a", "b", "y"], sources={"a": "x", "b": "x"})
+        assert plan.schema() == ["a", "b", "y"]
+        assert plan.evaluate({})[0].attrs == {"a": 1, "b": 1, "y": 2}
 
 
 class TestSetOperators:

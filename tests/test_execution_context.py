@@ -133,7 +133,7 @@ class TestSortPlacement:
         assert "PSort" not in physical.pretty()
 
     def test_projection_translates_renamed_descriptor(self):
-        assert project_order("x.ID", ["x.ID"], {"x.ID": "z.ID"}) == "z.ID"
+        assert project_order("x.ID", ["z.ID"], {"z.ID": "x.ID"}) == "z.ID"
         assert project_order("x.ID", ["x.V"]) is None
         assert project_order(None, ["x.ID"]) is None
 
@@ -141,7 +141,7 @@ class TestSortPlacement:
         from repro.algebra.operators import Project, Scan
 
         plan = StructuralJoin(
-            Project(Scan("bs", ["x.ID", "z.ID"]), ["z.ID"], renames={"z.ID": "x.ID"}),
+            Project(Scan("bs", ["x.ID", "z.ID"]), ["x.ID"], sources={"x.ID": "z.ID"}),
             Scan("cs", ["y.ID"]),
             "x.ID",
             "y.ID",

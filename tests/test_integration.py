@@ -66,7 +66,7 @@ class TestStorageModelAgreement:
 
         def scan(name, alias):
             return Project(
-                Scan(name, ["ID"]), ["ID"], renames={"ID": f"{alias}.ID"}
+                Scan(name, ["ID"]), [f"{alias}.ID"], sources={f"{alias}.ID": "ID"}
             )
 
         plan = StructuralJoin(

@@ -171,8 +171,8 @@ class TestQEPShapes:
     def scan(name, columns, alias):
         from repro.algebra import Project
 
-        renames = {c: f"{alias}.{c}" for c in columns}
-        return Project(Scan(name, columns), columns, renames=renames)
+        sources = {f"{alias}.{c}": c for c in columns}
+        return Project(Scan(name, columns), list(sources), sources=sources)
 
     def qep_blob(self, doc, summary):
         store, catalog = Store(), Catalog()
