@@ -10,7 +10,8 @@ benchmark catalog: every pattern extracted from the ten view queries, the
 answer is part of the contract), plus 72 seeded §4.6 random patterns (216
 over the three seeds).
 Per pattern: the ordered ``[kind, views, rewriting_signature]`` list of
-``rewrite_pattern(..., max_results=None)`` and the ``is_contained`` verdict
+``rewrite_pattern(..., max_results=None)`` (each plan checked to scan
+exactly the views it names) and the ``is_contained`` verdict
 of every (view, query) and (query, view) pair as two bit strings in
 catalog order.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.algebra.plans import scans_used
 from repro.core import is_contained, parse_pattern, rewrite_pattern
 from repro.engine.qlog import rewriting_signature
 from repro.storage import Catalog
@@ -146,6 +148,8 @@ def answers(seed: int) -> dict:
     out = {}
     for pattern_id, pattern in battery(summary, seed):
         rewritings = rewrite_pattern(pattern, catalog, summary, max_results=None)
+        for r in rewritings:  # every plan reads the views it names
+            assert sorted(scans_used(r.plan)) == sorted(r.views), (pattern_id, r)
         out[pattern_id] = {
             "pattern": pattern.to_text(),
             "rewritings": [
