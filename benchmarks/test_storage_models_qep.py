@@ -32,8 +32,8 @@ def execute(plan, context, scan_orders):
 
 
 def scan(name, columns, alias):
-    renames = {c: f"{alias}.{c}" for c in columns}
-    return Project(Scan(name, columns), columns, renames=renames)
+    sources = {f"{alias}.{c}": c for c in columns}
+    return Project(Scan(name, columns), list(sources), sources=sources)
 
 
 @pytest.fixture(scope="module")
