@@ -148,6 +148,7 @@ class CanonicalTree:
         self.node_of = node_of
         self.return_nodes = tuple(node_of[name] for name in return_names)
         self._var_formulas: Optional[dict[int, Formula]] = None
+        self._return_chains: Optional[dict[int, tuple[CanonNode, ...]]] = None
 
     def seal(self) -> None:
         """Rule the strong closure out: every node's children are its
@@ -167,6 +168,23 @@ class CanonicalTree:
 
     def structure_key(self) -> tuple:
         return (self.root.structure_key(), self.return_paths())
+
+    def return_chains(self) -> dict[int, tuple[CanonNode, ...]]:
+        """Per non-⊥ return node (by ``id``), the chain nodes from the root
+        down to it, both included: its ancestors, since strong-closure
+        nodes only ever hang below the chain.  Built once per tree."""
+        chains = self._return_chains
+        if chains is None:
+            wanted = {id(node) for node in self.return_nodes if node is not None}
+            chains = {}
+            stack = [(self.root,)]
+            while stack:
+                path = stack.pop()
+                if id(path[-1]) in wanted:
+                    chains[id(path[-1])] = path
+                stack.extend(path + (child,) for child in path[-1].chain)
+            self._return_chains = chains
+        return chains
 
     def var_formulas(self) -> dict[int, Formula]:
         """The formula map ``φ_{t_e}`` of §4.4.2 (read-only; computed once).
@@ -388,7 +406,7 @@ def _erased_pattern_nodes(pattern: Pattern, erased_names: frozenset[str]) -> set
     return {
         below.name
         for name in erased_names
-        for below in pattern.node_by_name(name).iter_subtree()
+        for below in pattern.node_by_name(name).subtree()
     }
 
 

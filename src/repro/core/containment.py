@@ -151,6 +151,24 @@ class PatternFacts:
         return self.summary is summary and self.generation == summary.generation
 
     @cached_property
+    def pinned_above(self) -> dict[PatternNode, tuple[PatternNode, ...]]:
+        """Per return node, itself and its ancestors reached through
+        non-optional edges (⊤ excluded).  When the pattern serves as
+        container and the node's target is a tree node, every embedding
+        puts each of these on the target's root path."""
+        pinned: dict[PatternNode, tuple[PatternNode, ...]] = {}
+        for node in self.return_nodes:
+            chain = [node]
+            walk = node
+            while walk.parent_edge is not None and not walk.parent_edge.optional:
+                walk = walk.parent_edge.parent
+                if walk.parent_edge is None:
+                    break  # ⊤ always sits at the tree's root
+                chain.append(walk)
+            pinned[node] = tuple(chain)
+        return pinned
+
+    @cached_property
     def key(self) -> tuple:
         """What containment depends on: structure, formulas, stored
         attributes and return order — not node names."""
@@ -426,8 +444,21 @@ def _matching_assignments(view: PatternFacts, tree: CanonicalTree, admits):
     paired with target ⊥ admits nothing); the optional-embedding rule
     "⊥ only when no match exists" is then re-verified per result against
     the unconstrained admission, with a memoized existence check.
+
+    The search is *target-directed*: a node paired with a tree node, and
+    each ancestor above it through non-optional edges, can only sit on
+    that node's root path, so its candidates are read off the path rather
+    than off a walk of the tree (:func:`iter_embeddings`' ``restrict``).
+    Both admissions reject every other candidate, so the assignments and
+    their order are those of the unrestricted search.
     """
     targets = dict(zip(view.return_nodes, tree.return_nodes))
+    chains = tree.return_chains()
+    restrict: dict[PatternNode, tuple[CanonNode, ...]] = {}
+    for pattern_node, required in targets.items():
+        if required is not None:
+            for node in view.pinned_above[pattern_node]:
+                restrict.setdefault(node, chains[id(required)])
 
     def constrained(pattern_node: PatternNode, tree_node) -> bool:
         if pattern_node in targets:
@@ -444,7 +475,7 @@ def _matching_assignments(view: PatternFacts, tree: CanonicalTree, admits):
     memo: dict = {}
     for assignment in iter_embeddings(
         view.pattern, tree.root, _children, constrained,
-        guarantee=guaranteed, descendants=_descendants,
+        guarantee=guaranteed, descendants=_descendants, restrict=restrict,
     ):
         valid = True
         for pattern_node, required in targets.items():
@@ -465,7 +496,8 @@ def _matching_assignments(view: PatternFacts, tree: CanonicalTree, admits):
                 continue
             anchor = assignment.get(walk.parent_edge.parent)
             if anchor is not None and subtree_embeddable(
-                walk, anchor, _children, guaranteed, memo, _descendants
+                walk, anchor, _children, guaranteed, memo, _descendants,
+                restrict,
             ):
                 valid = False
                 break

@@ -23,7 +23,7 @@ Two facilities live here:
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from ..algebra.model import NULL, NestedTuple
 from ..xmldata.ids import ID_GETTERS
@@ -195,12 +195,46 @@ Admits = Callable[[PatternNode, Any], bool]
 TreeDescendants = Callable[[Any, PatternNode], Iterator[Any]]
 
 
+#: pattern node → the one root path of tree nodes (top-down, compared by
+#: identity) its image must lie on; its candidates are the path's nodes
+#: below the parent's image along the edge's axis
+Restrict = Mapping[PatternNode, Sequence[Any]]
+
+
 def _generic_descendants(node: Any, children: TreeChildren) -> Iterator[Any]:
     stack = list(children(node))
     while stack:
         candidate = stack.pop()
         yield candidate
         stack.extend(children(candidate))
+
+
+def _step_candidates(
+    tree_node: Any,
+    pattern_node: PatternNode,
+    axis: str,
+    children: TreeChildren,
+    descendants: Optional[TreeDescendants],
+    restrict: Optional[Restrict],
+):
+    """The tree nodes the pattern node may take below ``tree_node`` along
+    ``axis``, in the generic walk's order.  A restricted node's path is
+    read top-down, which is the order a depth-first walk meets it in."""
+    if restrict is not None:
+        path = restrict.get(pattern_node)
+        if path is not None:
+            try:
+                position = path.index(tree_node)
+            except ValueError:
+                return ()  # off the path: nothing below it is on it
+            if axis == CHILD:
+                return path[position + 1 : position + 2]
+            return path[position + 1 :]
+    if axis == CHILD:
+        return children(tree_node)
+    if descendants is not None:
+        return descendants(tree_node, pattern_node)
+    return _generic_descendants(tree_node, children)
 
 
 class _LazyOptions:
@@ -240,6 +274,7 @@ def _assignments(
     guarantee: Optional[Admits] = None,
     memo: Optional[dict] = None,
     descendants: Optional[TreeDescendants] = None,
+    restrict: Optional[Restrict] = None,
 ) -> Iterator[dict[PatternNode, Any]]:
     """Optional embeddings of the subtree rooted at ``pattern_node`` with
     ``pattern_node ↦ tree_node`` (admission already verified by caller).
@@ -257,6 +292,11 @@ def _assignments(
     whether ⊥ is additionally offered.  When ``guarantee`` is ``admits``
     (the default — concrete documents), ⊥ appears exactly when nothing
     matches.
+
+    ``restrict`` confines pattern nodes to root paths of the tree.  It
+    must only name nodes that no embedding places off their path (under
+    ``admits`` and ``guarantee`` alike); then the embeddings, and their
+    order, are those of the unrestricted search.
     """
     if guarantee is None:
         guarantee = admits
@@ -265,29 +305,26 @@ def _assignments(
 
     def edge_options(edge) -> Iterator[dict[PatternNode, Any]]:
         yielded = False
-        if edge.axis == CHILD:
-            candidates = children(tree_node)
-        elif descendants is not None:
-            candidates = descendants(tree_node, edge.child)
-        else:
-            candidates = _generic_descendants(tree_node, children)
-        for candidate in candidates:
+        for candidate in _step_candidates(
+            tree_node, edge.child, edge.axis, children, descendants, restrict
+        ):
             if admits(edge.child, candidate):
                 for assignment in _assignments(
                     edge.child, candidate, children, admits, guarantee, memo,
-                    descendants,
+                    descendants, restrict,
                 ):
                     yielded = True
                     yield assignment
         if edge.optional:
             if not yielded:
-                yield {n: None for n in edge.child.iter_subtree()}
+                yield {n: None for n in edge.child.subtree()}
             elif guarantee is not admits and not subtree_embeddable(
-                edge.child, tree_node, children, guarantee, memo, descendants
+                edge.child, tree_node, children, guarantee, memo, descendants,
+                restrict,
             ):
                 # structurally matchable but never *forced*: both outcomes
                 # occur across instances of the decorated tree
-                yield {n: None for n in edge.child.iter_subtree()}
+                yield {n: None for n in edge.child.subtree()}
 
     per_edge = [_LazyOptions(edge_options(edge)) for edge in pattern_node.edges]
 
@@ -326,14 +363,15 @@ def iter_embeddings(
     admits: Admits,
     guarantee: Optional[Admits] = None,
     descendants: Optional[TreeDescendants] = None,
+    restrict: Optional[Restrict] = None,
 ) -> Iterator[dict[PatternNode, Any]]:
     """Lazily generated optional embeddings of ``pattern`` (⊤ ↦ root).
 
-    See :func:`_assignments` for the role of ``guarantee`` over decorated
-    trees."""
+    See :func:`_assignments` for the roles of ``guarantee`` over decorated
+    trees and of ``restrict``."""
     return _assignments(
         pattern.root, tree_root, children, admits, guarantee,
-        descendants=descendants,
+        descendants=descendants, restrict=restrict,
     )
 
 
@@ -354,6 +392,7 @@ def subtree_embeddable(
     admits: Admits,
     memo: Optional[dict] = None,
     descendants: Optional[TreeDescendants] = None,
+    restrict: Optional[Restrict] = None,
 ) -> bool:
     """Whether the subtree rooted at ``pattern_node`` has *some* embedding
     below ``anchor`` (through the node's parent edge axis).  Existence
@@ -366,16 +405,13 @@ def subtree_embeddable(
     cached = memo.get(outer_key)
     if cached is not None:
         return cached
-    if edge.axis == CHILD:
-        candidates = children(anchor)
-    elif descendants is not None:
-        candidates = descendants(anchor, pattern_node)
-    else:
-        candidates = _generic_descendants(anchor, children)
     result = False
-    for candidate in candidates:
+    for candidate in _step_candidates(
+        anchor, pattern_node, edge.axis, children, descendants, restrict
+    ):
         if admits(pattern_node, candidate) and _embeddable_at(
-            pattern_node, candidate, children, admits, memo, descendants
+            pattern_node, candidate, children, admits, memo, descendants,
+            restrict,
         ):
             result = True
             break
@@ -390,6 +426,7 @@ def _embeddable_at(
     admits: Admits,
     memo: dict,
     descendants: Optional[TreeDescendants] = None,
+    restrict: Optional[Restrict] = None,
 ) -> bool:
     """Admission at ``tree_node`` plus embeddability of every required
     child subtree (optional children never block)."""
@@ -402,7 +439,8 @@ def _embeddable_at(
         if edge.optional:
             continue
         if not subtree_embeddable(
-            edge.child, tree_node, children, admits, memo, descendants
+            edge.child, tree_node, children, admits, memo, descendants,
+            restrict,
         ):
             result = False
             break

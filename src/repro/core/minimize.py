@@ -49,7 +49,7 @@ def contractions(pattern: Pattern) -> Iterator[Pattern]:
         edge = victim.parent_edge
         assert edge is not None
         parent = edge.parent
-        parent.edges.remove(edge)
+        parent.remove_edge(edge)
         for child_edge in victim.edges:
             grandchild = child_edge.child
             parent.add_child(grandchild, DESCENDANT, child_edge.semantics)

@@ -899,7 +899,7 @@ def _regroup_spec(skeleton: _Skeleton):
             return _INFEASIBLE  # only first-level collections rebuildable
         if parent.parent_edge is not None and not parent.store_id:
             return _INFEASIBLE  # flat part must identify the nest parent
-        for below in collection_node.iter_subtree():
+        for below in collection_node.subtree():
             if (
                 below is not collection_node
                 and below.parent_edge
@@ -908,7 +908,7 @@ def _regroup_spec(skeleton: _Skeleton):
                 return _INFEASIBLE  # no deeper nesting inside a rebuild
         member_attrs = [
             f"{node.name}.{attr}"
-            for node in collection_node.iter_subtree()
+            for node in collection_node.subtree()
             for attr in node.stored_attrs()
         ]
         if not member_attrs:
@@ -916,7 +916,7 @@ def _regroup_spec(skeleton: _Skeleton):
         # the flat plan tuples carry an ID for every node served by an
         # ID-storing view node, even where the query stores none
         identity_attrs = list(member_attrs)
-        for node in collection_node.iter_subtree():
+        for node in collection_node.subtree():
             output = outputs.get(node.name)
             if output is not None and "ID" in output.attrs:
                 id_attr = f"{node.name}.ID"
@@ -997,7 +997,7 @@ def _adapted_pattern(query: Pattern, use: _Use) -> Optional[Pattern]:
             # insert an explicit parent node: anc —//— * —/— child
             parent = PatternNode(tag=None, name=parent_name)
             grand = edge.parent
-            grand.edges.remove(edge)
+            grand.remove_edge(edge)
             grand.add_child(parent, DESCENDANT, edge.semantics)
             parent.add_child(child, CHILD, JOIN)
         parent.store_id = "p"

@@ -73,8 +73,25 @@ def estimate_pattern_cardinality(
     def admits(pattern_node: PatternNode, snode: SummaryNode) -> bool:
         return admits_label(pattern_node, snode.label)
 
+    has_below = summary.has_labeled_below
+
+    def descendants(snode: SummaryNode, pattern_node: PatternNode):
+        # the generic walk's order, minus the subtrees holding no path the
+        # pattern node admits
+        tag = pattern_node.tag
+        if not has_below(snode, tag):
+            return
+        stack = list(snode.children.values())
+        while stack:
+            candidate = stack.pop()
+            yield candidate
+            if has_below(candidate, tag):
+                stack.extend(candidate.children.values())
+
     seen: set[tuple] = set()
-    for embedding in iter_embeddings(pattern, summary.root, children, admits):
+    for embedding in iter_embeddings(
+        pattern, summary.root, children, admits, descendants=descendants
+    ):
         key = tuple(
             (node.name, snode.number if snode is not None else None)
             for node, snode in sorted(embedding.items(), key=lambda kv: kv[0].name)
@@ -179,6 +196,9 @@ class CatalogStatistics(StatisticsProvider):
         self.store = store
         self.predicate_selectivity = predicate_selectivity
         self.overrides = overrides if overrides is not None else {}
+        #: (pattern text, summary generation) → estimate: a query's
+        #: resolution and its compiled plan ask for each pattern once
+        self._pattern_estimates: dict[tuple[str, int], float] = {}
 
     def relation_size(self, name: str) -> Optional[float]:
         pinned = self.overrides.get(name)
@@ -193,14 +213,19 @@ class CatalogStatistics(StatisticsProvider):
         return None
 
     def pattern_cardinality(self, pattern: Pattern) -> Optional[float]:
-        pinned = self.overrides.get(pattern.to_text())
+        text = pattern.to_text()
+        pinned = self.overrides.get(text)
         if pinned is not None:
             return float(pinned)
         if self.summary is None:
             return None
-        return estimate_pattern_cardinality(
-            pattern, self.summary, self.predicate_selectivity
-        ).expected
+        key = (text, self.summary.generation)
+        known = self._pattern_estimates.get(key)
+        if known is None:
+            known = self._pattern_estimates[key] = estimate_pattern_cardinality(
+                pattern, self.summary, self.predicate_selectivity
+            ).expected
+        return known
 
 
 def views_cost(

@@ -27,7 +27,7 @@ edges.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from ..algebra.formulas import TRUE, Formula
 from ..xmldata.ids import ID_KINDS
@@ -74,6 +74,7 @@ class PatternNode:
         "store_content",
         "edges",
         "parent_edge",
+        "_preorder",
     )
 
     def __init__(
@@ -104,6 +105,9 @@ class PatternNode:
         self.name = name or ""
         self.edges: list[PatternEdge] = []
         self.parent_edge: Optional[PatternEdge] = None
+        #: on a tree's top node: the tree's nodes in pre-order, kept until
+        #: the next structural edit below it (see :meth:`_edited`)
+        self._preorder: Optional[list[PatternNode]] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -113,10 +117,29 @@ class PatternNode:
         axis: str = DESCENDANT,
         semantics: str = JOIN,
     ) -> "PatternNode":
+        """Attach ``child`` below this node.  A child moved from another
+        parent is detached from it first (:meth:`remove_edge`)."""
         edge = PatternEdge(self, child, axis, semantics)
         self.edges.append(edge)
         child.parent_edge = edge
+        self._edited()
         return child
+
+    def remove_edge(self, edge: "PatternEdge") -> None:
+        """Detach one child edge (the child keeps its own subtree)."""
+        self.edges.remove(edge)
+        self._edited()
+
+    def _edited(self) -> None:
+        """Drop the pre-order list kept at the top of this node's tree.
+        The list stays the tree's own as long as every structural edit
+        goes through :meth:`add_child` or :meth:`remove_edge` and every
+        node reached from the top leads back to it through
+        ``parent_edge`` (which detaching moved children keeps true)."""
+        top = self
+        while top.parent_edge is not None:
+            top = top.parent_edge.parent
+        top._preorder = None
 
     @property
     def parent(self) -> Optional["PatternNode"]:
@@ -126,10 +149,17 @@ class PatternNode:
     def children(self) -> list["PatternNode"]:
         return [edge.child for edge in self.edges]
 
-    def iter_subtree(self) -> Iterator["PatternNode"]:
-        yield self
-        for edge in self.edges:
-            yield from edge.child.iter_subtree()
+    def subtree(self) -> list["PatternNode"]:
+        """This node and every node below it, in pre-order (one linear
+        walk: no generator per level)."""
+        found: list[PatternNode] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            found.append(node)
+            if node.edges:
+                stack.extend([edge.child for edge in node.edges[::-1]])
+        return found
 
     # -- properties ---------------------------------------------------------
 
@@ -258,19 +288,20 @@ class Pattern:
     def finalize(self) -> "Pattern":
         """Assign default node names (``e1``, ``e2``…) in pre-order and
         validate the tree.  Idempotent; call after building."""
-        taken = {node.name for node in self.nodes() if node.name}
+        nodes = self.nodes()
+        taken = {node.name for node in nodes if node.name}
         counter = itertools.count(1)
-        for node in self.nodes():
+        for node in nodes:
             if not node.name:
                 candidate = f"e{next(counter)}"
                 while candidate in taken:
                     candidate = f"e{next(counter)}"
                 taken.add(candidate)
                 node.name = candidate
-        names = [node.name for node in self.nodes()]
+        names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate pattern node names: {names}")
-        for node in self.nodes():
+        for node in nodes:
             if node.is_attribute and node.edges:
                 raise ValueError(f"attribute node {node.name} cannot have children")
         return self
@@ -296,10 +327,18 @@ class Pattern:
 
     # -- traversal ----------------------------------------------------------
 
+    def _walk(self) -> list[PatternNode]:
+        """The ⊤ root and every node in pre-order, walked once per
+        structural edit (the list is shared: never mutate it)."""
+        root = self.root
+        found = root._preorder
+        if found is None:
+            found = root._preorder = root.subtree()
+        return found
+
     def nodes(self) -> list[PatternNode]:
         """All non-⊤ nodes in pre-order."""
-        found = list(self.root.iter_subtree())
-        return found[1:]
+        return self._walk()[1:]
 
     def edges(self) -> list[PatternEdge]:
         collected: list[PatternEdge] = []
@@ -313,7 +352,9 @@ class Pattern:
         return collected
 
     def node_by_name(self, name: str) -> PatternNode:
-        for node in self.nodes():
+        """The first non-⊤ node in pre-order with this name.  Names are
+        read live, so a rename needs no invalidation."""
+        for node in self._walk()[1:]:
             if node.name == name:
                 return node
         raise KeyError(name)

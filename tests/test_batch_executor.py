@@ -7,6 +7,7 @@ catalog, compiled and logical, checked against the base store."""
 
 import functools
 import gc
+import json
 import weakref
 from collections import Counter
 
@@ -55,7 +56,7 @@ from repro.workloads import XMARK_QUERIES, generate_xmark
 from repro.xmldata import id_of, load
 from repro.xquery import extract, parse_query
 from tests.reference import reference_execute, reference_query
-from tests.rewrite_golden import CATALOG_14, VIEW_QUERIES
+from tests.rewrite_golden import CATALOG_14, GOLDEN_PATH, VIEW_QUERIES, battery
 
 PERSON_QUERY = "for $p in //people/person return $p/name/text()"
 ITEM_QUERY = "//regions//item/name/text()"
@@ -631,40 +632,70 @@ WRONG = {
 DIVERGENT = {case for case in WRONG if case[1] not in ("v02", "v10")}
 
 
+#: the rewrite golden's corpora, by name: one XMark scale-2 document of
+#: each golden seed
+SCALE_2 = {"scale2.0": 0, "scale2.1": 1, "scale2.2": 2}
+
+
 def catalog_db(documents):
     db = Database(metrics=MetricsRegistry())
-    db.add_documents(
-        [
-            generate_xmark(scale=1, seed=seed, name=f"xmark{seed}.xml")
-            for seed in range(documents)
-        ]
-    )
+    if documents in SCALE_2:
+        db.add_document(generate_xmark(scale=2, seed=SCALE_2[documents]))
+    else:
+        db.add_documents(
+            [
+                generate_xmark(scale=1, seed=seed, name=f"xmark{seed}.xml")
+                for seed in range(documents)
+            ]
+        )
     for name, text in CATALOG_14:
         db.add_view(name, text)
     return db
 
 
-@functools.lru_cache(maxsize=None)
-def enumerated_rewritings(documents):
-    """The catalog database on ``documents`` XMark documents, and every
-    rewriting ``Database.rewrite`` enumerates for every pattern of the view
-    queries and XMark, as ``(query id, views) → (pattern, rewriting)``."""
-    db = catalog_db(documents)
-    queries = {**VIEW_QUERIES, **XMARK_QUERIES}
-    queries.pop("q07")  # a three-way cartesian product, in no battery
-    found = {}
+def sweep_patterns(documents, db):
+    """``(query id, pattern, max_results)`` of one corpus.  On ``documents``
+    XMark scale-1 documents: every pattern of the view queries and XMark.
+    On a golden scale-2 document: ``v02`` and ``v10``, and the seed's
+    random patterns the golden records a ``v_names`` ⨝ ``v_item_lis``
+    rewriting for, each with its full enumeration."""
+    if documents in SCALE_2:
+        queries = {qid: VIEW_QUERIES[qid] for qid in ("v02", "v10")}
+    else:
+        queries = {**VIEW_QUERIES, **XMARK_QUERIES}
+        queries.pop("q07")  # a three-way cartesian product, in no battery
     for qid, text in queries.items():
         for unit in extract(parse_query(text)).units:
             for pattern in unit.patterns:
-                for rewriting in db.rewrite(pattern):
-                    key = (qid, rewriting.views)
-                    assert key not in found, key
-                    found[key] = pattern, rewriting
+                yield qid, pattern, (None if documents in SCALE_2 else 10)
+    if documents in SCALE_2:
+        seed = str(SCALE_2[documents])
+        golden = json.loads(GOLDEN_PATH.read_text())[seed]
+        for pattern_id, pattern in battery(db.summary, SCALE_2[documents]):
+            if pattern_id.startswith("r") and ["join", ["v_names", "v_item_lis"]] in [
+                entry[:2] for entry in golden[pattern_id]["rewritings"]
+            ]:
+                yield pattern_id, pattern, None
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_rewritings(documents):
+    """The catalog database on one corpus (``documents`` XMark scale-1
+    documents, or a ``SCALE_2`` name), and every rewriting ``Database.rewrite``
+    enumerates for every pattern of :func:`sweep_patterns`, as
+    ``(query id, views) → (pattern, rewriting)``."""
+    db = catalog_db(documents)
+    found = {}
+    for qid, pattern, max_results in sweep_patterns(documents, db):
+        for rewriting in db.rewrite(pattern, max_results=max_results):
+            key = (qid, rewriting.views)
+            assert key not in found, key
+            found[key] = pattern, rewriting
     return db, found
 
 
 def sweep_cases():
-    for documents in (1, 2):
+    for documents in (1, 2, *SCALE_2):
         for qid, views in enumerated_rewritings(documents)[1]:
             reason = WRONG.get((documents, qid, views))
             yield pytest.param(
@@ -680,6 +711,13 @@ def frozen(tuples):
     return Counter(t.freeze() for t in tuples)
 
 
+@functools.lru_cache(maxsize=None)
+def base_store_answer(documents, pattern):
+    """The embedding semantics (§4.1) of one swept pattern, per document."""
+    db = enumerated_rewritings(documents)[0]
+    return frozen(t for doc in db.documents for t in evaluate_pattern(pattern, doc))
+
+
 class TestEveryRewritingCompiles:
     @pytest.mark.parametrize("documents, qid, views", list(sweep_cases()))
     def test_answers_equal_the_base_store(self, documents, qid, views):
@@ -688,7 +726,7 @@ class TestEveryRewritingCompiles:
         semantics (§4.1) per document, as multisets."""
         db, found = enumerated_rewritings(documents)
         pattern, rewriting = found[qid, views]
-        expected = frozen(t for doc in db.documents for t in evaluate_pattern(pattern, doc))
+        expected = base_store_answer(documents, pattern)
         physical = compile_plan(rewriting.plan, db.store.scan_orders())
         assert frozen(compile_batch(physical)(db.store.context()).tuples) == expected
         assert frozen(rewriting.plan.evaluate(db.store.context())) == expected
@@ -702,6 +740,21 @@ class TestEveryRewritingCompiles:
         assert set(WRONG) <= enumerated
         assert len(enumerated) == 2 * 56
         assert len(WRONG) == 35 and {case[0] for case in WRONG} == {2}
+
+    def test_scale_2_sweep_covers_the_golden_joins(self):
+        """The golden's scale-2 corpora: ``v02``/``v10`` and the 51 random
+        patterns (17, 14 and 20 per seed) answered through ``v_names`` ⨝
+        ``v_item_lis``, 13 rewritings each, every one a case of the sweep
+        above."""
+        random_ids = 0
+        for documents in SCALE_2:
+            by_pattern = Counter(
+                qid for qid, _views in enumerated_rewritings(documents)[1]
+            )
+            assert all(count == 13 for count in by_pattern.values())
+            assert {"v02", "v10"} <= set(by_pattern)
+            random_ids += sum(qid.startswith("r") for qid in by_pattern)
+        assert random_ids == 51
 
     @pytest.mark.parametrize("documents", [1, 2])
     def test_compiled_equals_logical(self, documents):
@@ -780,6 +833,16 @@ SELF_JOIN_QUERY = (
     "where $q/name = $p/name return <r>{ $p/name/text() }</r>"
 )
 
+#: a person with two names, so one ``name`` node of ``v_person`` answers
+#: for ``$p/name`` and ``$q/name`` at once
+SELF_JOIN_DOCUMENT = (
+    "<site><people>"
+    '<person id="p1"><name>Ann</name><name>Bob</name></person>'
+    '<person id="p2"><name>Bob</name></person>'
+    '<person id="p3"><name>Cy</name></person>'
+    "</people></site>"
+)
+
 
 class TestViewAnswersEqualTheBaseStore:
     """Queries whose chosen rewriting once answered wrongly — a flipped
@@ -812,6 +875,41 @@ class TestViewAnswersEqualTheBaseStore:
         assert len(expected) == rows
         assert sorted(map(str, db.query(query).xml)) == expected
         assert sorted(map(str, reference_query(db, query).xml)) == expected
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "ROADMAP 1g: containment checks a view node aligned to two "
+            "return positions against the last one only"
+        ),
+    )
+    def test_view_node_aligned_to_two_query_nodes(self):
+        """A person with two names: ``v_person``'s one ``name`` node serves
+        both ``$p/name`` and ``$q/name``.  The base store answers one row
+        per person with all of its names (``AnnBob`` three times, ``Bob``
+        twice, ``Cy``); the view rewriting answers one row per name."""
+
+        def people_db(views):
+            db = Database(metrics=MetricsRegistry())
+            db.add_document_xml(SELF_JOIN_DOCUMENT, "people.xml")
+            for name, text in CATALOG_14:
+                if name in views:
+                    db.add_view(name, text)
+            return db
+
+        db = people_db({"v_person"})
+        assert all(
+            resolution.rewriting is not None
+            for unit in db.prepare(SELF_JOIN_QUERY).units
+            for resolution in unit.resolutions
+        )
+        expected = sorted(map(str, people_db(set()).query(SELF_JOIN_QUERY).xml))
+        assert expected == [
+            "<r>AnnBob</r>", "<r>AnnBob</r>", "<r>AnnBob</r>",
+            "<r>Bob</r>", "<r>Bob</r>", "<r>Cy</r>",
+        ]
+        assert sorted(map(str, db.query(SELF_JOIN_QUERY).xml)) == expected
 
 
 #: the nine view-answered queries of the view_warm benchmark workload

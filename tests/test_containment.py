@@ -217,3 +217,161 @@ def test_property_containment_sound_on_documents(seed):
             for t in evaluate_pattern(q, _DOC)
         }
         assert p_result <= q_result
+
+
+# -- target-directed matching ------------------------------------------------
+
+
+def unpruned_assignments(view, tree, admits):
+    """``containment._matching_assignments`` as it reads without target
+    direction: the generic :func:`iter_embeddings` walk (no path or label
+    pruning) under the same constrained and guaranteed admissions, and the
+    same "⊥ only when no match exists" re-check."""
+    from repro.core import containment
+    from repro.core.embedding import iter_embeddings, subtree_embeddable
+
+    targets = dict(zip(view.return_nodes, tree.return_nodes))
+    children = containment._children
+
+    def constrained(pattern_node, tree_node):
+        if pattern_node in targets:
+            return targets[pattern_node] is tree_node and admits(pattern_node, tree_node)
+        return admits(pattern_node, tree_node)
+
+    def guaranteed(pattern_node, tree_node):
+        if pattern_node in targets and targets[pattern_node] is not tree_node:
+            return False
+        return containment._decorated_admits(pattern_node, tree_node)
+
+    memo = {}
+    for assignment in iter_embeddings(
+        view.pattern, tree.root, children, constrained, guarantee=guaranteed
+    ):
+        valid = True
+        for pattern_node, required in targets.items():
+            if required is not None:
+                continue
+            walk = pattern_node
+            while (
+                walk.parent_edge is not None
+                and assignment.get(walk.parent_edge.parent) is None
+            ):
+                walk = walk.parent_edge.parent
+            if walk.parent_edge is None:
+                continue
+            anchor = assignment.get(walk.parent_edge.parent)
+            if anchor is not None and subtree_embeddable(
+                walk, anchor, children, guaranteed, memo
+            ):
+                valid = False
+                break
+        if valid:
+            yield assignment
+
+
+def recorded_matchings(monkeypatch, run):
+    """Every distinct ``(view, tree, admits)`` that ``_matching_assignments``
+    is asked for while ``run()`` runs."""
+    from repro.core import containment
+
+    calls = {}
+    original = containment._matching_assignments
+
+    def recording(view, tree, admits):
+        calls.setdefault((id(view), id(tree), admits), (view, tree, admits))
+        return original(view, tree, admits)
+
+    monkeypatch.setattr(containment, "_matching_assignments", recording)
+    run()
+    monkeypatch.undo()
+    return list(calls.values())
+
+
+class TestTargetDirectedMatching:
+    """Reading a pinned node's candidates off its target's root path must
+    not change which assignments the containment test sees, nor their
+    order: verdicts and ``psi_capped`` depend on both."""
+
+    @staticmethod
+    def assert_same_sequences(matchings):
+        from itertools import islice
+
+        from repro.core import containment
+
+        # the ψ enumeration reads at most MAX_PSI_ASSIGNMENTS + 1 of them
+        limit = containment.MAX_PSI_ASSIGNMENTS + 1
+        for view, tree, admits in matchings:
+            pruned = list(islice(containment._matching_assignments(view, tree, admits), limit))
+            reference = list(islice(unpruned_assignments(view, tree, admits), limit))
+            assert pruned == reference, (view.pattern.to_text(), view.return_names)
+
+    def test_golden_battery_pairs(self, monkeypatch):
+        from tests.rewrite_golden import answers
+
+        matchings = recorded_matchings(monkeypatch, lambda: answers(0))
+        assert len(matchings) > 10_000
+        # q08/q09 validate members whose return order names one node twice
+        assert any(
+            len(set(view.return_nodes)) < len(view.return_nodes)
+            for view, _tree, _admits in matchings
+        )
+        self.assert_same_sequences(matchings)
+
+    def test_view_node_aligned_to_two_return_positions(self, monkeypatch):
+        """``person{/name[val], /no:name[val]}`` over ``v_person``: the
+        validation member names the view's one ``name`` node twice, and
+        the last pairing decides its target, pruned or not."""
+        from repro.core import parse_pattern, rewrite_pattern
+        from repro.storage import Catalog
+
+        summary = build_enhanced_summary(load(SELF_JOIN_DOCUMENT))
+        catalog = Catalog()
+        catalog.register("v_person", parse_pattern("//people/person[id:s]{/name[id:s, val]}"))
+        query = parse_pattern("//people{/person[id:s]{/name[val], /no:name[val]}}")
+        matchings = recorded_matchings(
+            monkeypatch,
+            lambda: rewrite_pattern(query, catalog, summary, max_results=None),
+        )
+        twice = [
+            (view, tree, admits)
+            for view, tree, admits in matchings
+            if len(set(view.return_nodes)) < len(view.return_nodes)
+        ]
+        assert twice
+        self.assert_same_sequences(matchings)
+
+    @pytest.mark.parametrize(
+        "contained, container, assignments",
+        [
+            # ``*`` takes both ``b`` on the target's path, top-down
+            ("//a{/b{/b{/c[id:s]}}}", "//a{//*{//c[id:s]}}", 2),
+            # ``d`` is above an optional edge, so it is not confined: the
+            # ``d`` without an ``e`` offers the pinned ``e`` ⊥
+            ("//a{/d, /d{/e[id:s]}}", "//a{/d{/o:e[id:s]}}", 2),
+        ],
+    )
+    def test_order_and_optional_edges(self, monkeypatch, contained, container, assignments):
+        summary = build_enhanced_summary(
+            load("<r><a><b><b><c/></b></b><d/><d><e/></d></a></r>")
+        )
+        matchings = recorded_matchings(
+            monkeypatch,
+            lambda: is_contained(
+                parse_pattern(contained), parse_pattern(container), summary
+            ),
+        )
+        assert max(
+            len(list(unpruned_assignments(*matching))) for matching in matchings
+        ) == assignments
+        self.assert_same_sequences(matchings)
+
+
+#: one person with two names: a view node aligned to two return positions
+#: is checked against the last one only (ROADMAP 1g)
+SELF_JOIN_DOCUMENT = (
+    "<site><people>"
+    '<person id="p1"><name>Ann</name><name>Bob</name></person>'
+    '<person id="p2"><name>Bob</name></person>'
+    '<person id="p3"><name>Cy</name></person>'
+    "</people></site>"
+)

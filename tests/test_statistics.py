@@ -184,3 +184,70 @@ class TestRanking:
         with_store = rank_rewritings(rewritings, catalog, summary, store)
         without = rank_rewritings(rewritings, catalog, summary)
         assert [r.views for r in with_store] == [r.views for r in without]
+
+
+def generic_estimate(pattern, summary):
+    """``estimate_pattern_cardinality`` over the unpruned generic walk."""
+    from repro.core.canonical import admits_label
+    from repro.core.embedding import iter_embeddings
+    from repro.core.statistics import DEFAULT_PREDICATE_SELECTIVITY, _estimate_embedding
+
+    estimates, seen = [], set()
+    for embedding in iter_embeddings(
+        pattern,
+        summary.root,
+        lambda snode: list(snode.children.values()),
+        lambda node, snode: admits_label(node, snode.label),
+    ):
+        key = tuple(
+            (node.name, snode.number if snode is not None else None)
+            for node, snode in sorted(embedding.items(), key=lambda kv: kv[0].name)
+        )
+        if key not in seen:
+            seen.add(key)
+            estimates.append(
+                _estimate_embedding(pattern, embedding, DEFAULT_PREDICATE_SELECTIVITY)
+            )
+    return sum(estimates), tuple(estimates)
+
+
+class TestOneEstimatePerPattern:
+    def test_pruned_walk_is_bit_identical(self):
+        """``//`` steps skip summary subtrees without the sought label but
+        keep the generic walk's order, so every sum is the same float."""
+        from tests.rewrite_golden import battery, environment
+
+        summary, catalog = environment(0)
+        patterns = [pattern for _id, pattern in battery(summary, 0)]
+        patterns += [entry.pattern for entry in catalog.views()]
+        for pattern in patterns:
+            estimate = estimate_pattern_cardinality(pattern, summary)
+            assert (estimate.expected, estimate.per_embedding) == generic_estimate(
+                pattern, summary
+            ), pattern.to_text()
+
+    def test_prepare_estimates_each_pattern_once(self, monkeypatch):
+        """The resolution's estimate serves the compiled plan's
+        ``PatternAccess`` too; an override still wins over the kept one."""
+        from repro import Database
+        from repro.core import statistics
+
+        calls = []
+        original = statistics.estimate_pattern_cardinality
+
+        def counting(pattern, summary, *args):
+            calls.append(pattern.to_text())
+            return original(pattern, summary, *args)
+
+        monkeypatch.setattr(statistics, "estimate_pattern_cardinality", counting)
+        db = Database()
+        db.add_document_xml("<lib><book><title>T</title></book></lib>")
+        db.add_view("v", "//book[id:s]{/title[id:s, val]}")
+        ctx = db.execution_context()
+        prepared = db.prepare(
+            "for $b in //book return <r>{ $b/title/text() }</r>", context=ctx
+        )
+        patterns = [r.pattern for unit in prepared.units for r in unit.resolutions]
+        assert sorted(calls) == sorted(pattern.to_text() for pattern in patterns)
+        ctx.statistics.overrides[patterns[0].to_text()] = 7
+        assert ctx.statistics.pattern_cardinality(patterns[0]) == 7.0

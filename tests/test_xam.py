@@ -193,3 +193,102 @@ class TestStructuralEquality:
         mapped = pattern.map_nodes(strip)
         assert all(n.store_id == "s" for n in mapped.nodes())
         assert all(n.store_id is None for n in pattern.nodes())
+
+
+def fresh_walk(pattern):
+    """The non-⊤ nodes in pre-order by plain recursion: independent of the
+    list a pattern keeps between structural edits."""
+    found = []
+
+    def visit(node):
+        for edge in node.edges:
+            found.append(edge.child)
+            visit(edge.child)
+
+    visit(pattern.root)
+    return found
+
+
+def assert_current(pattern):
+    walk = fresh_walk(pattern)
+    assert pattern.nodes() == walk
+    assert pattern.edges() == [node.parent_edge for node in walk]
+    for node in walk:
+        assert pattern.node_by_name(node.name) is node
+
+
+class TestKeptPreorder:
+    """A pattern keeps its pre-order node list between structural edits;
+    every edit path must drop it."""
+
+    def test_add_child_after_finalize(self):
+        pattern = parse_pattern("//a[id:s]{/b{//c[val]}, /d}")
+        assert_current(pattern)  # the list is now kept
+        pattern.node_by_name("e3").add_child(PatternNode(tag="x", name="x1"), CHILD, JOIN)
+        assert_current(pattern)
+        assert pattern.node_by_name("x1").parent is pattern.node_by_name("e3")
+        pattern.root.add_child(PatternNode(tag="y", name="y1"), DESCENDANT, JOIN)
+        assert_current(pattern)
+        assert pattern.nodes()[-1].name == "y1"
+
+    def test_rename_needs_no_edit(self):
+        pattern = parse_pattern("//a[id:s]{/b}")
+        node = pattern.node_by_name("e2")
+        node.name = "renamed"
+        assert pattern.node_by_name("renamed") is node
+        with pytest.raises(KeyError):
+            pattern.node_by_name("e2")
+
+    def test_returned_list_is_a_copy(self):
+        pattern = parse_pattern("//a[id:s]{/b}")
+        pattern.nodes().clear()
+        assert_current(pattern)
+        assert len(pattern.nodes()) == 2
+
+    def test_minimize_contraction(self):
+        """``contractions`` looks the victim up (keeping the clone's list),
+        then removes its edge: a leaf victim goes with no ``add_child``."""
+        from repro.core.minimize import contractions
+
+        pattern = parse_pattern("//a[id:s]{/b, /c{/d[id:s]}}")
+        assert_current(pattern)
+        clones = list(contractions(pattern))
+        assert [len(clone.nodes()) for clone in clones] == [3, 3]
+        for clone in clones:
+            assert_current(clone)
+        assert_current(pattern)
+
+    def test_rewrite_derived_parent_graft(self, monkeypatch):
+        """A view serving a parent ID below a ``//`` edge gets an explicit
+        parent node grafted in after its nodes were looked up by name."""
+        from repro.core import rewrite, rewrite_pattern
+        from repro.storage import Catalog
+        from repro.summary import build_enhanced_summary
+        from repro.xmldata import load
+
+        adapted = []
+        original = rewrite._adapted_pattern
+
+        def recording(query, use):
+            pattern = original(query, use)
+            adapted.append(pattern)
+            return pattern
+
+        monkeypatch.setattr(rewrite, "_adapted_pattern", recording)
+        summary = build_enhanced_summary(
+            load("<site><people><person><name>A</name></person></people></site>")
+        )
+        catalog = Catalog()
+        catalog.register("v", parse_pattern("//people//name[id:p, val]"))
+        query = parse_pattern("//people/person[id:s]{/name[val]}")
+        assert rewrite_pattern(query, catalog, summary, max_results=None)
+        grafted = [
+            pattern
+            for pattern in adapted
+            if pattern is not None
+            and any(node.name == "u0:par1" for node in fresh_walk(pattern))
+        ]
+        assert grafted
+        for pattern in grafted:
+            assert_current(pattern)
+            assert pattern.node_by_name("u0:par1").tag is None
