@@ -138,15 +138,13 @@ def run_chaos(shards: int, failures: list) -> None:
     )
     check(
         baseline.counters.get("shard.fanout", 0) > 0,
-        "non-vacuity: the chaos query takes the scatter path",
+        "non-vacuity: the chaos query takes the gather path",
         failures,
     )
 
     # pick a shard that actually holds documents, then open its breakers
     victim = next(
-        index
-        for index, partition in enumerate(sharded._partitions)
-        if partition
+        index for index, shard in enumerate(sharded.shards) if shard.partition
     )
     for name in views:
         sharded.shards[victim].breakers.force_open(name)

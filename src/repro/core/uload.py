@@ -482,9 +482,7 @@ class Database:
     def add_documents(self, docs: Iterable[Document]) -> list[Document]:
         """Bulk-load documents, finalizing the path summary and
         re-annotating edge statistics once for the whole batch instead of
-        once per document — what makes a :class:`Database` cheap to
-        construct around a store partition (the sharding coordinator
-        builds one per shard)."""
+        once per document."""
         docs = list(docs)
         for doc in docs:
             self.documents.append(doc)
@@ -1180,16 +1178,20 @@ class Database:
         prepared_unit: Optional[PreparedUnit] = None,
         index: int = 0,
         fingerprint: Optional[str] = None,
+        context: Optional[dict] = None,
     ) -> list[NestedTuple]:
-        """Run a rewriting's compiled plan.  The chosen rewriting (given
-        its ``prepared_unit``) reuses the unit's compiled plan and the
+        """Run a rewriting's compiled plan over the store's relations, or
+        over ``context`` (the sharding coordinator passes the view
+        relations it gathered).  The chosen rewriting (given its
+        ``prepared_unit``) reuses the unit's compiled plan and the
         fingerprint-keyed closure; a degraded reroute (no unit) compiles
         uncached, so it cannot poison the healthy plan's cached slot.
         Storage-level surprises are normalized to the typed hierarchy (a
         vanished relation is an unavailable module, anything else is a
         plan-execution fault blamed on this rewriting)."""
         plan = rewriting.plan
-        context = self.store.context()
+        if context is None:
+            context = self.store.context()
         context[EXEC_CTX_KEY] = ctx
         try:
             if prepared_unit is None:

@@ -15,29 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, QueryService
-from repro.algebra.operators import Product, Project, Scan
-from repro.algebra.model import NestedTuple
 from repro.core.coordinator import (
     SHARDS_ENV_VAR,
+    ExplicitPartitioner,
+    RoundRobinPartitioner,
     ShardedDatabase,
     resolve_shards,
 )
 from repro.core.replay import replay_records
-from repro.core.rewrite import Regroup
 from repro.engine.faults import FaultInjector
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.qlog import QueryLog, result_checksum
-from repro.engine.shard import (
-    ExplicitPartitioner,
-    HashPartitioner,
-    RoundRobinPartitioner,
-    GatheredTuples,
-    dedup_stream,
-    evaluate_suffix,
-    merge_runs,
-    merge_sorted_runs,
-    split_plan,
-)
 from repro.errors import AccessModuleUnavailable, ReproError
 from repro.xmldata import load
 
@@ -98,6 +86,18 @@ def outputs(result):
     return (result.xml, result.values, result.tuples)
 
 
+def survivors_db(dropped, shards):
+    """The single store over the documents round-robin places outside
+    shard ``dropped`` — the oracle of a partial answer."""
+    db = Database(metrics=MetricsRegistry())
+    db.add_documents(
+        [doc for seq, doc in enumerate(corpus()) if seq % shards != dropped]
+    )
+    for name, pattern in VIEWS.items():
+        db.add_view(name, pattern)
+    return db
+
+
 # -- partitioners ------------------------------------------------------------
 
 
@@ -106,109 +106,11 @@ class TestPartitioners:
         p = RoundRobinPartitioner()
         assert [p.assign(None, seq, 3) for seq in range(6)] == [0, 1, 2, 0, 1, 2]
 
-    def test_hash_is_deterministic_and_name_keyed(self):
-        p = HashPartitioner()
-        doc = corpus()[0]
-        first = p.assign(doc, 0, 4)
-        assert p.assign(doc, 99, 4) == first  # seq does not matter
-        assert 0 <= first < 4
-
     def test_explicit_with_fallback(self):
         p = ExplicitPartitioner([2, 0])
         assert p.assign(None, 0, 3) == 2
         assert p.assign(None, 1, 3) == 0
         assert p.assign(None, 5, 3) == 5 % 3  # unmapped -> round-robin
-
-
-# -- the plan splitter -------------------------------------------------------
-
-
-class TestSplitPlan:
-    def test_regroup_plan_splits_into_prefix_and_suffix(self):
-        db = build_db()
-        prepared = db.prepare(
-            "for $x in //regions/item return <r>{ $x/name/text() }</r>"
-        )
-        plans = [
-            r.rewriting.plan
-            for unit in prepared.units
-            for r in unit.resolutions
-            if r.rewriting is not None
-        ]
-        assert plans, "query must be view-answered for this test"
-        decision = split_plan(plans[0], {"v_names"}, db.store.names())
-        assert decision
-        assert any(isinstance(op, Regroup) for op in decision.suffix)
-        assert not any(
-            isinstance(op, Regroup)
-            for op in _walk(decision.scatter_root)
-        )
-
-    def test_non_linear_spine_falls_back(self):
-        plan = Product(
-            Scan("v_names", ["id", "val"]), Scan("v_items", ["id"])
-        )
-        decision = split_plan(plan, {"v_names", "v_items"}, ())
-        assert not decision
-        assert "non-linear" in decision.reason
-
-    def test_unpartitioned_relation_falls_back(self):
-        decision = split_plan(Scan("mystery", ["id"]), {"v_names"}, {"mystery"})
-        assert not decision
-        assert "not document-partitioned" in decision.reason
-
-    def test_dedup_projection_stays_in_suffix(self):
-        plan = Project(Scan("v_names", ["id", "val"]), ["val"], dedup=True)
-        decision = split_plan(plan, {"v_names"}, ())
-        assert decision
-        assert isinstance(decision.scatter_root, Scan)
-        assert [type(op) for op in decision.suffix] == [Project]
-
-    def test_plain_projection_scatters(self):
-        plan = Project(Scan("v_names", ["id", "val"]), ["val"])
-        decision = split_plan(plan, {"v_names"}, ())
-        assert decision.scatter_root is plan
-        assert decision.suffix == []
-
-
-def _walk(op):
-    yield op
-    for child in op.children:
-        yield from _walk(child)
-
-
-# -- merge primitives --------------------------------------------------------
-
-
-class TestMergePrimitives:
-    def test_merge_runs_orders_by_global_sequence(self):
-        runs = [(2, ["e"]), (0, ["a", "b"]), (1, ["c", "d"])]
-        assert merge_runs(runs) == ["a", "b", "c", "d", "e"]
-
-    def test_merge_sorted_runs_is_stable(self):
-        # ties on the key must preserve (document sequence, position)
-        runs = [(1, [(5, "late")]), (0, [(5, "early"), (7, "x")])]
-        merged = merge_sorted_runs(runs, key=lambda t: t[0])
-        assert merged == [(5, "early"), (5, "late"), (7, "x")]
-
-    def test_dedup_stream_keeps_first_occurrence(self):
-        a, b = NestedTuple(v=1), NestedTuple(v=2)
-        assert dedup_stream([a, b, NestedTuple(v=1)]) == [a, b]
-
-    def test_evaluate_suffix_clones_operators(self):
-        scan = Scan("r", ["v"])
-        suffix = [Project(scan, ["v"], dedup=True)]
-        tuples = [NestedTuple(v=1), NestedTuple(v=1), NestedTuple(v=2)]
-        out = evaluate_suffix(suffix, tuples)
-        assert [t["v"] for t in out] == [1, 2]
-        # the original operator keeps its original child (plans are shared)
-        assert suffix[0].children == (scan,)
-
-    def test_gathered_tuples_leaf(self):
-        leaf = GatheredTuples([NestedTuple(v=1)], ["v"])
-        assert leaf.schema() == ["v"]
-        assert len(leaf.evaluate()) == 1
-        assert "Gathered" in leaf.label()
 
 
 # -- equality: the independence claim ----------------------------------------
@@ -241,7 +143,8 @@ class TestShardedEquality:
             result = sharded.query(BATTERY[2])
             assert result.used_views == ["v_names"]
             assert result.counters.get("shard.fanout", 0) > 0
-            assert "shard.fallback" not in result.counters
+            # every document's segment is gathered into the view relation
+            assert result.counters.get("shard.merge") == len(CORPUS_XML)
             assert result.shard_count == 4
 
     def test_shard_of_existing_database(self):
@@ -271,8 +174,7 @@ class TestShardedEquality:
         single.drop_view("v_names")
         with build_db(3) as sharded:
             sharded.drop_view("v_names")
-            for shard in sharded.shards:
-                assert "v_names" not in shard.store
+            assert set(sharded._segments) == {"v_items"}
             r1, r2 = single.query(BATTERY[2]), sharded.query(BATTERY[2])
             assert outputs(r1) == outputs(r2)
             assert r2.used_views == []
@@ -298,16 +200,7 @@ class TestPartialDegradation:
             )
             # the partial answer is exactly the single-store answer over
             # the surviving shards' documents (shard 1 holds b.xml)
-            survivors = Database(metrics=MetricsRegistry())
-            survivors.add_documents(
-                [
-                    doc
-                    for seq, doc in enumerate(corpus())
-                    if seq % 4 != 1
-                ]
-            )
-            for name, pattern in VIEWS.items():
-                survivors.add_view(name, pattern)
+            survivors = survivors_db(dropped=1, shards=4)
             assert partial.xml == survivors.query(self.VIEW_QUERY).xml
 
     def test_all_shards_down_fails_the_query(self):
@@ -329,6 +222,58 @@ class TestPartialDegradation:
             shard = sharded.shards[0]
             shard.breakers.force_open("v_names")
             assert not shard.breakers.allows("v_names")
+
+
+# -- the gather: one compiled plan over gathered view segments --------------
+
+
+class TestGather:
+    #: answered by joining v_names with v_items on the item id
+    JOIN_QUERY = "for $x in //regions/item return <r>{ $x/name/text() }{ $x }</r>"
+
+    def test_join_rewriting_matches_single_store(self):
+        single = build_db()
+        with build_db(4) as sharded:
+            p1, p2 = single.prepare(self.JOIN_QUERY), sharded.prepare(self.JOIN_QUERY)
+            assert p1.fingerprint == p2.fingerprint
+            r1, r2 = single.execute_prepared(p1), sharded.execute_prepared(p2)
+            assert sorted(r2.used_views) == ["v_items", "v_names"]
+            assert r2.counters.get("shard.fanout", 0) > 0
+            assert outputs(r1) == outputs(r2)
+            assert result_checksum(r1) == result_checksum(r2)
+
+    def test_join_rewriting_one_shard_down_equals_survivors(self):
+        with build_db(4) as sharded:
+            sharded.shards[1].breakers.force_open("v_items")
+            partial = sharded.query(self.JOIN_QUERY)
+            assert partial.degraded
+            assert partial.counters.get("shard.degraded") == 1.0
+            survivors = survivors_db(dropped=1, shards=4)
+            assert partial.xml == survivors.query(self.JOIN_QUERY).xml
+
+    def test_relation_scan_fires_once_per_scan(self):
+        """The gathered relation is read once, as on the single store,
+        not once per document."""
+
+        def scans(db):
+            db.fault_injector = FaultInjector(
+                "relation.scan@v_names:latency:0", sleep=lambda _s: None
+            )
+            result = db.query(BATTERY[2])
+            assert result.used_views == ["v_names"]
+            return db.fault_injector.injected["relation.scan:latency"]
+
+        single = scans(build_db())
+        with build_db(4) as sharded:
+            assert scans(sharded) == single
+
+    def test_gather_concatenates_in_global_document_order(self):
+        # documents land on shards against their order: the gathered
+        # relation still follows the global document order
+        with build_db(3, partitioner=ExplicitPartitioner([2, 1, 0, 2])) as sharded:
+            ctx = sharded.execution_context()
+            gathered = sharded._gather({"v_names"}, sharded.shards, ctx)
+            assert gathered["v_names"] == sharded.store["v_names"].tuples
 
 
 # -- shards run in sequence, on the query's own thread -----------------------
@@ -425,9 +370,7 @@ class TestConfiguration:
             for family in (
                 "shard.fanout",
                 "shard.merge",
-                "shard.fallback",
                 "shard.degraded",
-                "shard.latency.seconds",
                 "shard.count",
             ):
                 assert family in snap
@@ -488,17 +431,3 @@ def test_any_partitioning_matches_single_store(shards, assignments, query):
             single.prepare(query).fingerprint
             == sharded.prepare(query).fingerprint
         )
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    runs=st.lists(
-        st.lists(st.integers(min_value=0, max_value=9), max_size=6).map(sorted),
-        max_size=5,
-    )
-)
-def test_merge_sorted_runs_equals_stable_sort(runs):
-    numbered = list(enumerate(runs))
-    merged = merge_sorted_runs(numbered, key=lambda t: t)
-    concat = [value for _seq, run in numbered for value in run]
-    assert merged == sorted(concat)
