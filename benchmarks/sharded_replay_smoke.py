@@ -2,7 +2,7 @@
 """Sharded differential smoke: one workload, N store layouts, zero diffs.
 
 The sharded CI lane runs this script to prove physical data independence
-across document partitionings (the scatter-gather coordinator of
+across document partitionings (the coordinator of
 ``repro.core.coordinator``):
 
 * ``--mode replay`` (default) — record the XMark battery against a
@@ -10,17 +10,17 @@ across document partitionings (the scatter-gather coordinator of
   ``--shards``-way :class:`~repro.core.coordinator.ShardedDatabase` over
   the same corpus.  Any plan-fingerprint or result-checksum diff fails
   the job: a recorded workload must not be able to tell the layouts
-  apart.  The lane also asserts the run genuinely scattered
-  (``shard.fanout`` > 0) — a coordinator that silently fell back to its
-  full store for every pattern would pass the diff check vacuously;
+  apart.  The lane also asserts that the capture holds view-answered
+  executions — a workload answered on the base store alone would pass
+  the diff check without exercising a single access module;
 
-* ``--mode chaos`` — force one shard's access-module breakers open and
-  assert the degradation protocol: the coordinator must keep answering
-  with the surviving shards' rows, mark the result
-  ``QueryResult.degraded``, and log a per-shard degradation event.  The
-  scenario is checked for non-vacuity first (same query, no forcing →
-  full undegraded rows), and closes by opening *every* shard's breakers
-  and demanding the query then fails outright.
+* ``--mode chaos`` — inject ``relation.scan@v_person:corrupt`` into a
+  single store and into the ``--shards``-way coordinator, run the same
+  queries on both, and demand fault parity: equal answers, equal
+  ``QueryResult.degraded`` flags and equal degradation events (trace
+  ids stripped).  The scenario is checked for non-vacuity: the single
+  store must have re-routed through the S-equivalent ``v_person_twin``
+  and still served the healthy answer.
 
 Usage::
 
@@ -34,14 +34,15 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from repro import Database, QueryService
 from repro.core.coordinator import ShardedDatabase
 from repro.core.replay import replay_records
+from repro.engine.faults import FaultInjector
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.qlog import QueryLog
-from repro.errors import AccessModuleUnavailable
 from repro.workloads import XMARK_QUERIES, generate_xmark
 
 VIEWS = [
@@ -51,9 +52,11 @@ VIEWS = [
 ]
 
 #: view-answered with non-empty output on this corpus — the query the
-#: chaos scenario degrades and the replay capture uses to prove genuine
-#: view-path scatter
+#: chaos scenario degrades and the replay capture answers through views
 VIEW_QUERY = "for $p in //people/person return <r>{ $p/name/text() }</r>"
+
+#: the chaos scenario's storage fault: every read of ``v_person`` fails
+FAULT = "relation.scan@v_person:corrupt"
 
 
 def build_corpus() -> list:
@@ -80,11 +83,6 @@ def check(condition: bool, message: str, failures: list) -> None:
         failures.append(message)
 
 
-def counter_total(db: Database, family: str) -> float:
-    series = db.metrics.snapshot().get(family, {}).get("series", [])
-    return sum(entry.get("value", 0.0) for entry in series)
-
-
 def run_replay(shards: int, qlog_path: str, failures: list) -> None:
     for stale in (qlog_path, *(f"{qlog_path}.{n}" for n in range(1, 4))):
         if os.path.exists(stale):
@@ -99,6 +97,16 @@ def run_replay(shards: int, qlog_path: str, failures: list) -> None:
     check(
         len(records) == expected,
         f"capture holds the whole workload ({len(records)}/{expected})",
+        failures,
+    )
+    answered = sum(
+        1
+        for record in records
+        if any(pattern["views"] for pattern in record.get("patterns", ()))
+    )
+    check(
+        answered > 0,
+        f"non-vacuity: {answered} recorded execution(s) answered through views",
         failures,
     )
 
@@ -116,64 +124,59 @@ def run_replay(shards: int, qlog_path: str, failures: list) -> None:
         f"shard(s) ({len(report.diffs)} diff(s))",
         failures,
     )
-    fanout = counter_total(sharded, "shard.fanout")
-    check(
-        fanout > 0,
-        f"the replay genuinely scattered (shard.fanout={fanout:g})",
-        failures,
-    )
     sharded.close()
 
 
+def outcome(result) -> tuple:
+    """Answer, ``degraded`` flag and degradation events, trace ids
+    stripped."""
+    events = [
+        re.sub(r" \[trace [^\]]*\]$", "", event)
+        for event in result.degradation_events
+    ]
+    return (result.xml, result.values, result.tuples), result.degraded, events
+
+
 def run_chaos(shards: int, failures: list) -> None:
-    sharded = build_database(shards)
-    views = [name for name, _pattern in VIEWS]
+    healthy = build_database().query(VIEW_QUERY)
+    single, sharded = build_database(), build_database(shards)
+    for db in (single, sharded):
+        db.fault_injector = FaultInjector(FAULT)
 
-    baseline = sharded.query(VIEW_QUERY)
+    first = single.query(VIEW_QUERY)
+    answer, degraded, events = outcome(first)
     check(
-        not baseline.degraded and len(baseline.xml) > 0,
-        f"non-vacuity: undegraded full answer first ({len(baseline.xml)} "
-        "row(s))",
+        degraded and any("v_person_twin" in event for event in events),
+        f"non-vacuity: the single store re-routed through v_person_twin "
+        f"({len(events)} event(s))",
         failures,
     )
     check(
-        baseline.counters.get("shard.fanout", 0) > 0,
-        "non-vacuity: the chaos query takes the gather path",
-        failures,
-    )
-
-    # pick a shard that actually holds documents, then open its breakers
-    victim = next(
-        index for index, shard in enumerate(sharded.shards) if shard.partition
-    )
-    for name in views:
-        sharded.shards[victim].breakers.force_open(name)
-    degraded = sharded.query(VIEW_QUERY)
-    check(degraded.degraded, "result is marked degraded", failures)
-    check(
-        0 < len(degraded.xml) < len(baseline.xml),
-        f"partial results: {len(degraded.xml)} of {len(baseline.xml)} row(s)",
+        answer == outcome(healthy)[0] and len(first.xml) > 0,
+        f"the re-routed answer is the healthy one ({len(first.xml)} row(s))",
         failures,
     )
     check(
-        degraded.counters.get("shard.degraded", 0) >= 1,
-        "shard.degraded counter recorded the drop",
+        outcome(sharded.query(VIEW_QUERY)) == outcome(first),
+        f"{shards} shard(s) degrade like the single store on the view query",
+        failures,
+    )
+    diverged = [
+        qid
+        for qid, query in XMARK_QUERIES.items()
+        if outcome(single.query(query)) != outcome(sharded.query(query))
+    ]
+    check(
+        not diverged,
+        f"fault parity over the XMark battery ({len(diverged)} diverged: "
+        f"{', '.join(diverged)})",
         failures,
     )
     check(
-        any(f"shard {victim}" in event for event in degraded.degradation_events),
-        f"degradation event names shard {victim}",
+        sharded.breakers.states() == single.breakers.states(),
+        f"same breaker states ({sharded.breakers.states()})",
         failures,
     )
-
-    for shard in sharded.shards:
-        for name in views:
-            shard.breakers.force_open(name)
-    try:
-        sharded.query(VIEW_QUERY)
-        check(False, "all shards open -> the query must fail", failures)
-    except AccessModuleUnavailable as error:
-        check(True, f"all shards open -> query fails ({error})", failures)
     sharded.close()
 
 
@@ -185,7 +188,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--mode", choices=("replay", "chaos"), default="replay",
-        help="replay = cross-layout differential; chaos = degraded partials",
+        help="replay = cross-layout differential; chaos = fault parity",
     )
     parser.add_argument(
         "--qlog", default="sharded_workload.jsonl",

@@ -269,7 +269,7 @@ class QuerySession:
         # session recorders are registry-less: the service-level recorder
         # already feeds every sample into the shared histogram, and
         # feeding it twice would double-count
-        self.latency = LatencyRecorder(capacity=service.latency_capacity)
+        self.latency = LatencyRecorder()
 
     def query(self, query: str, **kwargs) -> QueryResult:
         return self.service.query(query, session=self, **kwargs)
@@ -304,13 +304,9 @@ class QueryService:
         max_workers: int = 4,
         default_timeout: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
-        latency_capacity: int = LatencyRecorder.DEFAULT_CAPACITY,
         slow_query_threshold: Optional[float] = None,
-        slow_query_capacity: int = 64,
         qlog: "QueryLog | None | bool" = None,
         sentinel_config: Optional[SentinelConfig] = None,
-        auto_refresh_statistics: bool = True,
         queue_capacity: Optional[int] = None,
         background_share: float = 0.5,
         profiler: "Profiler | None | bool" = None,
@@ -320,7 +316,7 @@ class QueryService:
         self.cache = PlanCache(cache_capacity)
         self.default_timeout = default_timeout
         self.retry_policy = retry_policy or RetryPolicy()
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self._retry_rng_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-query"
@@ -348,17 +344,12 @@ class QueryService:
         #: plan cache, breakers, fault injections, retries and latency
         #: histogram all land in (and ``/metrics`` reads from)
         self.metrics: MetricsRegistry = db.metrics
-        self.latency_capacity = latency_capacity
         #: service-wide latency recorder: every query is sampled here
         #: (sessions keep their own, registry-less recorders on top)
-        self.latency = LatencyRecorder(
-            capacity=latency_capacity, registry=self.metrics
-        )
+        self.latency = LatencyRecorder(registry=self.metrics)
         #: bounded log of span trees for queries over the latency
         #: threshold (None = disabled)
-        self.slow_queries = SlowQueryLog(
-            threshold=slow_query_threshold, capacity=slow_query_capacity
-        )
+        self.slow_queries = SlowQueryLog(threshold=slow_query_threshold)
         #: structured query log: every execution appends one JSONL record
         #: (fingerprint, checksum, est-vs-actual rows, latency, counters)
         #: — the substrate of ``repro record`` / ``repro replay``.
@@ -383,7 +374,7 @@ class QueryService:
         self.sentinel = PlanRegressionSentinel(
             config=sentinel_config,
             registry=self.metrics,
-            on_refresh=self.refresh_statistics if auto_refresh_statistics else None,
+            on_refresh=self.refresh_statistics,
         )
         #: resource profiler (attributed ring + optional continuous
         #: sampler).  ``None`` auto-attaches one when the database runs

@@ -482,12 +482,16 @@ class Database:
     def add_documents(self, docs: Iterable[Document]) -> list[Document]:
         """Bulk-load documents, finalizing the path summary and
         re-annotating edge statistics once for the whole batch instead of
-        once per document."""
+        once per document.  Every stored view is rebuilt over the whole
+        corpus, in place: its catalog position, and so the rewriting
+        order, does not move."""
         docs = list(docs)
         for doc in docs:
             self.documents.append(doc)
             self.summary.add_document(doc)
         self._annotate()
+        for entry in list(self.catalog):
+            self._store_view(entry.name, entry.pattern, entry.kind)
         return docs
 
     def _annotate(self) -> None:
@@ -541,22 +545,21 @@ class Database:
             raise DuplicateViewError(f"view {name!r} already exists")
         if isinstance(pattern, str):
             pattern = parse_pattern(pattern)
+        return self._store_view(name, pattern, kind)
+
+    def _store_view(self, name: str, pattern: Pattern, kind: str) -> CatalogEntry:
+        """Materialize ``pattern`` over every document, store it as
+        ``name`` and register it (a name already registered keeps its
+        catalog position)."""
         if len(self.documents) == 1:
-            entry = materialize_view(
+            return materialize_view(
                 name, pattern, self.documents[0], self.store, self.catalog, kind
             )
-            segments = [self.store[name].tuples]
-        else:
-            # multi-document: concatenate per-document materializations
-            segments = [evaluate_pattern(pattern, doc) for doc in self.documents]
-            self.store.add(name, [t for segment in segments for t in segment])
-            entry = self.catalog.register(name, pattern, relation=name, kind=kind)
-        self._view_added(entry, segments)
-        return entry
-
-    def _view_added(self, entry: CatalogEntry, segments: list[list]) -> None:
-        """Hook run after a view is stored; ``segments`` holds its tuples
-        per document, in document order."""
+        # multi-document: concatenate per-document materializations
+        self.store.add(
+            name, [t for doc in self.documents for t in evaluate_pattern(pattern, doc)]
+        )
+        return self.catalog.register(name, pattern, relation=name, kind=kind)
 
     def drop_view(self, name: str) -> None:
         self.catalog.unregister(name)
@@ -567,16 +570,16 @@ class Database:
         return [entry.name for entry in self.catalog.views()]
 
     def shard(self, shard_count: int, **kwargs) -> "Database":
-        """Re-house this database's documents and views across
-        ``shard_count`` store partitions behind a scatter-gather
-        coordinator (:class:`~repro.core.coordinator.ShardedDatabase`).
+        """Re-house this database's documents and views in a coordinator
+        that assigns the documents to ``shard_count`` partitions
+        (:class:`~repro.core.coordinator.ShardedDatabase`).
 
-        The coordinator plans against the same global state, so plan
-        fingerprints stay byte-identical to this database's — replaying a
-        workload recorded here against the sharded layout must diff
-        clean, which is the physical-data-independence test the sharded
-        CI lane runs.  Keyword arguments (``partitioner``) pass through
-        to the coordinator.
+        The coordinator plans and executes over the same global state,
+        so plan fingerprints stay byte-identical to this database's —
+        replaying a workload recorded here against the sharded layout
+        must diff clean, which is the physical-data-independence test
+        the sharded CI lane runs.  Keyword arguments (``partitioner``)
+        pass through to the coordinator.
         """
         from .coordinator import ShardedDatabase
 
@@ -1178,20 +1181,17 @@ class Database:
         prepared_unit: Optional[PreparedUnit] = None,
         index: int = 0,
         fingerprint: Optional[str] = None,
-        context: Optional[dict] = None,
     ) -> list[NestedTuple]:
-        """Run a rewriting's compiled plan over the store's relations, or
-        over ``context`` (the sharding coordinator passes the view
-        relations it gathered).  The chosen rewriting (given its
-        ``prepared_unit``) reuses the unit's compiled plan and the
-        fingerprint-keyed closure; a degraded reroute (no unit) compiles
-        uncached, so it cannot poison the healthy plan's cached slot.
+        """Run a rewriting's compiled plan over the store's relations.
+        The chosen rewriting (given its ``prepared_unit``) reuses the
+        unit's compiled plan and the fingerprint-keyed closure; a
+        degraded reroute (no unit) compiles uncached, so it cannot poison
+        the healthy plan's cached slot.
         Storage-level surprises are normalized to the typed hierarchy (a
         vanished relation is an unavailable module, anything else is a
         plan-execution fault blamed on this rewriting)."""
         plan = rewriting.plan
-        if context is None:
-            context = self.store.context()
+        context = self.store.context()
         context[EXEC_CTX_KEY] = ctx
         try:
             if prepared_unit is None:

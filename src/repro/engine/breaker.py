@@ -218,8 +218,8 @@ class BreakerBoard:
 
     def force_open(self, name: str, error: Optional[str] = None) -> str:
         """Trip one module's breaker open immediately (creating it if the
-        module never failed before) — the chaos hook the sharded CI lane
-        uses to rehearse losing a shard's access modules."""
+        module never failed before) — the chaos hook that rehearses
+        losing an access module without injecting a fault."""
         with self._lock:
             breaker = self._breakers.get(name)
             if breaker is None:

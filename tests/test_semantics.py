@@ -353,16 +353,13 @@ def test_property_semantics_agree(case):
         assert indexed == _walk_reference(pattern, doc)
         reference.extend(indexed)
     # the same ordered list through a store: a view over all documents,
-    # and the relation and per-document segments of a sharded copy
+    # and the relation of a sharded copy
     db = Database()
     db.add_documents(docs)
     db.add_view("v", pattern)
     assert [t.freeze() for t in db.store["v"]] == reference
     with db.shard(2) as sharded:
         assert [t.freeze() for t in sharded.store["v"]] == reference
-        segments = sharded._segments["v"]
-        joined = [t.freeze() for seq in sorted(segments) for t in segments[seq]]
-        assert joined == reference
 
 
 @pytest.fixture(scope="module")

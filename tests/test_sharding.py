@@ -1,14 +1,16 @@
-"""Scatter-gather sharding: the physical-data-independence stress test.
+"""Sharding: the physical-data-independence stress test.
 
-The coordinator re-houses the corpus across N store partitions; every
+The coordinator assigns the corpus to N document partitions; every
 query must answer bit-for-bit like the single-store database — same
 tuples, same duplicates, same order, same plan fingerprint.  These tests
-drive that claim through the partitioners, the plan splitter, the merge
-primitives, a full query battery at several shard counts, the partial-
-results degradation protocol, and (via Hypothesis) *random*
-partitionings of the corpus.
+drive that claim through the partitioners, a full query battery at
+several shard counts, fault parity (a failed access module degrades a
+coordinator's answer exactly as the single store's), views that follow
+documents added after them, and (via Hypothesis) *random* partitionings
+of the corpus.
 """
 
+import re
 import threading
 
 import pytest
@@ -26,7 +28,7 @@ from repro.core.replay import replay_records
 from repro.engine.faults import FaultInjector
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.qlog import QueryLog, result_checksum
-from repro.errors import AccessModuleUnavailable, ReproError
+from repro.errors import ReproError
 from repro.xmldata import load
 
 
@@ -86,16 +88,10 @@ def outputs(result):
     return (result.xml, result.values, result.tuples)
 
 
-def survivors_db(dropped, shards):
-    """The single store over the documents round-robin places outside
-    shard ``dropped`` — the oracle of a partial answer."""
-    db = Database(metrics=MetricsRegistry())
-    db.add_documents(
-        [doc for seq, doc in enumerate(corpus()) if seq % shards != dropped]
-    )
-    for name, pattern in VIEWS.items():
-        db.add_view(name, pattern)
-    return db
+def degradation(result):
+    """A result's degradation outcome, trace ids stripped."""
+    events = [re.sub(r" \[trace [^\]]*\]$", "", e) for e in result.degradation_events]
+    return result.degraded, events
 
 
 # -- partitioners ------------------------------------------------------------
@@ -142,9 +138,6 @@ class TestShardedEquality:
         with build_db(4) as sharded:
             result = sharded.query(BATTERY[2])
             assert result.used_views == ["v_names"]
-            assert result.counters.get("shard.fanout", 0) > 0
-            # every document's segment is gathered into the view relation
-            assert result.counters.get("shard.merge") == len(CORPUS_XML)
             assert result.shard_count == 4
 
     def test_shard_of_existing_database(self):
@@ -174,57 +167,87 @@ class TestShardedEquality:
         single.drop_view("v_names")
         with build_db(3) as sharded:
             sharded.drop_view("v_names")
-            assert set(sharded._segments) == {"v_items"}
+            assert sharded.store.names() == single.store.names() == ["v_items"]
             r1, r2 = single.query(BATTERY[2]), sharded.query(BATTERY[2])
             assert outputs(r1) == outputs(r2)
             assert r2.used_views == []
 
 
-# -- degradation: partial results --------------------------------------------
+# -- degradation: a coordinator re-routes like the single store -------------
 
 
-class TestPartialDegradation:
-    VIEW_QUERY = BATTERY[2]  # view-answered via v_names
+class TestFaultParity:
+    """A failed access module degrades a coordinator's answer exactly as
+    the single store's: the same rows, ``degraded`` flag and events."""
 
-    def test_one_shard_down_yields_degraded_partial(self):
+    @pytest.mark.parametrize("shards", [2, 4, 7])
+    @pytest.mark.parametrize(
+        "spec", ["relation.scan@v_names:corrupt", "relation.scan@v_items:corrupt"]
+    )
+    def test_injected_fault_degrades_like_single_store(self, spec, shards):
+        single = build_db()
+        single.fault_injector = FaultInjector(spec)
+        with build_db(shards) as sharded:
+            sharded.fault_injector = FaultInjector(spec)
+            for query in BATTERY:
+                r1, r2 = single.query(query), sharded.query(query)
+                assert outputs(r1) == outputs(r2), query
+                assert degradation(r1) == degradation(r2), query
+            assert sharded.fault_injector.injected == single.fault_injector.injected
+            assert sharded.breakers.states() == single.breakers.states()
+
+    def test_view_query_is_rerouted_to_the_whole_answer(self):
+        """Not a part of the answer: every item of the corpus, as the
+        base store answers it."""
         with build_db(4) as sharded:
-            full = sharded.query(self.VIEW_QUERY)
-            assert not full.degraded
-            sharded.shards[1].breakers.force_open("v_names")
-            partial = sharded.query(self.VIEW_QUERY)
-            assert partial.degraded
-            assert 0 < len(partial.xml) < len(full.xml)
-            assert partial.counters.get("shard.degraded") == 1.0
-            assert any(
-                "shard 1" in event for event in partial.degradation_events
-            )
-            # the partial answer is exactly the single-store answer over
-            # the surviving shards' documents (shard 1 holds b.xml)
-            survivors = survivors_db(dropped=1, shards=4)
-            assert partial.xml == survivors.query(self.VIEW_QUERY).xml
+            base = sharded.query(BATTERY[2], prefer_views=False)
+            sharded.fault_injector = FaultInjector("relation.scan@v_names:corrupt")
+            degraded = sharded.query(BATTERY[2])
+        assert degraded.degraded and not base.degraded
+        assert outputs(degraded) == outputs(base)
+        assert len(degraded.xml) == 8
 
-    def test_all_shards_down_fails_the_query(self):
-        with build_db(3) as sharded:
-            for shard in sharded.shards:
-                shard.breakers.force_open("v_names")
-            with pytest.raises(AccessModuleUnavailable):
-                sharded.query(self.VIEW_QUERY)
-
-    def test_health_reports_every_shard(self):
-        with build_db(3) as sharded:
-            sharded.shards[2].breakers.force_open("v_names")
-            board = sharded.health()
-            assert "coordinator (3 shard(s))" in board
-            assert "shard 2" in board and "open" in board
-
-    def test_force_open_blocks_and_recovers(self):
-        with build_db(2) as sharded:
-            shard = sharded.shards[0]
-            shard.breakers.force_open("v_names")
-            assert not shard.breakers.allows("v_names")
+    def test_forced_open_breaker_plans_around_like_single_store(self):
+        single = build_db()
+        single.breakers.force_open("v_names")
+        with build_db(4) as sharded:
+            sharded.breakers.force_open("v_names")
+            for query in BATTERY:
+                p1, p2 = single.prepare(query), sharded.prepare(query)
+                assert p1.fingerprint == p2.fingerprint, query
+                r1, r2 = single.execute_prepared(p1), sharded.execute_prepared(p2)
+                assert "v_names" not in r2.used_views, query
+                assert outputs(r1) == outputs(r2), query
+                assert degradation(r1) == degradation(r2), query
 
 
-# -- the gather: one compiled plan over gathered view segments --------------
+# -- views follow documents added after them ----------------------------------
+
+
+@pytest.mark.parametrize("shards", [None, 4])
+def test_view_covers_documents_added_after_it(shards):
+    """A view added over one document is rebuilt over every document
+    added later, in place: it answers as a view added after them, and
+    the catalog keeps its order."""
+    first, *rest = corpus()
+    if shards is None:
+        db = Database(metrics=MetricsRegistry())
+    else:
+        db = ShardedDatabase(shards, metrics=MetricsRegistry())
+    db.add_documents([first])
+    for name, pattern in VIEWS.items():
+        db.add_view(name, pattern)
+    db.add_documents(rest)
+    assert db.views() == list(VIEWS)
+    reference = build_db()
+    for query in BATTERY:
+        assert outputs(db.query(query)) == outputs(reference.query(query)), query
+    assert db.query(BATTERY[0]).used_views == ["v_names"]
+    for name in VIEWS:
+        assert db.store[name].tuples == reference.store[name].tuples
+
+
+# -- rewritings: the single store's compiled plan over its relations -------
 
 
 class TestGather:
@@ -238,22 +261,12 @@ class TestGather:
             assert p1.fingerprint == p2.fingerprint
             r1, r2 = single.execute_prepared(p1), sharded.execute_prepared(p2)
             assert sorted(r2.used_views) == ["v_items", "v_names"]
-            assert r2.counters.get("shard.fanout", 0) > 0
             assert outputs(r1) == outputs(r2)
             assert result_checksum(r1) == result_checksum(r2)
 
-    def test_join_rewriting_one_shard_down_equals_survivors(self):
-        with build_db(4) as sharded:
-            sharded.shards[1].breakers.force_open("v_items")
-            partial = sharded.query(self.JOIN_QUERY)
-            assert partial.degraded
-            assert partial.counters.get("shard.degraded") == 1.0
-            survivors = survivors_db(dropped=1, shards=4)
-            assert partial.xml == survivors.query(self.JOIN_QUERY).xml
-
     def test_relation_scan_fires_once_per_scan(self):
-        """The gathered relation is read once, as on the single store,
-        not once per document."""
+        """A view relation is read once, as on the single store, not
+        once per document or per shard."""
 
         def scans(db):
             db.fault_injector = FaultInjector(
@@ -266,14 +279,6 @@ class TestGather:
         single = scans(build_db())
         with build_db(4) as sharded:
             assert scans(sharded) == single
-
-    def test_gather_concatenates_in_global_document_order(self):
-        # documents land on shards against their order: the gathered
-        # relation still follows the global document order
-        with build_db(3, partitioner=ExplicitPartitioner([2, 1, 0, 2])) as sharded:
-            ctx = sharded.execution_context()
-            gathered = sharded._gather({"v_names"}, sharded.shards, ctx)
-            assert gathered["v_names"] == sharded.store["v_names"].tuples
 
 
 # -- shards run in sequence, on the query's own thread -----------------------
@@ -290,9 +295,9 @@ class TestSequentialScatter:
             ]
 
     def test_seeded_chaos_on_shards_is_reproducible(self):
-        """Shards draw from the query's fault injector one after another,
-        so a seeded chaos battery repeats exactly: the same answers, the
-        same typed errors and the same partial results on every run."""
+        """A seeded chaos battery on a coordinator repeats exactly: the
+        same answers, the same typed errors and the same degradation
+        events on every run."""
 
         def run():
             with build_db(4, tracer=None) as sharded:
@@ -367,13 +372,7 @@ class TestConfiguration:
         with build_db(2) as sharded:
             sharded.query(BATTERY[2])
             snap = sharded.metrics.snapshot()
-            for family in (
-                "shard.fanout",
-                "shard.merge",
-                "shard.degraded",
-                "shard.count",
-            ):
-                assert family in snap
+            assert "shard.count" in snap
             gauge = snap["shard.count"]["series"][0]["value"]
             assert gauge == 2.0
 
@@ -418,7 +417,7 @@ class TestConfiguration:
 )
 def test_any_partitioning_matches_single_store(shards, assignments, query):
     """For *every* document → shard assignment, sorted or not, the
-    scattered answer equals the single-store answer tuple for tuple —
+    coordinator's answer equals the single-store answer tuple for tuple —
     duplicates and their order included."""
     single = build_db()
     with build_db(
