@@ -46,6 +46,7 @@ __all__ = [
     "XMLize",
     "TemplateElement",
     "TemplateAttr",
+    "compile_template",
     "CHILD",
     "DESCENDANT",
     "JOIN",
@@ -1044,82 +1045,111 @@ class XMLize(Operator):
         return ["xml"]
 
     def evaluate(self, context: Optional[Context] = None) -> list[NestedTuple]:
+        render = compile_template(self.template)
         return [
-            NestedTuple({"xml": render_template(self.template, t)})
-            for t in self.children[0].evaluate(context)
+            NestedTuple({"xml": render(t)}) for t in self.children[0].evaluate(context)
         ]
 
     def label(self) -> str:
         return f"xml[{self.template!r}]"
 
 
-class _Scope:
-    """Environment of entered collections: absolute collection path →
-    current member tuple."""
+def compile_template(template: TemplateElement) -> Callable[[NestedTuple], str]:
+    """The tagging template as one function from an input tuple to its
+    serialized element.  The collections entered around each attribute
+    reference are known statically, so each reference is bound once to
+    the deepest entered collection prefixing its path (or to the input
+    tuple) with a pre-split path reader."""
+    render = _compile_element(template, ())
 
-    def __init__(self, root: NestedTuple):
-        self.root = root
-        self.entries: list[tuple[str, NestedTuple]] = []
+    def fn(t: NestedTuple) -> str:
+        parts: list[str] = []
+        render([t], parts)
+        return "".join(parts)
 
-    def resolve(self, path: str) -> list:
-        """All atomic values reachable at the absolute path, resolved
-        against the deepest entered collection prefixing it."""
-        for prefix, member in reversed(self.entries):
-            if path == prefix:
-                return [member]
-            if path.startswith(prefix + "/"):
-                return [
-                    v
-                    for v in member.iter_path(path[len(prefix) + 1 :])
-                    if not isinstance(v, list)
-                ]
-        return [v for v in self.root.iter_path(path) if not isinstance(v, list)]
-
-    def members(self, collection_path: str) -> list[NestedTuple]:
-        """The member tuples of a collection at an absolute path."""
-        source: Any = self.root
-        remainder = collection_path
-        for prefix, member in reversed(self.entries):
-            if collection_path.startswith(prefix + "/"):
-                source = member
-                remainder = collection_path[len(prefix) + 1 :]
-                break
-        out: list[NestedTuple] = []
-        for value in source.iter_path(remainder):
-            if isinstance(value, list):
-                out.extend(value)
-        return out
-
-    def entered(self, collection_path: str, member: NestedTuple) -> "_Scope":
-        clone = _Scope(self.root)
-        clone.entries = self.entries + [(collection_path, member)]
-        return clone
+    return fn
 
 
-def render_template(template: TemplateElement, t: NestedTuple) -> str:
-    """Serialize one input tuple through the tagging template."""
-    parts: list[str] = []
-    _render_into(template, _Scope(t), parts)
-    return "".join(parts)
+#: A compiled template piece appends its text to ``parts``; ``env`` holds
+#: the input tuple, then the current member of each entered collection.
+_Piece = Callable[[list, list], None]
 
 
-def _render_into(template: TemplateElement, scope: _Scope, parts: list[str]) -> None:
-    if template.repeat_over is not None:
-        for member in scope.members(template.repeat_over):
-            _render_one(template, scope.entered(template.repeat_over, member), parts)
-    else:
-        _render_one(template, scope, parts)
-
-
-def _render_one(template: TemplateElement, scope: _Scope, parts: list[str]) -> None:
-    parts.append(f"<{template.tag}>")
+def _compile_element(template: TemplateElement, entered: tuple[str, ...]) -> _Piece:
+    repeat = template.repeat_over
+    if repeat is not None:
+        members = _bound(repeat, entered, _collection_members)
+        entered += (repeat,)
+    pieces: list[Any] = [f"<{template.tag}>"]
     for child in template.children:
         if isinstance(child, TemplateAttr):
-            for value in scope.resolve(child.path):
-                if value is not None and not isinstance(value, NestedTuple):
-                    parts.append(str(value))
+            pieces.append(_bound(child.path, entered, _non_null_atom))
         elif isinstance(child, TemplateElement):
-            _render_into(child, scope, parts)
+            pieces.append(_compile_element(child, entered))
         else:
-            parts.append(str(child))
-    parts.append(f"</{template.tag}>")
+            pieces.append(str(child))
+    pieces.append(f"</{template.tag}>")
+
+    def one(env: list, parts: list) -> None:
+        for piece in pieces:
+            if type(piece) is str:
+                parts.append(piece)
+            else:
+                piece(env, parts)
+
+    if repeat is None:
+        return one
+
+    def each(env: list, parts: list) -> None:
+        found: list = []
+        members(env, found)
+        for member in found:
+            env.append(member)
+            one(env, parts)
+            env.pop()
+
+    return each
+
+
+def _bound(path: str, entered: tuple[str, ...], leaf) -> _Piece:
+    """``leaf`` over the values at the path's remainder below the deepest
+    entered collection prefixing it, else below the input tuple.  A path
+    naming an entered collection itself reads collections, which
+    ``_non_null_atom`` skips (collections are homogeneous, §1.2.2)."""
+    depth, rest = 0, path
+    for level in range(len(entered), 0, -1):
+        prefix = entered[level - 1]
+        if path.startswith(prefix + "/"):
+            depth, rest = level, path[len(prefix) + 1 :]
+            break
+    read = _path_reader(rest.split("/"), leaf)
+    return lambda env, parts: read(env[depth], parts)
+
+
+def _path_reader(names: list[str], leaf):
+    """``leaf`` over each value at the pre-split path, through every
+    member of each collection on the way (:meth:`NestedTuple.iter_path`)."""
+    head = names[0]
+    if len(names) == 1:
+        return lambda t, parts: leaf(t.get(head), parts)
+    below = _path_reader(names[1:], leaf)
+
+    def read(t: NestedTuple, parts: list) -> None:
+        value = t.get(head)
+        if isinstance(value, list):
+            for member in value:
+                below(member, parts)
+        elif isinstance(value, NestedTuple):
+            below(value, parts)
+
+    return read
+
+
+def _non_null_atom(value: Any, parts: list) -> None:
+    if value is not None and not isinstance(value, (list, NestedTuple)):
+        parts.append(str(value))
+
+
+def _collection_members(value: Any, parts: list) -> None:
+    if isinstance(value, list):
+        parts.extend(value)

@@ -7,7 +7,9 @@ Two facilities live here:
   tuples, honoring every edge semantics (join / semijoin / outerjoin /
   nest / nest-outer), value formulas, and the stored-attribute
   specifications (ID under the node's declared scheme, L, V, C).  Each
-  call compiles the pattern into one closure per node and per edge.
+  call compiles the pattern into one closure per node and per edge over
+  the document's tag index, whose memos compute each element's value
+  and content once per labelled document.
   :mod:`repro.core.semantics` implements the *algebraic* semantics of
   §2.2.2 independently; the test-suite checks they agree, mirroring the
   thesis' equivalence claim.
@@ -86,32 +88,34 @@ def subtree_attribute_names(pattern_node: PatternNode) -> list[str]:
 #: A compiled pattern subtree maps a node to the attribute dicts of the
 #: tuples it produces there (``None``: no embedding).  Dicts are never
 #: mutated once built, so an edge may pass its child's rows through.
-Compiled = Callable[[XMLNode, TagIndex], Optional[list[dict]]]
-
-_GETTERS = {"L": attrgetter("label"), "V": attrgetter("value"), "C": attrgetter("content")}
+Compiled = Callable[[XMLNode], Optional[list[dict]]]
 
 
-def _compile(pattern_node: PatternNode) -> Compiled:
-    """Specialise the subtree at ``pattern_node`` into a closure: its
-    admission, stored-attribute getters and edges are fixed once."""
+def _compile(pattern_node: PatternNode, index: TagIndex) -> Compiled:
+    """Specialise the subtree at ``pattern_node`` into a closure over one
+    document's index: its admission, stored-attribute getters and edges
+    are fixed once, and values and contents come from the index's
+    memos."""
     kind, tag = _kind_of(pattern_node), pattern_node.tag
     formula = pattern_node.value_formula
     admit_value = None if formula.is_true else formula.evaluate
+    value_of = index.value
+    readers = {"L": attrgetter("label"), "V": value_of, "C": index.content}
     getters = [
         (f"{pattern_node.name}.{attr}",
-         ID_GETTERS[pattern_node.store_id] if attr == "ID" else _GETTERS[attr])
+         ID_GETTERS[pattern_node.store_id] if attr == "ID" else readers[attr])
         for attr in pattern_node.stored_attrs()
     ]
-    steps = [_compile_step(edge) for edge in pattern_node.edges]
+    steps = [_compile_step(edge, index) for edge in pattern_node.edges]
 
-    def at(node: XMLNode, index: TagIndex) -> Optional[list[dict]]:
+    def at(node: XMLNode) -> Optional[list[dict]]:
         if node.kind != kind or (tag is not None and node.label != tag):
             return None
-        if admit_value is not None and not admit_value(node.value):
+        if admit_value is not None and not admit_value(value_of(node)):
             return None
         rows: Optional[list[dict]] = [{name: get(node) for name, get in getters}]
         for step in steps:
-            rows = step(rows, node, index)
+            rows = step(rows, node)
             if rows is None:
                 return None
         return rows
@@ -119,29 +123,30 @@ def _compile(pattern_node: PatternNode) -> Compiled:
     return at
 
 
-def _compile_step(edge: PatternEdge):
-    """An edge as ``(rows, node, index) → rows``: its candidates run
-    through the child's closure and combine under the edge's semantics.
-    Child steps test the label inline, before any call."""
-    semantics, child = edge.semantics, _compile(edge.child)
+def _compile_step(edge: PatternEdge, index: TagIndex):
+    """An edge as ``(rows, node) → rows``: its candidates run through the
+    child's closure and combine under the edge's semantics.  Child steps
+    test the label inline, before any call."""
+    semantics, child = edge.semantics, _compile(edge.child, index)
     tag, name, on_child = edge.child.tag, edge.child.name, edge.axis == CHILD
+    descendants = index.descendants
 
-    def candidates(node: XMLNode, index: TagIndex) -> Sequence[XMLNode]:
+    def candidates(node: XMLNode) -> Sequence[XMLNode]:
         if on_child:
             return node.children if tag is None else [c for c in node.children if c.label == tag]
         if tag is None:  # ``*`` admits elements only
-            return [n for n in index.descendants(node) if n.kind == ELEMENT]
-        return index.descendants(node, tag)
+            return [n for n in descendants(node) if n.kind == ELEMENT]
+        return descendants(node, tag)
 
     padding = [
         (n, "." not in n)
         for n in (subtree_attribute_names(edge.child) if semantics == OUTER else ())
     ]
 
-    def step(rows, node, index):
+    def step(rows, node):
         found: list[dict] = []
-        for candidate in candidates(node, index):
-            result = child(candidate, index)
+        for candidate in candidates(node):
+            result = child(candidate)
             if result is not None:
                 found.extend(result)
         if semantics == SEMI:
@@ -164,20 +169,28 @@ def evaluate_pattern(pattern: Pattern, doc: Document) -> list[NestedTuple]:
     """Evaluate a XAM over a document: Definition 4.1.1 extended with the
     decorated / optional / attribute / nested semantics of §4.1, producing
     duplicate-free tuples in document order.  ``doc`` must be labelled
-    (descendant steps read its tag index; ``ValueError`` otherwise).
+    (descendant steps, values and contents read its tag index;
+    ``ValueError`` otherwise).
 
-    The pattern is compiled into closures on every call: compiling costs
-    microseconds against a document pass, so no cache is kept."""
-    index = doc.index
-    result = _compile(pattern.root)(doc.root, index)
+    The pattern is compiled into closures over the document's index on
+    every call: compiling costs microseconds against a document pass, so
+    no cache is kept.  Every row carries the pattern's attribute names in
+    one order, so rows are told apart by their value tuples; a row holding
+    a collection, which does not hash, is told apart by its frozen form."""
+    result = _compile(pattern.root, doc.index)(doc.root)
     if result is None:
         return []
     out: list[NestedTuple] = []
     seen: set[tuple] = set()
     for attrs in result:
         t = NestedTuple.adopt(attrs)
-        key = t.freeze()
-        if key not in seen:
+        key = tuple(attrs.values())
+        try:
+            fresh = key not in seen
+        except TypeError:
+            key = t.freeze()
+            fresh = key not in seen
+        if fresh:
             seen.add(key)
             out.append(t)
     return out

@@ -43,7 +43,7 @@ import tracemalloc
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..algebra.model import NULL, NestedTuple, concat
-from ..algebra.operators import BaseTuples, rename_attribute, render_template
+from ..algebra.operators import BaseTuples, compile_template, rename_attribute
 from ..xmldata.ids import DeweyID, StructuralID
 from .context import EXEC_CTX_KEY
 from .orderdesc import sort_key_for
@@ -286,15 +286,10 @@ def _rename(op: PRename, child: BatchFn) -> BatchFn:
 
 
 def _xmlize(op: PXMLize, child: BatchFn) -> BatchFn:
-    template = op.template
+    render, adopt = compile_template(op.template), NestedTuple.adopt
 
     def fn(context):
-        return Block(
-            [
-                NestedTuple.adopt({"xml": render_template(template, t)})
-                for t in child(context).tuples
-            ]
-        )
+        return Block([adopt({"xml": render(t)}) for t in child(context).tuples])
 
     return fn
 

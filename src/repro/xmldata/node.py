@@ -199,7 +199,8 @@ class Document:
         return self._index
 
     def relabelled(self) -> None:
-        """Drop the stale index (``label_document``, the writer of ``pre``)."""
+        """Drop the stale index with its value and content memos
+        (``label_document``, the writer of ``pre``, calls this)."""
         self._index = None
 
     @classmethod
@@ -245,13 +246,21 @@ class TagIndex:
     ``nodes[0]``) and per label a sorted ``array('i')`` holds its pre
     numbers.  Node ``v``'s proper descendants are exactly the pre numbers
     in ``(v.pre, v.post + v.depth − 1]``, so a ``//label`` step is two
-    bisects and a slice, and a label the document lacks costs nothing."""
+    bisects and a slice, and a label the document lacks costs nothing.
 
-    __slots__ = ("nodes", "_pres")
+    Two memos keyed by ``pre`` hold the element values and contents read
+    so far (:meth:`value`, :meth:`content`): node data computed once per
+    labelled document, dropped with the index when the tree is
+    relabelled.  Two threads missing on one node both compute it and
+    store the same string, so the unlocked fill is harmless."""
+
+    __slots__ = ("nodes", "_pres", "_values", "_contents")
 
     def __init__(self, root: XMLNode):
         self.nodes: list[XMLNode] = []
         self._pres: dict[str, array] = {}
+        self._values: dict[int, Optional[str]] = {}
+        self._contents: dict[int, str] = {}
         for node in root.iter_subtree():
             if node.pre != len(self.nodes):
                 raise ValueError(
@@ -270,3 +279,23 @@ class TagIndex:
         pres, nodes = self._pres.get(label, ()), self.nodes
         window = pres[bisect_right(pres, node.pre) : bisect_right(pres, last)]
         return [nodes[pre] for pre in window]
+
+    def value(self, node: XMLNode) -> Optional[str]:
+        """``node.value``, an element's built once from its ``#text``
+        window (⊥ when it holds no text)."""
+        if node.kind == ATTRIBUTE or node.kind == TEXT:
+            return node.text
+        try:
+            return self._values[node.pre]
+        except KeyError:
+            texts = [t.text for t in self.descendants(node, "#text") if t.text]
+            value = self._values[node.pre] = "".join(texts) or None
+            return value
+
+    def content(self, node: XMLNode) -> str:
+        """``node.content``, serialised once."""
+        try:
+            return self._contents[node.pre]
+        except KeyError:
+            content = self._contents[node.pre] = node.content
+            return content

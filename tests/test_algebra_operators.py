@@ -26,8 +26,10 @@ from repro.algebra import (
     ValueJoin,
     XMLize,
 )
-from repro.algebra.operators import render_template
+from repro.algebra.operators import compile_template
 from repro.xmldata import id_of, load
+from tests.reference import reference_bindings, render_template
+from tests.test_compiled_only import BATTERIES, database
 
 
 def rows(*dicts):
@@ -287,26 +289,34 @@ class TestDerivedAndNavigate:
         assert [len(m["k"]) for m in out[0]["li"]] == [1, 0]
 
 
+def render(template, t):
+    return compile_template(template)(t)
+
+
+def members(*values):
+    return [NestedTuple({"v": v}) for v in values]
+
+
 class TestTemplates:
     def test_simple_template(self):
         template = TemplateElement("res", [TemplateAttr("x")])
-        assert render_template(template, NestedTuple({"x": "hi"})) == "<res>hi</res>"
+        assert render(template, NestedTuple({"x": "hi"})) == "<res>hi</res>"
 
     def test_literal_children(self):
         template = TemplateElement("res", ["label: ", TemplateAttr("x")])
-        assert render_template(template, NestedTuple({"x": 1})) == "<res>label: 1</res>"
+        assert render(template, NestedTuple({"x": 1})) == "<res>label: 1</res>"
 
     def test_nulls_are_skipped(self):
         template = TemplateElement("res", [TemplateAttr("x")])
-        assert render_template(template, NestedTuple({"x": None})) == "<res></res>"
+        assert render(template, NestedTuple({"x": None})) == "<res></res>"
 
     def test_repeat_over_collection(self):
         template = TemplateElement(
             "res",
             [TemplateElement("k", [TemplateAttr("c/v")], repeat_over="c")],
         )
-        t = NestedTuple({"c": [NestedTuple({"v": 1}), NestedTuple({"v": 2})]})
-        assert render_template(template, t) == "<res><k>1</k><k>2</k></res>"
+        t = NestedTuple({"c": members(1, 2)})
+        assert render(template, t) == "<res><k>1</k><k>2</k></res>"
 
     def test_repeat_scope_mixes_outer_refs(self):
         template = TemplateElement(
@@ -317,15 +327,85 @@ class TestTemplates:
                 )
             ],
         )
-        t = NestedTuple(
-            {"name": "N", "c": [NestedTuple({"v": 1}), NestedTuple({"v": 2})]}
+        t = NestedTuple({"name": "N", "c": members(1, 2)})
+        assert render(template, t) == "<res><k>N1</k><k>N2</k></res>"
+
+    def test_repeat_inside_repeat(self):
+        inner = TemplateElement("i", [TemplateAttr("c/d/v")], repeat_over="c/d")
+        template = TemplateElement(
+            "res", [TemplateElement("o", [TemplateAttr("c/n"), inner], repeat_over="c")]
         )
-        assert render_template(template, t) == "<res><k>N1</k><k>N2</k></res>"
+        t = NestedTuple(
+            {
+                "c": [
+                    NestedTuple({"n": "a", "d": members(1, 2)}),
+                    NestedTuple({"n": "b", "d": []}),
+                    NestedTuple({"n": "c", "d": members(3)}),
+                ]
+            }
+        )
+        assert render(template, t) == (
+            "<res><o>a<i>1</i><i>2</i></o><o>b</o><o>c<i>3</i></o></res>"
+        )
+
+    def test_path_outside_the_entered_member_reads_the_root(self):
+        # inside ``c`` only ``c/...`` paths read the member; ``d/v``
+        # reaches every member of the root's ``d`` on each repetition
+        template = TemplateElement(
+            "res",
+            [
+                TemplateElement(
+                    "k", [TemplateAttr("c/v"), "-", TemplateAttr("d/v")], repeat_over="c"
+                )
+            ],
+        )
+        t = NestedTuple({"c": members(1, 2), "d": members("x", "y")})
+        assert render(template, t) == "<res><k>1-xy</k><k>2-xy</k></res>"
+        outside = TemplateElement("res", [TemplateAttr("c/v")])
+        assert render(outside, t) == "<res>12</res>"
+
+    def test_a_path_naming_the_entered_member_renders_nothing(self):
+        template = TemplateElement(
+            "res",
+            [TemplateElement("k", ["[", TemplateAttr("c"), "]"], repeat_over="c")],
+        )
+        t = NestedTuple({"c": members(1, 2)})
+        assert render(template, t) == "<res><k>[]</k><k>[]</k></res>"
+        assert render(template, t) == render_template(template, t)
+
+    def test_nulls_in_collections_are_skipped(self):
+        template = TemplateElement("res", ["<", TemplateAttr("c/v"), ">"])
+        t = NestedTuple({"c": members(None, "a", None)})
+        assert render(template, t) == "<res><a></res>"
+
+    def test_literal_text_only(self):
+        template = TemplateElement("res", ["a", "b", TemplateElement("e", ["c"])])
+        assert render(template, NestedTuple({})) == "<res>ab<e>c</e></res>"
 
     def test_xmlize_operator(self):
         template = TemplateElement("r", [TemplateAttr("x")])
         plan = XMLize(rows({"x": "a"}, {"x": "b"}), template)
         assert [t["xml"] for t in plan.evaluate({})] == ["<r>a</r>", "<r>b</r>"]
+
+
+def test_compiled_templates_render_like_the_interpreter():
+    # every XMLize unit of the XMark, DBLP and view batteries, its input
+    # rows from the logical reference
+    templates = rendered = repeated = 0
+    for document, queries, views in BATTERIES.values():
+        db = database(document(), views)
+        for name, query in queries.items():
+            for unit in db.prepare(query).units:
+                if not isinstance(unit.logical, XMLize):
+                    continue
+                template = unit.logical.template
+                compiled = compile_template(template)
+                for t in unit.logical.children[0].evaluate(reference_bindings(db, unit)):
+                    assert compiled(t) == render_template(template, t), name
+                    rendered += 1
+                templates += 1
+                repeated += "∀" in repr(template)
+    assert templates >= 20 and rendered > 1000 and repeated > 0
 
 
 class TestPlanInspection:

@@ -7,9 +7,12 @@ import weakref
 
 import pytest
 
+from repro.algebra.model import NestedTuple
 from repro.core import evaluate_pattern, parse_pattern, return_tuples
-from repro.core.embedding import admits_xml_node, embeddings
+from repro.core.embedding import _compile, admits_xml_node, embeddings
+from repro.workloads import generate_xmark
 from repro.xmldata import XMLNode, label_document, load, parse_document
+from tests.rewrite_golden import SEEDS, battery, environment
 
 
 DOC = load(
@@ -80,6 +83,44 @@ class TestEdgeSemantics:
         # both kws reach the same (site, item-ID) pair through // twice
         out = evaluate_pattern(parse_pattern("//site{//item[id:s]}"), DOC)
         assert len(out) == len({t.freeze() for t in out})
+
+
+def duplicates_removed(pattern, doc) -> int:
+    """Check ``evaluate_pattern`` against a dedup that freezes every row
+    of the compiled pattern's output (same rows, same order); return how
+    many rows it dropped."""
+    rows = _compile(pattern.root, doc.index)(doc.root) or []
+    seen, expected = set(), []
+    for attrs in rows:
+        key = NestedTuple(attrs).freeze()
+        if key not in seen:
+            seen.add(key)
+            expected.append(key)
+    assert [t.freeze() for t in evaluate_pattern(pattern, doc)] == expected
+    return len(rows) - len(expected)
+
+
+class TestDuplicateElimination:
+    NESTED = load(
+        "<site><listitem><text><keyword>k</keyword></text>"
+        "<listitem><text><keyword>j</keyword></text></listitem></listitem></site>"
+    )
+
+    def test_unstored_existential_node(self):
+        # the inner keyword is reached through both listitems
+        pattern = parse_pattern("//listitem{//keyword[id:s]}")
+        assert duplicates_removed(pattern, self.NESTED) == 1
+
+    def test_rows_holding_a_collection(self):
+        pattern = parse_pattern("//listitem{//text[id:s]{/no:keyword[val]}}")
+        assert duplicates_removed(pattern, self.NESTED) == 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_golden_random_patterns(self, seed):
+        doc = generate_xmark(scale=1, seed=0)
+        patterns = [p for pid, p in battery(environment(seed)[0], seed) if pid.startswith("r")]
+        dropped = [duplicates_removed(p, doc) for p in patterns]
+        assert len(patterns) > 50 and sum(dropped) > 0
 
 
 class TestTagIndexLifetime:
