@@ -17,13 +17,16 @@ This module implements that construction:
 * :func:`merged_patterns` — for a set of view uses glued by join
   conditions, the union of merged patterns over all glue-consistent joint
   embeddings.  Glued nodes (and their root chains) are shared; everything
-  else stays per-view.
+  else stays per-view.  The members are built on demand, one joint
+  embedding at a time, so a caller that rejects the union at its first
+  member never builds the others.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Sequence
 
 from ..summary.path_summary import PathSummary, SummaryNode
 from .canonical import summary_embeddings, _strict_copy
@@ -104,27 +107,26 @@ def joint_embeddings(
     views: Sequence[Pattern],
     glues: Sequence[GlueCondition],
     summary: PathSummary,
-) -> list[list[dict[PatternNode, SummaryNode]]]:
-    """All combinations of per-view embeddings consistent with the glue
-    conditions (checked on summary paths)."""
-    per_view = [summary_embeddings(_strict_copy(view), summary) for view in views]
+) -> Iterator[tuple[dict[str, SummaryNode], ...]]:
+    """The combinations of per-view embeddings consistent with the glue
+    conditions (checked on summary paths), keyed by node name, in the
+    lexicographic order of the per-view embedding lists.  Lazy: each
+    combination is checked when it is asked for."""
     # embeddings are over strict copies; map back by node name
-    named: list[list[dict[str, SummaryNode]]] = [
+    per_view = [
         [
             {node.name: snode for node, snode in embedding.items()}
-            for embedding in embeddings
+            for embedding in summary_embeddings(_strict_copy(view), summary)
         ]
-        for embeddings in per_view
+        for view in views
     ]
-    out: list[list[dict[str, SummaryNode]]] = [[]]
-    for embeddings in named:
-        out = [prefix + [e] for prefix in out for e in embeddings]
-    consistent = [combo for combo in out if _glues_hold(combo, glues)]
-    return consistent  # type: ignore[return-value]
+    for combo in itertools.product(*per_view):
+        if _glues_hold(combo, glues):
+            yield combo
 
 
 def _glues_hold(
-    combo: list[dict[str, SummaryNode]], glues: Sequence[GlueCondition]
+    combo: Sequence[dict[str, SummaryNode]], glues: Sequence[GlueCondition]
 ) -> bool:
     for glue in glues:
         left = combo[glue.left_use][glue.left_node]
@@ -147,28 +149,26 @@ def merged_patterns(
     views: Sequence[Pattern],
     glues: Sequence[GlueCondition],
     summary: PathSummary,
-) -> list[tuple[Pattern, dict[str, str]]]:
-    """The union of patterns S-equivalent to the glued join of the views.
+) -> Iterator[tuple[Pattern, dict[str, str]]]:
+    """The union of patterns S-equivalent to the glued join of the views,
+    one member at a time.
 
     For every glue-consistent joint embedding, the views' expansions are
     merged: glued nodes unify (together with their root chains); unglued
     same-path nodes remain distinct occurrences.  View node names must be
     unique across uses (callers rename per use); each result carries the
     alias map view-node-name → merged-node-name (glued pairs share one
-    merged node).
+    merged node).  Members repeating an earlier one's structure are
+    skipped.  Each member is merged when it is asked for and is the
+    caller's own: nothing else holds it.
     """
-    patterns: list[tuple[Pattern, dict[str, str]]] = []
     seen: set[tuple] = set()
     for combo in joint_embeddings(views, glues, summary):
-        merged = _merge_combo(views, combo, glues, summary)
-        if merged is None:
-            continue
-        pattern, aliases = merged
+        pattern, aliases = _merge_combo(views, combo, glues, summary)
         key = pattern.structure_key()
         if key not in seen:
             seen.add(key)
-            patterns.append((pattern, aliases))
-    return patterns
+            yield pattern, aliases
 
 
 def _merge_combo(
@@ -176,7 +176,7 @@ def _merge_combo(
     combo: Sequence[dict[str, SummaryNode]],
     glues: Sequence[GlueCondition],
     summary: PathSummary,
-) -> Optional[tuple[Pattern, dict[str, str]]]:
+) -> tuple[Pattern, dict[str, str]]:
     """Merge the views of one joint embedding into a single pattern.
 
     Only the *glue spine* — the view edges on the paths from ⊤ to glued

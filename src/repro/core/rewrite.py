@@ -801,15 +801,13 @@ def _validate(search: _Search, skeleton: _Skeleton) -> Optional[Rewriting]:
     adapted = [_adapted_pattern(query, use) for use in skeleton.uses]
     if any(pattern is None for pattern in adapted):
         return None
+    # Each member of the union is aligned as soon as it is merged (q's
+    # stored attrs at the serving nodes, everything else unstored) and
+    # tested at once: the first member not contained in the query rejects
+    # the candidate before the rest are built.
     union = merged_patterns(adapted, skeleton.joins, summary)  # type: ignore[arg-type]
-    if not union:
-        return None
-
-    # Build the aligned validation patterns: q's stored attrs at the
-    # serving nodes, everything else unstored.
     members: list[PatternFacts] = []
-    for merged, aliases in union:
-        validation = merged.copy()
+    for validation, aliases in union:
         for node in validation.nodes():
             node.store_id, node.store_tag = None, False
             node.store_value = node.store_content = False
@@ -824,12 +822,11 @@ def _validate(search: _Search, skeleton: _Skeleton) -> Optional[Rewriting]:
             target.store_value = q_node.store_value
             target.store_content = q_node.store_content
             order.append(merged_name)
-        members.append(PatternFacts(validation, summary, order))
-
-    for member in members:
+        member = PatternFacts(validation, summary, order)
         if not search.contained(member, [validation_query]):
             return None
-    if not search.contained(validation_query, members):
+        members.append(member)
+    if not members or not search.contained(validation_query, members):
         return None
 
     return Rewriting(

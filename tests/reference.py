@@ -10,13 +10,22 @@ no compiled closure is involved.
 It also keeps the tagging-template interpreter (:func:`render_template`)
 that ``compile_template`` is checked against: it resolves every
 attribute reference at run time through a scope of entered
-collections."""
+collections.
+
+And it keeps the eager S-equivalence test of a candidate plan
+(:func:`reference_validate`) that the rewriter's member-by-member
+``_validate`` is checked against: it merges every member of the plan's
+union (:func:`reference_merged_patterns`) before it tests any."""
 
 from typing import Any
 
 from repro.algebra.model import NestedTuple
 from repro.algebra.operators import TemplateAttr, TemplateElement
+from repro.core import rewrite
+from repro.core.canonical import _strict_copy, summary_embeddings
+from repro.core.containment import PatternFacts
 from repro.core.embedding import evaluate_pattern
+from repro.core.plan_pattern import _glues_hold, _merge_combo
 from repro.core.uload import QueryResult
 
 
@@ -122,3 +131,79 @@ def _render_one(template: TemplateElement, scope: _Scope, parts: list[str]) -> N
         else:
             parts.append(str(child))
     parts.append(f"</{template.tag}>")
+
+
+def reference_merged_patterns(views, glues, summary) -> list:
+    """Every member of the union of patterns S-equivalent to the glued
+    join of the views, merged up front: all combinations of per-view
+    summary embeddings (first view outermost), the glue-consistent ones
+    merged in that order, repeated structures dropped."""
+    combos: list[list] = [[]]
+    for view in views:
+        named = [
+            {node.name: snode for node, snode in embedding.items()}
+            for embedding in summary_embeddings(_strict_copy(view), summary)
+        ]
+        combos = [prefix + [embedding] for prefix in combos for embedding in named]
+    members, seen = [], set()
+    for combo in combos:
+        if not _glues_hold(combo, glues):
+            continue
+        pattern, aliases = _merge_combo(views, combo, glues, summary)
+        key = pattern.structure_key()
+        if key not in seen:
+            seen.add(key)
+            members.append((pattern, aliases))
+    return members
+
+
+def reference_validate(search, skeleton):
+    """``rewrite._validate`` built eagerly: align every member of the
+    union first, then test each member ⊑ query in order, then query ⊑
+    ∪members."""
+    query, query_returns, summary = search.query, search.query_returns, search.summary
+    if not skeleton.lowerable:
+        return None
+    regroup = skeleton.regroup
+    if regroup is rewrite._INFEASIBLE:
+        return None
+    validation_query = search.validation_query(
+        frozenset(name for name, _attrs, _identity in regroup[1])
+        if regroup
+        else frozenset()
+    )
+    adapted = [rewrite._adapted_pattern(query, use) for use in skeleton.uses]
+    if any(pattern is None for pattern in adapted):
+        return None
+    union = reference_merged_patterns(adapted, skeleton.joins, summary)
+    if not union:
+        return None
+    members = []
+    for merged, aliases in union:
+        validation = merged.copy()
+        for node in validation.nodes():
+            node.store_id, node.store_tag = None, False
+            node.store_value = node.store_content = False
+        order = []
+        for q_name in query_returns:
+            merged_name = aliases.get(skeleton.outputs[q_name].node)
+            if merged_name is None:
+                return None
+            target = validation.node_by_name(merged_name)
+            q_node = query.node_by_name(q_name)
+            target.store_id, target.store_tag = q_node.store_id, q_node.store_tag
+            target.store_value = q_node.store_value
+            target.store_content = q_node.store_content
+            order.append(merged_name)
+        members.append(PatternFacts(validation, summary, order))
+    for member in members:
+        if not search.contained(member, [validation_query]):
+            return None
+    if not search.contained(validation_query, members):
+        return None
+    return rewrite.Rewriting(
+        plan=rewrite._build_plan(skeleton),
+        views=skeleton.views,
+        equivalent_patterns=tuple(member.pattern for member in members),
+        kind="single" if len(skeleton.uses) == 1 else "join",
+    )

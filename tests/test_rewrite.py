@@ -239,7 +239,7 @@ class TestPlanPattern:
         for node in names.nodes():
             node.name = "u1:" + node.name
         glue = GlueCondition("parent", 0, "u0:e1", 1, "u1:e1")
-        union = merged_patterns([items, names], [glue], summary)
+        union = list(merged_patterns([items, names], [glue], summary))
         assert len(union) == 1
         pattern, aliases = union[0]
         tags = [n.tag for n in pattern.nodes()]
@@ -256,10 +256,10 @@ class TestPlanPattern:
         for node in right.nodes():
             node.name = "u1:" + node.name
         glue = GlueCondition("ancestor", 0, "u0:e1", 1, "u1:e1")
-        union = merged_patterns([left, right], [glue], summary)
+        union = list(merged_patterns([left, right], [glue], summary))
         assert len(union) == 1  # only /a/b/c has b above c
         glue_rev = GlueCondition("ancestor", 0, "u1:e1", 1, "u0:e1")
-        union_rev = merged_patterns([right, left], [glue_rev], summary)
+        union_rev = list(merged_patterns([right, left], [glue_rev], summary))
         assert len(union_rev) == 1
 
 
@@ -350,6 +350,62 @@ class TestGolden:
         assert render({str(seed): answers(seed) for seed in SEEDS}) == (
             GOLDEN_PATH.read_text()
         )
+
+
+class TestMembersOnDemand:
+    """``_validate`` merges and tests a union's members one at a time; it
+    must answer and count exactly as the eager reference, which merges
+    every member before it tests any, on every candidate the search
+    enumerates for the ``plan_cold`` battery (XMark scale 2, the 14-view
+    catalog)."""
+
+    def test_lazy_validation_matches_the_eager_reference(self, monkeypatch):
+        import dataclasses
+        from collections import Counter
+
+        from repro.core import rewrite
+        from repro.engine.qlog import rewriting_signature
+        from repro.workloads import XMARK_QUERIES
+        from repro.xquery import extract, parse_query
+        from tests.reference import reference_validate
+        from tests.rewrite_golden import VIEW_QUERIES, environment
+
+        summary, catalog = environment(0)
+        queries = {**VIEW_QUERIES, **XMARK_QUERIES}
+        queries.pop("q07")  # in no bench battery
+        lazy = rewrite._validate
+        seen: Counter = Counter()
+
+        def both(search, skeleton):
+            # the reference runs on a twin of the search's mutable state
+            twin = dataclasses.replace(
+                search,
+                stats=dataclasses.replace(search.stats),
+                flattened=dict(search.flattened),
+                verdicts=dict(search.verdicts),
+            )
+            expected = reference_validate(twin, skeleton)
+            actual = lazy(search, skeleton)
+            assert (actual is None) == (expected is None), skeleton.views
+            assert search.stats == twin.stats, skeleton.views
+            assert list(search.verdicts.items()) == list(twin.verdicts.items())
+            if actual is not None:
+                assert rewriting_signature(actual) == rewriting_signature(expected)
+                assert [p.to_text() for p in actual.equivalent_patterns] == [
+                    p.to_text() for p in expected.equivalent_patterns
+                ]
+                seen["members > 1"] += len(actual.equivalent_patterns) > 1
+            seen[len(skeleton.uses), actual is not None] += 1
+            return actual
+
+        monkeypatch.setattr(rewrite, "_validate", both)
+        for text in queries.values():
+            for unit in extract(parse_query(text)).units:
+                for pattern in unit.patterns:
+                    rewrite_pattern(pattern, catalog, summary, max_results=None)
+        # the battery reaches accepted and rejected joins, and unions of
+        # several members, whose order the comparison pins
+        assert seen[2, True] and seen[2, False] and seen["members > 1"]
 
 
 class TestCheapestFirst:
