@@ -6,10 +6,11 @@ Two facilities live here:
   document: embeddings drive the construction of (possibly nested) result
   tuples, honoring every edge semantics (join / semijoin / outerjoin /
   nest / nest-outer), value formulas, and the stored-attribute
-  specifications (ID under the node's declared scheme, L, V, C).  Each
-  call compiles the pattern into one closure per node and per edge over
-  the document's tag index, whose memos compute each element's value
-  and content once per labelled document.
+  specifications (ID under the node's declared scheme, L, V, C).
+  :func:`compile_pattern` turns the pattern into one closure per node and
+  per edge, plus a dedup key, once; the closures are handed each
+  document's tag index at run time, whose memos compute each element's
+  value and content once per labelled document.
   :mod:`repro.core.semantics` implements the *algebraic* semantics of
   §2.2.2 independently; the test-suite checks they agree, mirroring the
   thesis' equivalence claim.
@@ -33,6 +34,7 @@ from ..xmldata.node import ATTRIBUTE, DOCUMENT, ELEMENT, TEXT, Document, TagInde
 from .xam import CHILD, JOIN, NEST, NEST_OUTER, OUTER, SEMI, Pattern, PatternEdge, PatternNode
 
 __all__ = [
+    "compile_pattern",
     "evaluate_pattern",
     "return_tuples",
     "embeddings",
@@ -85,37 +87,48 @@ def subtree_attribute_names(pattern_node: PatternNode) -> list[str]:
     return names
 
 
-#: A compiled pattern subtree maps a node to the attribute dicts of the
-#: tuples it produces there (``None``: no embedding).  Dicts are never
-#: mutated once built, so an edge may pass its child's rows through.
-Compiled = Callable[[XMLNode], Optional[list[dict]]]
+#: A compiled pattern subtree maps a node and its document's tag index to
+#: the attribute dicts of the tuples it produces there (``None``: no
+#: embedding).  Dicts are never mutated once built, so an edge may pass
+#: its child's rows through.
+Compiled = Callable[[XMLNode, TagIndex], Optional[list[dict]]]
+
+#: A compiled pattern: a labelled document → its duplicate-free tuples.
+Evaluator = Callable[[Document], list[NestedTuple]]
+
+#: stored attributes read off the node alone, and off the tag index's memos
+_NODE_READERS = {"L": attrgetter("label")}
+_INDEX_READERS = {"V": TagIndex.value, "C": TagIndex.content}
+_value, _descendants = TagIndex.value, TagIndex.descendants
 
 
-def _compile(pattern_node: PatternNode, index: TagIndex) -> Compiled:
-    """Specialise the subtree at ``pattern_node`` into a closure over one
-    document's index: its admission, stored-attribute getters and edges
-    are fixed once, and values and contents come from the index's
-    memos."""
+def _compile(pattern_node: PatternNode) -> Compiled:
+    """Specialise the subtree at ``pattern_node`` into a closure: its
+    admission, stored-attribute getters and edges are fixed once, and
+    values and contents come from the memos of the index it is given."""
     kind, tag = _kind_of(pattern_node), pattern_node.tag
     formula = pattern_node.value_formula
     admit_value = None if formula.is_true else formula.evaluate
-    value_of = index.value
-    readers = {"L": attrgetter("label"), "V": value_of, "C": index.content}
-    getters = [
-        (f"{pattern_node.name}.{attr}",
-         ID_GETTERS[pattern_node.store_id] if attr == "ID" else readers[attr])
-        for attr in pattern_node.stored_attrs()
+    attrs = [(f"{pattern_node.name}.{attr}", attr) for attr in pattern_node.stored_attrs()]
+    # ID and L precede V and C, so the two lists keep the attribute order
+    on_node = [
+        (name, ID_GETTERS[pattern_node.store_id] if attr == "ID" else _NODE_READERS[attr])
+        for name, attr in attrs if attr not in _INDEX_READERS
     ]
-    steps = [_compile_step(edge, index) for edge in pattern_node.edges]
+    on_index = [(name, _INDEX_READERS[attr]) for name, attr in attrs if attr in _INDEX_READERS]
+    steps = [_compile_step(edge) for edge in pattern_node.edges]
 
-    def at(node: XMLNode) -> Optional[list[dict]]:
+    def at(node: XMLNode, index: TagIndex) -> Optional[list[dict]]:
         if node.kind != kind or (tag is not None and node.label != tag):
             return None
-        if admit_value is not None and not admit_value(value_of(node)):
+        if admit_value is not None and not admit_value(_value(index, node)):
             return None
-        rows: Optional[list[dict]] = [{name: get(node) for name, get in getters}]
+        row = {name: get(node) for name, get in on_node}
+        for name, read in on_index:
+            row[name] = read(index, node)
+        rows: Optional[list[dict]] = [row]
         for step in steps:
-            rows = step(rows, node)
+            rows = step(rows, node, index)
             if rows is None:
                 return None
         return rows
@@ -123,30 +136,29 @@ def _compile(pattern_node: PatternNode, index: TagIndex) -> Compiled:
     return at
 
 
-def _compile_step(edge: PatternEdge, index: TagIndex):
-    """An edge as ``(rows, node) → rows``: its candidates run through the
-    child's closure and combine under the edge's semantics.  Child steps
-    test the label inline, before any call."""
-    semantics, child = edge.semantics, _compile(edge.child, index)
+def _compile_step(edge: PatternEdge):
+    """An edge as ``(rows, node, index) → rows``: its candidates run
+    through the child's closure and combine under the edge's semantics.
+    Child steps test the label inline, before any call."""
+    semantics, child = edge.semantics, _compile(edge.child)
     tag, name, on_child = edge.child.tag, edge.child.name, edge.axis == CHILD
-    descendants = index.descendants
 
-    def candidates(node: XMLNode) -> Sequence[XMLNode]:
+    def candidates(node: XMLNode, index: TagIndex) -> Sequence[XMLNode]:
         if on_child:
             return node.children if tag is None else [c for c in node.children if c.label == tag]
         if tag is None:  # ``*`` admits elements only
-            return [n for n in descendants(node) if n.kind == ELEMENT]
-        return descendants(node, tag)
+            return [n for n in _descendants(index, node) if n.kind == ELEMENT]
+        return _descendants(index, node, tag)
 
     padding = [
         (n, "." not in n)
         for n in (subtree_attribute_names(edge.child) if semantics == OUTER else ())
     ]
 
-    def step(rows, node):
+    def step(rows, node, index):
         found: list[dict] = []
-        for candidate in candidates(node):
-            result = child(candidate)
+        for candidate in candidates(node, index):
+            result = child(candidate, index)
             if result is not None:
                 found.extend(result)
         if semantics == SEMI:
@@ -165,35 +177,82 @@ def _compile_step(edge: PatternEdge, index: TagIndex):
     return step
 
 
-def evaluate_pattern(pattern: Pattern, doc: Document) -> list[NestedTuple]:
+def _nest_edges(pattern_node: PatternNode) -> Iterator[PatternEdge]:
+    """The nest edges whose collections the subtree's rows hold at top
+    level (those below a semijoin or inside a collection do not)."""
+    for edge in pattern_node.edges:
+        if edge.nested:
+            yield edge
+        elif edge.semantics != SEMI:
+            yield from _nest_edges(edge.child)
+
+
+def _values(attrs: dict) -> tuple:
+    return tuple(attrs.values())
+
+
+def _row_key(pattern_node: PatternNode) -> Optional[Callable[[dict], tuple]]:
+    """The dedup key of the rows the subtree at ``pattern_node`` produces.
+    Every row carries the subtree's attribute names in one order, so its
+    value tuple tells it apart: ``None`` when the rows hold atoms only
+    (the value tuple is the key); otherwise the value tuple with each
+    collection, which does not hash, replaced by the tuple of its members'
+    keys (padded collections are empty, so they key as ``()``)."""
+    names = subtree_attribute_names(pattern_node)
+    slots = [
+        (names.index(edge.child.name), _row_key(edge.child) or _values)
+        for edge in _nest_edges(pattern_node)
+    ]
+    if not slots:
+        return None
+
+    def key(attrs: dict) -> tuple:
+        values = list(attrs.values())
+        for position, member_key in slots:
+            values[position] = tuple(member_key(m.attrs) for m in values[position])
+        return tuple(values)
+
+    return key
+
+
+def compile_pattern(pattern: Pattern) -> Evaluator:
+    """Compile a XAM into a document-independent evaluator: the closure
+    tree and the dedup key are built here once, and each call runs them
+    over one labelled document's root and tag index.  The evaluator holds
+    no document, so whoever owns it keeps none alive."""
+    root, nested_key = _compile(pattern.root), _row_key(pattern.root)
+
+    def evaluate(doc: Document) -> list[NestedTuple]:
+        rows = root(doc.root, doc.index)
+        if rows is None:
+            return []
+        out: list[NestedTuple] = []
+        seen: set[tuple] = set()
+        for attrs in rows:
+            key = tuple(attrs.values()) if nested_key is None else nested_key(attrs)
+            if key not in seen:
+                seen.add(key)
+                out.append(NestedTuple.adopt(attrs))
+        return out
+
+    return evaluate
+
+
+def evaluate_pattern(
+    pattern: Pattern, doc: Document, *, compiled: Optional[Evaluator] = None
+) -> list[NestedTuple]:
     """Evaluate a XAM over a document: Definition 4.1.1 extended with the
     decorated / optional / attribute / nested semantics of §4.1, producing
     duplicate-free tuples in document order.  ``doc`` must be labelled
     (descendant steps, values and contents read its tag index;
     ``ValueError`` otherwise).
 
-    The pattern is compiled into closures over the document's index on
-    every call: compiling costs microseconds against a document pass, so
-    no cache is kept.  Every row carries the pattern's attribute names in
-    one order, so rows are told apart by their value tuples; a row holding
-    a collection, which does not hash, is told apart by its frozen form."""
-    result = _compile(pattern.root, doc.index)(doc.root)
-    if result is None:
-        return []
-    out: list[NestedTuple] = []
-    seen: set[tuple] = set()
-    for attrs in result:
-        t = NestedTuple.adopt(attrs)
-        key = tuple(attrs.values())
-        try:
-            fresh = key not in seen
-        except TypeError:
-            key = t.freeze()
-            fresh = key not in seen
-        if fresh:
-            seen.add(key)
-            out.append(t)
-    return out
+    ``compiled`` is ``pattern``'s evaluator from :func:`compile_pattern`;
+    without it the pattern is compiled for this call.  A caller that
+    evaluates one pattern over several documents, or again and again,
+    compiles it once and passes it in: a prepared plan owns one evaluator
+    per base-store pattern."""
+    return (compiled or compile_pattern(pattern))(doc)
 
 
 # ---------------------------------------------------------------------------

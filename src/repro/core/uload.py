@@ -81,7 +81,7 @@ from ..xquery.extract import (
 )
 from ..xquery.parser import parse_query
 from .containment import PatternFacts
-from .embedding import evaluate_pattern
+from .embedding import Evaluator, compile_pattern, evaluate_pattern
 from .rewrite import Rewriting, SearchStats, relevant_views, rewrite_pattern
 from .statistics import CatalogStatistics, rank_rewritings, views_cost
 from .xam import Pattern
@@ -222,6 +222,11 @@ class PreparedUnit:
     #: compiled physical plan of the assembled unit (filled at prepare
     #: time, when the plan is fingerprinted)
     compiled_plan: Optional[object] = None
+    #: pattern index → evaluator of a base-store pattern, compiled at
+    #: prepare time and run over every document by every execution (the
+    #: unit owns it: it is not in the fingerprint-keyed cache, whose key
+    #: does not name a base pattern's text)
+    base_evaluators: dict[int, Evaluator] = field(default_factory=dict)
 
 
 @dataclass
@@ -495,11 +500,10 @@ class Database:
         return docs
 
     def _annotate(self) -> None:
-        """Finalize the summary, re-annotate edge statistics over every
-        document and bump the mutation counter."""
+        """Finalize the summary, re-annotate edge statistics over all
+        documents at once and bump the mutation counter."""
         self.summary.finalize()
-        for doc in self.documents:
-            annotate_edges(self.summary, doc)
+        annotate_edges(self.summary, *self.documents)
         self._annotated = len(self.documents)
         self._mutations += 1
 
@@ -556,8 +560,14 @@ class Database:
                 name, pattern, self.documents[0], self.store, self.catalog, kind
             )
         # multi-document: concatenate per-document materializations
+        compiled = compile_pattern(pattern)
         self.store.add(
-            name, [t for doc in self.documents for t in evaluate_pattern(pattern, doc)]
+            name,
+            [
+                t
+                for doc in self.documents
+                for t in evaluate_pattern(pattern, doc, compiled=compiled)
+            ],
         )
         return self.catalog.register(name, pattern, relation=name, kind=kind)
 
@@ -693,6 +703,11 @@ class Database:
                     resolutions=resolutions,
                     logical=logical,
                     index=len(units),
+                    base_evaluators={
+                        index: compile_pattern(resolution.pattern)
+                        for index, resolution in enumerate(resolutions)
+                        if resolution.rewriting is None
+                    },
                 )
             )
         # Fingerprint the prepared plan: compiles each unit and chosen
@@ -1102,7 +1117,8 @@ class Database:
         """
         if resolution.rewriting is None:
             return self._base_pattern_tuples(
-                resolution.pattern, ctx, resolution.estimated_cardinality
+                resolution.pattern, ctx, resolution.estimated_cardinality,
+                prepared_unit.base_evaluators[index],
             )
         rewriting = resolution.rewriting
         original = rewriting
@@ -1248,10 +1264,13 @@ class Database:
         pattern: Pattern,
         ctx: Optional[ExecutionContext] = None,
         estimate: Optional[float] = None,
+        compiled: Optional[Evaluator] = None,
     ) -> list[NestedTuple]:
         """Evaluate a pattern directly over the in-memory documents — the
         always-available access path of last resort (it bypasses the
-        store, so storage-level fault points cannot touch it).
+        store, so storage-level fault points cannot touch it).  A base
+        resolution passes its unit's ``compiled`` evaluator; a degraded
+        reroute to the base store compiles one, uncached, for this call.
 
         Base evaluation runs no physical operators, so under attributed
         profiling it contributes a synthetic one-node metrics tree — the
@@ -1261,9 +1280,10 @@ class Database:
         if profiled:
             started = time.perf_counter()
             cpu_started = time.thread_time_ns()
+        compiled = compiled or compile_pattern(pattern)
         tuples: list[NestedTuple] = []
         for doc in self.documents:
-            tuples.extend(evaluate_pattern(pattern, doc))
+            tuples.extend(evaluate_pattern(pattern, doc, compiled=compiled))
         if profiled:
             node = OperatorMetrics(
                 label=f"BaseEval({pattern.to_text()})", estimated_rows=estimate

@@ -36,19 +36,21 @@ def build_enhanced_summary(doc: Document) -> PathSummary:
     return summary
 
 
-def annotate_edges(summary: PathSummary, doc: Document) -> PathSummary:
+def annotate_edges(summary: PathSummary, *docs: Document) -> PathSummary:
     """Compute the ``1/+/*`` annotation of every summary edge from data.
 
-    For every summary edge we track, over all document nodes on the parent
-    path, the minimum and maximum number of children on the child path.
-    ``min ≥ 1`` makes the edge strong; ``min = max = 1`` makes it
-    one-to-one.
+    For every summary edge we track, over all nodes on the parent path in
+    every one of ``docs``, the minimum and maximum number of children on
+    the child path.  ``min ≥ 1`` makes the edge strong; ``min = max = 1``
+    makes it one-to-one.  The bounds are merged over the documents before
+    any edge is annotated: an edge is as strong as the whole corpus
+    allows, whatever order the documents come in.
     """
     # (parent summary node, child label) → [min_count, max_count]
     bounds: dict[tuple[int, str], list[int]] = {}
 
     def record(snode: SummaryNode, counts: dict[str, int]) -> None:
-        for label, child in snode.children.items():
+        for label in snode.children:
             count = counts.get(label, 0)
             key = (snode.pre, label)
             entry = bounds.get(key)
@@ -59,7 +61,6 @@ def annotate_edges(summary: PathSummary, doc: Document) -> PathSummary:
                     entry[0] = count
                 if count > entry[1]:
                     entry[1] = count
-            del child  # annotation applied in the final sweep
 
     def visit(node: XMLNode, snode: SummaryNode) -> None:
         counts: dict[str, int] = {}
@@ -80,17 +81,18 @@ def annotate_edges(summary: PathSummary, doc: Document) -> PathSummary:
                     )
                 visit(child, child_summary)
 
-    top_summary = summary.root.child(doc.top.label)
-    if top_summary is None:
-        raise ValueError("document top element missing from summary")
-    record(summary.root, {doc.top.label: 1})
-    visit(doc.top, top_summary)
+    for doc in docs:
+        top_summary = summary.root.child(doc.top.label)
+        if top_summary is None:
+            raise ValueError("document top element missing from summary")
+        record(summary.root, {doc.top.label: 1})
+        visit(doc.top, top_summary)
 
     for snode in summary.nodes():
         assert snode.parent is not None
         entry = bounds.get((snode.parent.pre, snode.label))
         if entry is None:
-            # Path present in the summary but absent from this document:
+            # Path present in the summary but absent from every document:
             # no evidence, keep the weakest annotation.
             snode.edge_annotation = "*"
         elif entry[0] == 1 and entry[1] == 1:

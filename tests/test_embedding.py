@@ -89,7 +89,7 @@ def duplicates_removed(pattern, doc) -> int:
     """Check ``evaluate_pattern`` against a dedup that freezes every row
     of the compiled pattern's output (same rows, same order); return how
     many rows it dropped."""
-    rows = _compile(pattern.root, doc.index)(doc.root) or []
+    rows = _compile(pattern.root)(doc.root, doc.index) or []
     seen, expected = set(), []
     for attrs in rows:
         key = NestedTuple(attrs).freeze()
@@ -114,6 +114,28 @@ class TestDuplicateElimination:
     def test_rows_holding_a_collection(self):
         pattern = parse_pattern("//listitem{//text[id:s]{/no:keyword[val]}}")
         assert duplicates_removed(pattern, self.NESTED) == 1
+
+    #: a listitem with two equal keywords, and two listitems below no text
+    PADDED = load(
+        "<site><listitem><text><keyword>k</keyword></text>"
+        "<listitem><text><keyword>j</keyword><keyword>j</keyword></text>"
+        "<listitem/></listitem><listitem/></listitem></site>"
+    )
+
+    @pytest.mark.parametrize(
+        "text, dropped",
+        [
+            # an outer edge pads its nested child with an empty collection
+            ("//listitem{/o:text{/nj:keyword[val]}}", 1),
+            ("//listitem{//o:text[id:s]{/nj:keyword[val]}}", 2),
+            ("//listitem{/o:listitem{/no:text[id:s]}}", 3),
+            # members that hold collections, padded ones among them
+            ("//listitem{/no:listitem{/no:text{/nj:keyword[val]}}}", 1),
+            ("//listitem{/no:listitem{/o:text{/nj:keyword[val]}}}", 1),
+        ],
+    )
+    def test_padded_and_nested_members(self, text, dropped):
+        assert duplicates_removed(parse_pattern(text), self.PADDED) == dropped
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_golden_random_patterns(self, seed):
