@@ -137,6 +137,10 @@ class TestDuplicateElimination:
     def test_padded_and_nested_members(self, text, dropped):
         assert duplicates_removed(parse_pattern(text), self.PADDED) == dropped
 
+    def test_collections_of_one_size_told_apart_by_their_members(self):
+        pattern = parse_pattern("//text{/nj:keyword[val]}")
+        assert duplicates_removed(pattern, self.NESTED) == 0
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_golden_random_patterns(self, seed):
         doc = generate_xmark(scale=1, seed=0)
